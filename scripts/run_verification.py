@@ -23,8 +23,6 @@ from hypertree_spectra import (  # noqa: E402
     verify_extremal,
 )
 
-KINDS = (TensorKind.Adjacency, TensorKind.SignlessLaplacian, TensorKind.IncidenceQ)
-
 
 def run_census(n, k, tol, export_dir):
     start = time.perf_counter()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
 
 from .errors import TooLarge
 from .hypergraph import Hypergraph, is_connected, validate
@@ -160,31 +159,3 @@ def _brute_force_canonical(g: Hypergraph) -> CanonicalForm:
             best = form
     assert best is not None
     return best
-
-
-# -- ordinary trees ----------------------------------------------------------
-
-def tree_canonical_code(edges: Sequence[tuple[int, int]], n_prime: int):
-    """AHU canonical code of a free tree given as an edge list on 1..n'."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n_prime + 1)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    centers = _tree_centers({v: list(nbrs) for v, nbrs in adj.items()})
-
-    def rooted_code(root: int):
-        code: dict[int, tuple] = {}
-        stack = [(root, 0, False)]
-        while stack:
-            node, parent, processed = stack.pop()
-            if processed:
-                children = [nb for nb in adj[node] if nb != parent]
-                code[node] = tuple(sorted(code[c] for c in children))
-                continue
-            stack.append((node, parent, True))
-            for nb in adj[node]:
-                if nb != parent:
-                    stack.append((nb, node, False))
-        return code[root]
-
-    return min(rooted_code(c) for c in centers)

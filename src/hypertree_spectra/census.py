@@ -1,10 +1,11 @@
-"""Exhaustive enumeration of small supertrees and free trees up to
-isomorphism, and verification of the extremal theorems over the census.
+"""Exhaustive enumeration of small supertrees up to isomorphism, and
+verification of the extremal theorems over the census.
 
 Supertrees are generated by growing a pendent edge at a time: every
 supertree with m >= 2 edges has a pendent edge whose removal leaves a
 smaller supertree, so attaching a fresh edge sharing exactly one vertex
 reaches every isomorphism class.  Deduplication is by canonical form.
+Free trees on n' nodes are the k=2 census with n'-1 edges.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .canon import CanonicalForm, canonical_form, tree_canonical_code
+from .canon import CanonicalForm, canonical_form
 from .errors import BadDimensions, IncompleteCensus, TooLarge
 from .families import double_star, hyperstar, loose_path
-from .hypergraph import Hypergraph, is_linear, is_supertree, validate
+from .hypergraph import Hypergraph, validate
 from .spectral import (
     DEFAULT_TOL,
     closed_form_hyperstar,
@@ -23,11 +24,10 @@ from .spectral import (
     strict_margin,
 )
 from .tensors import TensorKind
+from .transforms import edges_to_parents
 
 MAX_CENSUS_EDGES = 6
 MAX_TREE_NODES = 10
-
-KINDS = (TensorKind.Adjacency, TensorKind.SignlessLaplacian, TensorKind.IncidenceQ)
 
 
 @dataclass(frozen=True)
@@ -94,30 +94,11 @@ class VerificationReport:
 # -- enumeration -------------------------------------------------------------
 
 def enumerate_trees(n_prime: int) -> list[list[int]]:
-    """All free trees on n' nodes, one parent array per isomorphism class.
-
-    Grows trees by attaching a leaf at one representative vertex per
-    canonical-code class, deduplicating levels by AHU code.
-    """
+    """All free trees on n' nodes, one parent array per isomorphism class:
+    the 2-uniform supertree census with n'-1 edges."""
     if not (2 <= n_prime <= MAX_TREE_NODES):
         raise TooLarge(f"enumerate_trees supports 2 <= n' <= {MAX_TREE_NODES}")
-    level: dict = {(): [(1, 2)]}  # code -> edge list; start from the 2-path
-    size = 2
-    code0 = tree_canonical_code([(1, 2)], 2)
-    level = {code0: [(1, 2)]}
-    while size < n_prime:
-        nxt: dict = {}
-        for edges in level.values():
-            for v in range(1, size + 1):
-                grown = edges + [(v, size + 1)]
-                code = tree_canonical_code(grown, size + 1)
-                if code not in nxt:
-                    nxt[code] = grown
-        level = nxt
-        size += 1
-    from .transforms import edges_to_parents
-
-    return [edges_to_parents(edges, n_prime) for edges in sorted(level.values())]
+    return [edges_to_parents(g.edges, n_prime) for g in _supertree_shapes(n_prime - 1, 2)]
 
 
 def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
@@ -167,7 +148,7 @@ def enumerate_supertrees(
     records = []
     for g in _supertree_shapes(m, k):
         form = canonical_form(g)
-        radii = {kind: spectral_radius(kind, g, tol=tol).rho for kind in KINDS}
+        radii = {kind: spectral_radius(kind, g, tol=tol).rho for kind in TensorKind}
         records.append(
             CensusRecord(
                 hypergraph=g,
@@ -198,7 +179,7 @@ def verify_extremal(
         raise IncompleteCensus("census lacks the loose path")
     assertions: list[Assertion] = []
     skipped: list[str] = []
-    for kind in KINDS:
+    for kind in TensorKind:
         ordered = sorted(census.records, key=lambda r: r.radii[kind], reverse=True)
         top = ordered[0]
         closed = closed_form_hyperstar(kind, n, k)
@@ -267,22 +248,3 @@ def verify_extremal(
         assertions=tuple(assertions),
         skipped=tuple(skipped),
     )
-
-
-def brute_force_supertrees(n: int, k: int) -> list[CanonicalForm]:
-    """Independent completeness oracle: filter all m-subsets of all
-    possible k-edges on n labeled vertices down to supertrees, then
-    deduplicate by canonical form.  Only viable for tiny n.
-    """
-    import itertools
-
-    if (n - 1) % (k - 1) != 0:
-        raise BadDimensions(f"no supertree with n={n}, k={k}")
-    m = (n - 1) // (k - 1)
-    all_edges = list(itertools.combinations(range(1, n + 1), k))
-    forms: set[CanonicalForm] = set()
-    for subset in itertools.combinations(all_edges, m):
-        g = validate([list(e) for e in subset], n, k=k)
-        if is_supertree(g) and is_linear(g):
-            forms.add(canonical_form(g))
-    return sorted(forms)

@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_verify.add_argument("--jobs", type=int, default=1)  # reserved
     p_verify.add_argument("--export", help="write census JSON-lines here")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -137,38 +137,6 @@ def is_linear(g: Hypergraph) -> bool:
     return True
 
 
-def has_berge_cycle(g: Hypergraph) -> bool:
-    """Direct cycle search on the bipartite incidence graph.
-
-    A Berge cycle (distinct vertices, distinct edges, alternating
-    incidences) exists iff the bipartite vertex/edge incidence graph
-    contains a cycle.  Test oracle for the counting criterion.
-    """
-    # nodes: ('v', i) and ('e', j); DFS with parent tracking
-    visited: set[tuple[str, int]] = set()
-    for start_v in range(1, g.n + 1):
-        node = ("v", start_v)
-        if node in visited:
-            continue
-        stack: list[tuple[tuple[str, int], tuple[str, int] | None]] = [(node, None)]
-        visited.add(node)
-        while stack:
-            cur, parent = stack.pop()
-            kind, idx = cur
-            if kind == "v":
-                neighbors = [("e", j) for j in g.incident_edges(idx)]
-            else:
-                neighbors = [("v", v) for v in g.edges[idx]]
-            for nb in neighbors:
-                if nb == parent:
-                    continue
-                if nb in visited:
-                    return True
-                visited.add(nb)
-                stack.append((nb, cur))
-    return False
-
-
 def incidence_matrix(g: Hypergraph) -> IncidenceMatrix:
     return IncidenceMatrix(rows=g.n, cols=g.m, columns=g.edges)
 

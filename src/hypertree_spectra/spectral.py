@@ -95,41 +95,20 @@ def spectral_radius(
     )
 
 
-def matrix_spectral_radius(
-    mat,
-    tol: float = 1e-12,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """Dominant eigenvalue of a symmetric nonnegative matrix by shifted
-    power iteration from the all-ones vector."""
+def matrix_spectral_radius(mat) -> float:
+    """Largest eigenvalue of a symmetric matrix (here a Gram matrix)."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotSquare(f"matrix has shape {mat.shape}")
-    n = mat.shape[0]
-    shift = 1.0
-    x = np.full(n, n**-0.5)
-    lower = upper = float("nan")
-    for _ in range(max_iter):
-        y = mat @ x + shift * x
-        ratios = y / x
-        lower = float(ratios.min())
-        upper = float(ratios.max())
-        if upper - lower <= tol:
-            return 0.5 * (lower + upper) - shift
-        x = y / np.linalg.norm(y)
-    raise NoConvergence(
-        f"matrix power iteration: no convergence after {max_iter} iterations",
-        lower=lower - shift,
-        upper=upper - shift,
-        iterations=max_iter,
-    )
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def alpha_star(m: int, k: int, tol: float = 1e-13) -> float:
     """Largest real root of x^k - (m-1) x^{k-1} - m = 0, located in
-    (m-1, m] and found by bisection.
+    (m-1, m] and found by bisection to the relative tolerance tol.
 
     f(m-1) = -m < 0 and f(m) = m^{k-1} - m >= 0, so [m-1, m] brackets it.
+    The bisection also stops once the midpoint rounds to an endpoint.
     """
     if m < 1 or k < 2:
         raise BadDimensions(f"alpha_star needs m >= 1, k >= 2, got ({m}, {k})")
@@ -138,8 +117,10 @@ def alpha_star(m: int, k: int, tol: float = 1e-13) -> float:
         return x**k - (m - 1) * x ** (k - 1) - m
 
     lo, hi = float(m - 1), float(m)
-    while hi - lo > tol:
+    while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if f(mid) < 0.0:
             lo = mid
         else:
@@ -164,7 +145,7 @@ def strict_margin(tol: float, scale: float) -> float:
     return max(100.0 * tol, 1e-8 * abs(scale))
 
 
-def bounds_report(g: Hypergraph, tol: float = 1e-12) -> BoundsReport:
+def bounds_report(g: Hypergraph) -> BoundsReport:
     """Degree bounds k^{k-1} d <= rho(Q*) <= k^{k-1} Delta and the
     incidence-matrix sandwich rho(RR^T) < rho(Q*) < k^{k-2} rho(RR^T)."""
     if not is_connected(g):
@@ -175,7 +156,7 @@ def bounds_report(g: Hypergraph, tol: float = 1e-12) -> BoundsReport:
     r = incidence_matrix(g).to_dense()
     # R^T R (m x m) shares the nonzero spectrum of R R^T (n x n)
     gram = r.T @ r if g.m < g.n else r @ r.T
-    rho_rrt = matrix_spectral_radius(gram, tol=tol)
+    rho_rrt = matrix_spectral_radius(gram)
     return BoundsReport(
         avg_degree=d,
         max_degree=delta,

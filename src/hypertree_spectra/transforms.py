@@ -2,7 +2,9 @@
 and the graft-sequence reduction of an ordinary tree to a path.
 
 All transforms are pure: they return new hypergraphs and never mutate
-their inputs.  Edge ids are 0-based indices into ``g.edges``.
+their inputs.  Edge ids are 0-based indices into ``g.edges``.  Ordinary
+trees are handled as 2-uniform supertrees (the k=2 census), so their
+grafts are total grafts on ``tree_power(parents, 2)``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import (
     NotPendentPaths,
     PendentEdge,
 )
+from .families import tree_power
 from .hypergraph import Hypergraph, is_linear, pendent_edges, validate
 from .spectral import spectral_radius
 from .tensors import TensorKind
@@ -189,6 +192,7 @@ def total_graft(g: Hypergraph, v: int, p: int, q: int) -> Hypergraph:
 
 
 # -- ordinary trees: graft sequence reduction to a path ----------------------
+# tree_power(parents, 2) keeps the tree's own node labels.
 
 @dataclass(frozen=True)
 class GraftStep:
@@ -197,109 +201,53 @@ class GraftStep:
     q: int
 
 
-def _tree_adj(edges: Sequence[tuple[int, int]], n_prime: int) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {u: set() for u in range(1, n_prime + 1)}
-    for u, w in edges:
-        adj[u].add(w)
-        adj[w].add(u)
-    return adj
-
-
 def parents_to_edges(parents: Sequence[int]) -> list[tuple[int, int]]:
     return [(p, i + 2) for i, p in enumerate(parents)]
 
 
 def edges_to_parents(edges: Sequence[tuple[int, int]], n_prime: int) -> list[int]:
     """Root the tree at node 1 and emit the parent of each node 2..n'."""
-    adj = _tree_adj(edges, n_prime)
+    g = validate(edges, n_prime, k=2)
     parent = {1: 0}
     stack = [1]
     while stack:
         u = stack.pop()
-        for w in adj[u]:
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
+        for j in g.incident_edges(u):
+            for w in g.edges[j]:
+                if w not in parent:
+                    parent[w] = u
+                    stack.append(w)
     if len(parent) != n_prime:
         raise NotATree("edge list is not a connected tree")
     return [parent[i] for i in range(2, n_prime + 1)]
-
-
-def _tree_pendent_paths(adj: dict[int, set[int]], v: int) -> list[list[int]]:
-    """Pendent paths (as vertex chains, v first) hanging off v."""
-    out = []
-    for start in adj[v]:
-        chain = [v, start]
-        prev, cur = v, start
-        ok = True
-        while len(adj[cur]) == 2:
-            nxt = next(w for w in adj[cur] if w != prev)
-            chain.append(nxt)
-            prev, cur = cur, nxt
-        if len(adj[cur]) > 2:
-            ok = False
-        if ok:
-            out.append(chain)
-    out.sort(key=lambda c: (len(c), c))
-    return out
-
-
-def tree_graft(
-    edges: Sequence[tuple[int, int]], n_prime: int, v: int, p: int, q: int
-) -> list[tuple[int, int]]:
-    """Apply one total graft at v on an ordinary tree edge list."""
-    if p < 1 or q < 1:
-        raise NotPendentPaths(f"need p, q >= 1, got p={p}, q={q}")
-    adj = _tree_adj(edges, n_prime)
-    paths = _tree_pendent_paths(adj, v)
-    chain_p = next((c for c in paths if len(c) - 1 == p), None)
-    chain_q = next(
-        (c for c in paths if len(c) - 1 == q and c is not chain_p), None
-    )
-    if chain_p is None or chain_q is None:
-        raise NotPendentPaths(
-            f"no two pendent paths of lengths {p} and {q} at node {v}"
-        )
-    end_p = chain_p[-1]
-    first_q = chain_q[1]
-    new_edges = [e for e in edges if set(e) != {v, first_q}]
-    new_edges.append((end_p, first_q))
-    return new_edges
 
 
 def graft_to_path(parents: Sequence[int]) -> list[GraftStep]:
     """Sequence of total grafts turning the tree into a path.
 
     Strategy: repeatedly pick a vertex of degree >= 3 furthest from node 1
-    and merge its pendent paths pairwise (d(u) - 2 grafts per such vertex).
+    (the smallest such label on ties) and graft its two shortest pendent
+    paths (the smaller first node on ties), d(u) - 2 grafts per vertex.
     """
-    edges = parents_to_edges(parents)
-    n_prime = len(parents) + 1
-    edges_to_parents(edges, n_prime)  # validates tree shape
+    g = tree_power(parents, 2)
     steps: list[GraftStep] = []
     while True:
-        adj = _tree_adj(edges, n_prime)
-        heavy = [u for u in adj if len(adj[u]) >= 3]
+        heavy = [u for u in range(1, g.n + 1) if g.degree(u) >= 3]
         if not heavy:
             return steps
-        dist = {1: 0}
-        frontier = [1]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        u = max(heavy, key=lambda x: (dist[x], -x))
-        while len(_tree_adj(edges, n_prime)[u]) > 2:
-            chains = _tree_pendent_paths(_tree_adj(edges, n_prime), u)
-            if len(chains) < 2:
-                raise NotATree("internal error: expected pendent paths at grafting vertex")
-            p = len(chains[0]) - 1
-            q = len(chains[1]) - 1
-            edges = tree_graft(edges, n_prime, u, p, q)
+        parent = [0, 0] + edges_to_parents(g.edges, g.n)
+
+        def depth(x: int) -> int:
+            d = 0
+            while x != 1:
+                x, d = parent[x], d + 1
+            return d
+
+        u = max(heavy, key=lambda x: (depth(x), -x))
+        while g.degree(u) > 2:
+            paths = sorted(find_pendent_paths(g, u), key=lambda c: (c.length, c.vertices))
+            p, q = paths[0].length, paths[1].length
+            g = total_graft(g, u, p, q)
             steps.append(GraftStep(vertex=u, p=p, q=q))
 
 
@@ -307,10 +255,9 @@ def apply_graft_sequence(
     parents: Sequence[int], steps: Sequence[GraftStep]
 ) -> list[list[int]]:
     """Intermediate trees (as parent arrays) after each graft step."""
-    edges = parents_to_edges(parents)
-    n_prime = len(parents) + 1
+    g = tree_power(parents, 2)
     out = []
     for step in steps:
-        edges = tree_graft(edges, n_prime, step.vertex, step.p, step.q)
-        out.append(edges_to_parents(edges, n_prime))
+        g = total_graft(g, step.vertex, step.p, step.q)
+        out.append(edges_to_parents(g.edges, g.n))
     return out

@@ -33,7 +33,6 @@ from hypertree_spectra import (
     tree_power,
 )
 from hypertree_spectra.canon import relabel
-from hypertree_spectra.census import KINDS
 from hypertree_spectra.errors import NotPendentPaths
 from hypertree_spectra.transforms import (
     edge_release_best,
@@ -42,6 +41,8 @@ from hypertree_spectra.transforms import (
 )
 
 from conftest import CORPUS, SMALL
+
+KINDS = tuple(TensorKind)
 
 
 def _done(num, name, **margins):

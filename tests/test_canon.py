@@ -14,12 +14,9 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
-from hypertree_spectra.canon import (
-    _brute_force_canonical,
-    relabel,
-    tree_canonical_code,
-)
+from hypertree_spectra.canon import _brute_force_canonical, relabel
 from hypertree_spectra.errors import TooLarge
+from oracles import tree_canonical_code
 
 
 def _random_relabel(g, rnd):

@@ -16,10 +16,10 @@ from hypertree_spectra import (
     spectral_radius,
     verify_extremal,
 )
-from hypertree_spectra.canon import tree_canonical_code
-from hypertree_spectra.census import Census, brute_force_supertrees
+from hypertree_spectra.census import Census
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
 from hypertree_spectra.transforms import parents_to_edges
+from oracles import brute_force_supertrees, tree_canonical_code
 
 KINDS = list(TensorKind)
 

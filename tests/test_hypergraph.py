@@ -23,7 +23,7 @@ from hypertree_spectra.errors import (
     RepeatedVertexInEdge,
     VertexOutOfRange,
 )
-from hypertree_spectra.hypergraph import has_berge_cycle
+from oracles import has_berge_cycle
 
 
 def test_validate_basic():

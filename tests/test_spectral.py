@@ -181,6 +181,16 @@ def test_alpha_star_consistency():
         assert rho == pytest.approx(1 + alpha_star(m, k), abs=1e-7)
 
 
+def test_alpha_star_large_star_terminates():
+    # for m >~ 513 one ulp of m exceeds an absolute 1e-13, so the bisection
+    # must stop on a relative width or when the midpoint stops moving
+    m, k = 600, 3
+    q_root = closed_form_hyperstar(TensorKind.SignlessLaplacian, m * (k - 1) + 1, k) - 1
+    for root in (alpha_star(m, k), q_root):
+        assert m - 1 < root <= m
+        assert abs(root**k - (m - 1) * root ** (k - 1) - m) <= 1e-12 * root**k
+
+
 def test_closed_form_hyperstar_values():
     assert closed_form_hyperstar(TensorKind.IncidenceQ, 7, 3) == pytest.approx(
         7 + 4 * np.sqrt(3), abs=1e-12

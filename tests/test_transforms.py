@@ -21,7 +21,6 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
-from hypertree_spectra.canon import tree_canonical_code
 from hypertree_spectra.errors import (
     Disconnected,
     InvalidSpec,
@@ -32,11 +31,12 @@ from hypertree_spectra.errors import (
 )
 from hypertree_spectra.spectral import strict_margin
 from hypertree_spectra.transforms import (
+    GraftStep,
     apply_graft_sequence,
     edges_to_parents,
     parents_to_edges,
-    tree_graft,
 )
+from oracles import tree_canonical_code
 
 KINDS = list(TensorKind)
 TOL = 1e-10
@@ -359,11 +359,53 @@ def test_tree_graft_roundtrip_parents():
 
 
 def test_tree_graft_rejects_bad_lengths():
-    edges = parents_to_edges([1, 1, 1])
+    star = tree_power([1, 1, 1], 2)
     with pytest.raises(NotPendentPaths):
-        tree_graft(edges, 4, 1, 2, 1)
+        total_graft(star, 1, 2, 1)
     with pytest.raises(NotPendentPaths):
-        tree_graft(edges, 4, 1, 0, 1)
+        total_graft(star, 1, 0, 1)
+
+
+# Steps and intermediate parent arrays recorded from the free-tree graft code
+# that preceded the 2-uniform one.  The chains must match exactly, not just up
+# to isomorphism: the choice between equal-length pendent paths decides where
+# node 1 lands, and so which heavy vertex is grafted next.
+GRAFT_CHAINS = [
+    # star and spider
+    ([1, 1, 1], [(1, 1, 1)], [[1, 2, 1]]),
+    ([1, 1, 1, 2, 3, 4], [(1, 2, 2)], [[1, 5, 1, 2, 3, 4]]),
+    # equal-length pendent paths at the grafting vertex, node 1 on one of
+    # them: a leaf, the free end of a leg, the middle of a leg
+    ([1, 2, 2], [(2, 1, 1)], [[1, 1, 2]]),
+    ([3, 1, 2, 4, 2, 6], [(2, 2, 2)], [[3, 1, 1, 4, 2, 6]]),
+    ([1, 1, 2, 4, 2, 6], [(2, 2, 2)], [[1, 1, 3, 4, 2, 6]]),
+    # two heavy vertices at the same distance from node 1
+    ([1, 1, 2, 2, 3, 3], [(2, 1, 1), (3, 1, 1)], [[1, 1, 2, 4, 3, 3], [1, 1, 2, 4, 3, 6]]),
+    # unequal lengths p < q
+    (
+        [3, 1, 2, 2, 1, 5, 6, 6],
+        [(2, 1, 2), (6, 1, 1)],
+        [[3, 1, 2, 4, 1, 5, 6, 6], [3, 1, 2, 4, 1, 5, 6, 8]],
+    ),
+    # the first tree of the graft_descent benchmark
+    (
+        [9, 14, 16, 4, 2, 5, 16, 13, 5, 10, 7, 1, 12, 10, 13],
+        [(10, 1, 1), (5, 3, 4), (16, 1, 9), (13, 1, 3)],
+        [
+            [9, 14, 16, 4, 2, 5, 16, 13, 5, 10, 7, 1, 12, 11, 13],
+            [9, 14, 16, 4, 2, 15, 16, 13, 5, 10, 7, 1, 12, 11, 13],
+            [9, 14, 8, 4, 2, 15, 16, 13, 5, 10, 7, 1, 12, 11, 13],
+            [9, 14, 8, 4, 2, 15, 16, 1, 5, 10, 7, 1, 12, 11, 13],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("parents,steps,chain", GRAFT_CHAINS)
+def test_graft_chains_are_pinned(parents, steps, chain):
+    expected = [GraftStep(vertex=v, p=p, q=q) for v, p, q in steps]
+    assert graft_to_path(parents) == expected
+    assert apply_graft_sequence(parents, expected) == chain
 
 
 def test_edges_to_parents_rejects_non_tree():
