@@ -19,14 +19,13 @@ from hypertree_spectra import (  # noqa: E402
     TensorKind,
     bounds_report,
     enumerate_supertrees,
-    spectral_radius,
     verify_extremal,
 )
 
 
-def run_census(n, k, tol, export_dir):
+def run_census(n, k, tol, export_dir, max_edges):
     start = time.perf_counter()
-    census = enumerate_supertrees(n, k, tol=tol)
+    census = enumerate_supertrees(n, k, tol=tol, max_edges=max_edges)
     report = verify_extremal(census, tol=tol)
     elapsed = time.perf_counter() - start
 
@@ -61,12 +60,11 @@ def run_census(n, k, tol, export_dir):
         out = export_dir / f"census_n{n}_k{k}.jsonl"
         out.write_text(census.export_jsonl())
         print(f"  wrote {out}")
-    return report.passed
+    return census, report.passed
 
 
-def print_bounds_table(n, k):
-    census = enumerate_supertrees(n, k)
-    print(f"\n== incidence-Q bounds over census n={n} k={k} ==")
+def print_bounds_table(census):
+    print(f"\n== incidence-Q bounds over census n={census.n} k={census.k} ==")
     print(f"{'shape':>8} {'k^(k-1)d':>12} {'rho_qstar':>12} {'k^(k-1)D':>12} "
           f"{'rho_rrt':>10} {'sandwich':>12}")
     for i, rec in enumerate(census.records):
@@ -96,9 +94,10 @@ def main(argv=None):
     for k in ks:
         for m in range(1, args.max_m + 1):
             n = m * (k - 1) + 1
-            all_passed &= run_census(n, k, args.tol, args.export_dir)
+            census, passed = run_census(n, k, args.tol, args.export_dir, args.max_m)
+            all_passed &= passed
             if args.bounds:
-                print_bounds_table(n, k)
+                print_bounds_table(census)
     print("\nall verifications passed" if all_passed else "\nFAILURES present")
     return 0 if all_passed else 1
 

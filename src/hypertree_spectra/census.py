@@ -19,8 +19,9 @@ from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
 from .spectral import (
     DEFAULT_TOL,
+    SpectralResult,
     closed_form_hyperstar,
-    spectral_radius,
+    spectral_radii,
     strict_margin,
 )
 from .tensors import TensorKind
@@ -35,6 +36,7 @@ class CensusRecord:
     hypergraph: Hypergraph
     canonical: CanonicalForm
     radii: dict[TensorKind, float]
+    solves: dict[TensorKind, SpectralResult]
     is_hyperstar: bool
     is_loose_path: bool
     is_double_star_1: bool  # the second-largest shape S^k(1, m-2)
@@ -47,6 +49,15 @@ class CensusRecord:
                 "rho_adj": self.radii[TensorKind.Adjacency],
                 "rho_q": self.radii[TensorKind.SignlessLaplacian],
                 "rho_qstar": self.radii[TensorKind.IncidenceQ],
+                "solves": {
+                    kind.value: {
+                        "iterations": res.iterations,
+                        "lower": res.lower,
+                        "upper": res.upper,
+                        "residual": res.residual,
+                    }
+                    for kind, res in self.solves.items()
+                },
                 "is_hyperstar": self.is_hyperstar,
                 "is_loose_path": self.is_loose_path,
                 "is_double_star_1": self.is_double_star_1,
@@ -98,11 +109,12 @@ def enumerate_trees(n_prime: int) -> list[list[int]]:
     the 2-uniform supertree census with n'-1 edges."""
     if not (2 <= n_prime <= MAX_TREE_NODES):
         raise TooLarge(f"enumerate_trees supports 2 <= n' <= {MAX_TREE_NODES}")
-    return [edges_to_parents(g.edges, n_prime) for g in _supertree_shapes(n_prime - 1, 2)]
+    return [edges_to_parents(g.edges, n_prime) for _, g in _supertree_shapes(n_prime - 1, 2)]
 
 
-def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
-    """All k-uniform supertrees with m edges, one per isomorphism class."""
+def _supertree_shapes(m: int, k: int) -> list[tuple[CanonicalForm, Hypergraph]]:
+    """All k-uniform supertrees with m edges, one per isomorphism class,
+    each with its canonical form, in order of the form."""
     start = validate([list(range(1, k + 1))], k, k=k)
     level: dict[CanonicalForm, Hypergraph] = {canonical_form(start): start}
     for _ in range(m - 1):
@@ -116,7 +128,7 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
                 if form not in nxt:
                     nxt[form] = grown
         level = nxt
-    return [level[form] for form in sorted(level)]
+    return sorted(level.items())
 
 
 def _is_tree_power(g: Hypergraph) -> bool:
@@ -145,15 +157,18 @@ def enumerate_supertrees(
     star_form = canonical_form(hyperstar(n, k))
     path_form = canonical_form(loose_path(n, k))
     ds1_form = canonical_form(double_star(1, m - 2, k)) if m >= 3 else None
+    shapes = _supertree_shapes(m, k)
+    graphs = [g for _, g in shapes]
+    solved = {kind: spectral_radii(kind, graphs, tol=tol) for kind in TensorKind}
     records = []
-    for g in _supertree_shapes(m, k):
-        form = canonical_form(g)
-        radii = {kind: spectral_radius(kind, g, tol=tol).rho for kind in TensorKind}
+    for i, (form, g) in enumerate(shapes):
+        solves = {kind: results[i] for kind, results in solved.items()}
         records.append(
             CensusRecord(
                 hypergraph=g,
                 canonical=form,
-                radii=radii,
+                radii={kind: res.rho for kind, res in solves.items()},
+                solves=solves,
                 is_hyperstar=form == star_form,
                 is_loose_path=form == path_form,
                 is_double_star_1=form == ds1_form,

@@ -16,6 +16,7 @@ import sys
 from . import families
 from .census import enumerate_supertrees, verify_extremal
 from .errors import (
+    BadParameter,
     Disconnected,
     HypertreeError,
     InvalidSpec,
@@ -72,6 +73,9 @@ def cmd_compute(args) -> int:
     kind = KIND_BY_FLAG[args.kind]
     try:
         result = spectral_radius(kind, g, tol=args.tol, max_iter=args.max_iter)
+    except BadParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Disconnected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -136,8 +140,12 @@ def cmd_transform(args) -> int:
         return 5
     if args.check_monotone:
         for kind in TensorKind:
-            before = spectral_radius(kind, g, tol=args.tol).rho
-            after = spectral_radius(kind, out, tol=args.tol).rho
+            try:
+                before = spectral_radius(kind, g, tol=args.tol).rho
+                after = spectral_radius(kind, out, tol=args.tol).rho
+            except BadParameter as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             print(f"# {kind.value}: before={before!r} after={after!r} "
                   f"margin={after - before!r}")
     sys.stdout.write(format_hypergraph(out))

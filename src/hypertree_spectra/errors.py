@@ -42,7 +42,12 @@ class NotLinear(HypertreeError):
 # -- tensor / spectral -------------------------------------------------------
 
 class DimensionMismatch(HypertreeError):
-    """Vector length does not match the vertex count."""
+    """Vector length does not match the vertex count, or the graphs of one
+    batched solve do not share (n, m, k)."""
+
+
+class BadParameter(HypertreeError):
+    """Solver parameter out of range (tol <= 0 or max_iter < 1)."""
 
 
 class TooLarge(HypertreeError):

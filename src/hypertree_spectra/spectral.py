@@ -5,23 +5,34 @@ The H-eigenpair convention throughout is T x^{k-1} = lambda x^{[k-1]} with
 x normalized so that sum_i x_i^k = 1.  For a connected hypergraph the
 shifted iteration keeps the iterate strictly positive and brackets
 rho + shift between min_i y_i / x_i^{k-1} and max_i y_i / x_i^{k-1}.
+spectral_radii runs that iteration on a batch of graphs sharing (n, m, k),
+one row per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDimensions, BadPartition, Disconnected, NoConvergence, NotSquare
+from .errors import (
+    BadDimensions,
+    BadParameter,
+    BadPartition,
+    DimensionMismatch,
+    Disconnected,
+    NoConvergence,
+    NotSquare,
+)
 from .hypergraph import Hypergraph, incidence_matrix, is_connected
-from .tensors import TensorKind, apply
+from .tensors import TensorKind, _contract, _degrees, _edge_index, _row_offset
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralResult:
     rho: float
     eigvec: np.ndarray  # positive, sum of k-th powers == 1
@@ -41,10 +52,6 @@ class BoundsReport:
     sandwich_upper: float  # k^{k-2} * rho(R R^T)
 
 
-def _knorm(x: np.ndarray, k: int) -> float:
-    return float((x**k).sum() ** (1.0 / k))
-
-
 def spectral_radius(
     kind: TensorKind,
     g: Hypergraph,
@@ -57,40 +64,86 @@ def spectral_radius(
     The shift keeps the iterate positive (the adjacency tensor has zero
     diagonal) and makes the iteration convergent for connected inputs.
     """
-    if not is_connected(g):
+    return _solve(kind, [g], tol, max_iter, shift)[0]
+
+
+def spectral_radii(
+    kind: TensorKind,
+    graphs: Sequence[Hypergraph],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    shift: float = 1.0,
+) -> list[SpectralResult]:
+    """spectral_radius of every graph, iterated together as one batch.
+
+    The graphs must share (n, m, k).  Each row runs exactly the iteration
+    spectral_radius runs on it alone, and is frozen into its own result
+    when its own bracket closes.
+    """
+    return _solve(kind, list(graphs), tol, max_iter, shift)
+
+
+def _solve(
+    kind: TensorKind, graphs: list[Hypergraph], tol: float, max_iter: int, shift: float
+) -> list[SpectralResult]:
+    if not tol > 0:
+        raise BadParameter(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise BadParameter(f"max_iter must be at least 1, got {max_iter}")
+    if not graphs:
+        return []
+    if len({(g.n, g.m, g.k) for g in graphs}) > 1:
+        raise DimensionMismatch("a batch of graphs must share (n, m, k)")
+    if not all(is_connected(g) for g in graphs):
         raise Disconnected("spectral_radius requires a connected hypergraph")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    k = g.k
-    x = np.full(g.n, g.n ** (-1.0 / k))
-    lower = upper = float("nan")
+    n, k = graphs[0].n, graphs[0].k
+    idx = _edge_index(graphs)
+    results: list[SpectralResult | None] = [None] * len(graphs)
+    active = np.arange(len(graphs))  # batch row -> position in graphs
+    flat = _row_offset(idx, n)
+    deg = _degrees(flat, len(active), n)
+    x = np.full((len(active), n), n ** (-1.0 / k))
+    # one buffer for all eigenvectors: a census keeps every result
+    vectors = np.empty_like(x)
     for it in range(1, max_iter + 1):
-        ax = apply(kind, g, x)
+        ax = _contract(kind, flat, x, deg)
         xk1 = x ** (k - 1)
         y = ax + shift * xk1
         ratios = y / xk1
-        lower = float(ratios.min())
-        upper = float(ratios.max())
-        if upper - lower <= tol:
-            rho = 0.5 * (lower + upper) - shift
-            residual = float(np.max(np.abs(ax - rho * xk1)))
-            return SpectralResult(
-                rho=rho,
-                eigvec=x,
-                residual=residual,
-                iterations=it,
-                lower=lower - shift,
-                upper=upper - shift,
-            )
+        lower = ratios.min(axis=1)
+        upper = ratios.max(axis=1)
+        done = upper - lower <= tol
+        if done.any():
+            for r in np.flatnonzero(done):
+                lo, hi = float(lower[r]), float(upper[r])
+                rho = 0.5 * (lo + hi) - shift
+                vectors[active[r]] = x[r]
+                results[active[r]] = SpectralResult(
+                    rho=rho,
+                    eigvec=vectors[active[r]],
+                    residual=float(np.max(np.abs(ax[r] - rho * xk1[r]))),
+                    iterations=it,
+                    lower=lo - shift,
+                    upper=hi - shift,
+                )
+            if done.all():
+                return results
+            keep = ~done
+            active, y, deg = active[keep], y[keep], deg[keep]
+            flat = _row_offset(idx[active], n)
         x = y ** (1.0 / (k - 1))
-        if x.min() < 1e-300:
-            x = x / max(x.max(), 1e-300)
-        x = x / _knorm(x, k)
+        tiny = x.min(axis=1) < 1e-300
+        if tiny.any():
+            x[tiny] /= np.maximum(x[tiny].max(axis=1, keepdims=True), 1e-300)
+        x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
+    keep = ~done
+    widest = int(np.argmax(np.where(keep, upper - lower, -np.inf)))
+    lo, hi = float(lower[widest]) - shift, float(upper[widest]) - shift
     raise NoConvergence(
-        f"no convergence after {max_iter} iterations "
-        f"(bracket [{lower - shift}, {upper - shift}])",
-        lower=lower - shift,
-        upper=upper - shift,
+        f"no convergence after {max_iter} iterations for {int(keep.sum())} of "
+        f"{len(graphs)} graphs (widest bracket [{lo}, {hi}])",
+        lower=lo,
+        upper=hi,
         iterations=max_iter,
     )
 

@@ -8,8 +8,11 @@ All three operators act on a k-uniform hypergraph G:
 * IncidenceQ: entry at (i_1, ..., i_k) counts edges containing all of
   i_1, ..., i_k.
 
-apply() iterates edges once (O(m*k) arithmetic), never materializing the
-n^k tensor.  dense_build() materializes it, as a cross-check oracle.
+apply() gathers x over the (m, k) edge index array and scatters the edge
+terms back with one bincount (O(m*k) arithmetic), never materializing the
+n^k tensor; the solver runs the same kernel on a batch of graphs that
+share (n, m, k).  dense_build() materializes the tensor, as a cross-check
+oracle.
 """
 
 from __future__ import annotations
@@ -54,48 +57,67 @@ def _check_vector(g: Hypergraph, x) -> np.ndarray:
     return x
 
 
-def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
-    """(T x^{k-1}) for the selected tensor, computed edge by edge."""
-    x = _check_vector(g, x)
-    k = g.k
-    out = np.zeros(g.n)
+def _edge_index(graphs) -> np.ndarray:
+    """(B, m, k) array of the 0-based vertices of each edge of each graph;
+    the graphs must share (m, k)."""
+    m, k = graphs[0].m, graphs[0].k
+    return np.array([g.edges for g in graphs], dtype=np.intp).reshape(len(graphs), m, k) - 1
+
+
+def _row_offset(idx: np.ndarray, n: int) -> np.ndarray:
+    """idx shifted by n per row, so that it indexes a flattened (B, n) array."""
+    return idx + n * np.arange(len(idx))[:, None, None]
+
+
+def _degrees(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """(B, n) vertex degrees from row-offset indices."""
+    return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
+
+
+def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """(T x^{k-1}) for every row of x (B, n) at once.
+
+    flat is the (B, m, k) row-offset index array of the batch and deg its
+    (B, n) degrees.  Each vertex of an edge receives the product of the
+    other k-1 entries (prefix times suffix products, so zeros in x are
+    safe), or for IncidenceQ the edge sum raised to k-1; one bincount adds
+    the contributions up per vertex.
+    """
+    rows, n = x.shape
+    k = flat.shape[2]
+    vals = x.ravel()[flat]
     if kind is TensorKind.IncidenceQ:
-        for e in g.edges:
-            idx = [v - 1 for v in e]
-            s = x[idx].sum() ** (k - 1)
-            for i in idx:
-                out[i] += s
-        return out
-    # adjacency part, shared by Adjacency and SignlessLaplacian:
-    # out[i] += prod_{j in e, j != i} x_j, by direct multiplication
-    for e in g.edges:
-        idx = [v - 1 for v in e]
-        vals = x[idx]
-        for t in range(k):
-            p = 1.0
-            for u in range(k):
-                if u != t:
-                    p *= vals[u]
-            out[idx[t]] += p
+        part = np.repeat(vals.sum(axis=2, keepdims=True) ** (k - 1), k, axis=2)
+    else:
+        prefix = np.cumprod(vals, axis=2)
+        suffix = np.cumprod(vals[..., ::-1], axis=2)[..., ::-1]
+        part = np.ones_like(vals)
+        part[..., 1:] = prefix[..., :-1]
+        part[..., :-1] *= suffix[..., 1:]
+    out = np.bincount(flat.ravel(), weights=part.ravel(), minlength=rows * n)
+    out = out.reshape(rows, n)
     if kind is TensorKind.SignlessLaplacian:
-        out += np.array(g.degrees, dtype=float) * x ** (k - 1)
+        out += deg * x ** (k - 1)
     return out
+
+
+def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
+    """(T x^{k-1}) for the selected tensor, computed from the edge list."""
+    x = _check_vector(g, x)
+    flat = _edge_index([g])  # a batch of one needs no row offset
+    return _contract(kind, flat, x[None, :], _degrees(flat, 1, g.n))[0]
 
 
 def rayleigh(kind: TensorKind, g: Hypergraph, x) -> float:
     """x^T (T x) via the closed edge sums."""
     x = _check_vector(g, x)
     k = g.k
-    total = 0.0
+    vals = x[_edge_index([g])[0]]
     if kind is TensorKind.IncidenceQ:
-        for e in g.edges:
-            total += x[[v - 1 for v in e]].sum() ** k
-        return total
-    for e in g.edges:
-        vals = x[[v - 1 for v in e]]
-        total += k * vals.prod()
-        if kind is TensorKind.SignlessLaplacian:
-            total += (vals**k).sum()
+        return float((vals.sum(axis=1) ** k).sum())
+    total = float(k * vals.prod(axis=1).sum())
+    if kind is TensorKind.SignlessLaplacian:
+        total += float((vals**k).sum())
     return total
 
 

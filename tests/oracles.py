@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypertree_spectra import canonical_form, is_linear, is_supertree, validate
+from hypertree_spectra import TensorKind, canonical_form, is_linear, is_supertree, validate
 from hypertree_spectra.canon import CanonicalForm
 from hypertree_spectra.errors import BadDimensions
 
@@ -59,3 +59,27 @@ def has_berge_cycle(g) -> bool:
                 visited.add(nb)
                 stack.append((nb, cur))
     return False
+
+
+def edge_loop_apply(kind, g, x):
+    """(T x^{k-1}) edge by edge and vertex by vertex in plain Python loops;
+    reference for the vectorized kernel behind apply."""
+    k = g.k
+    out = [0.0] * g.n
+    for e in g.edges:
+        idx = [v - 1 for v in e]
+        if kind is TensorKind.IncidenceQ:
+            s = sum(x[i] for i in idx) ** (k - 1)
+            for i in idx:
+                out[i] += s
+            continue
+        for t in range(k):
+            p = 1.0
+            for u in range(k):
+                if u != t:
+                    p *= x[idx[u]]
+            out[idx[t]] += p
+    if kind is TensorKind.SignlessLaplacian:
+        for i, d in enumerate(g.degrees):
+            out[i] += d * x[i] ** (k - 1)
+    return out

@@ -226,7 +226,14 @@ def test_census_deterministic_export():
             "is_loose_path",
             "is_double_star_1",
             "is_tree_power",
+            "solves",
         }
+        assert set(rec["solves"]) == {"adj", "q", "qstar"}
+        for kind, stats in rec["solves"].items():
+            assert set(stats) == {"iterations", "lower", "upper", "residual"}
+            assert stats["iterations"] >= 1
+            assert stats["lower"] <= rec[f"rho_{kind}"] <= stats["upper"]
+            assert stats["upper"] - stats["lower"] <= 1e-10
 
 
 # -- extremal verification ----------------------------------------------------

@@ -121,6 +121,33 @@ def test_compute_no_convergence_prints_bracket(capsys, path_file):
     assert "bracket=[" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--tol", "0"), ("--tol=-1e-9",), ("--max-iter", "0")],
+    ids=["tol-zero", "tol-negative", "max-iter-zero"],
+)
+def test_compute_bad_solver_parameters(capsys, path_file, flags):
+    code, out, err = run(capsys, "compute", *flags, path_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_transform_check_monotone_bad_tol(capsys, star_file):
+    code, out, err = run(
+        capsys, "transform", star_file, "--graft", "1", "1", "1",
+        "--check-monotone", "--tol", "0",
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_verify_bad_tol(capsys):
+    code, _, err = run(capsys, "verify", "--n", "9", "--k", "3", "--tol", "0")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_compute_json_deterministic(capsys, star_file):
     _, out1, _ = run(capsys, "compute", "--kind", "qstar", star_file)
     _, out2, _ = run(capsys, "compute", "--kind", "qstar", star_file)

@@ -8,6 +8,7 @@ from hypertree_spectra import (
     bounds_report,
     closed_form_hyperstar,
     dense_build,
+    double_star,
     hyperstar,
     hyperstar_orbits,
     loose_path,
@@ -17,13 +18,17 @@ from hypertree_spectra import (
     rayleigh,
     s_cycle,
     single_edge,
+    spectral_radii,
     spectral_radius,
     validate,
 )
+from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.canon import relabel
 from hypertree_spectra.errors import (
     BadDimensions,
+    BadParameter,
     BadPartition,
+    DimensionMismatch,
     Disconnected,
     NoConvergence,
     NotSquare,
@@ -78,6 +83,65 @@ def test_spectral_radius_no_convergence():
     with pytest.raises(NoConvergence) as exc:
         spectral_radius(TensorKind.Adjacency, loose_path(9, 3), max_iter=2)
     assert exc.value.lower is not None
+
+
+@pytest.mark.parametrize(
+    "tol,max_iter", [(0.0, 100), (-1e-9, 100), (float("nan"), 100), (1e-10, 0)]
+)
+def test_bad_solver_parameters(tol, max_iter):
+    g = loose_path(9, 3)
+    with pytest.raises(BadParameter):
+        spectral_radius(TensorKind.Adjacency, g, tol=tol, max_iter=max_iter)
+    with pytest.raises(BadParameter):
+        spectral_radii(TensorKind.Adjacency, [g], tol=tol, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_batch_matches_single_solves_on_census(kind):
+    """Each row of the batched k=3, m=8 census runs the single iteration."""
+    graphs = [g for _, g in _supertree_shapes(8, 3)]
+    batch = spectral_radii(kind, graphs)
+    assert len(batch) == len(graphs) == 126
+    for g, row in zip(graphs, batch):
+        single = spectral_radius(kind, g)
+        assert row.iterations == single.iterations
+        assert abs(row.rho - single.rho) <= 1e-13
+        assert abs(row.lower - single.lower) <= 1e-13
+        assert abs(row.upper - single.upper) <= 1e-13
+        assert np.max(np.abs(row.eigvec - single.eigvec)) <= 1e-13
+    assert len({row.iterations for row in batch}) > 1  # rows freeze apart
+
+
+def test_batch_disconnected_member():
+    connected = loose_path(7, 3)
+    split = validate([[1, 2, 3], [1, 2, 4], [5, 6, 7]], 7)  # same (n, m, k)
+    with pytest.raises(Disconnected):
+        spectral_radii(TensorKind.Adjacency, [connected, split, connected])
+
+
+def test_batch_no_convergence_reports_widest_bracket():
+    graphs = [hyperstar(9, 3), loose_path(9, 3), double_star(1, 2, 3)]
+    with pytest.raises(NoConvergence) as exc:
+        spectral_radii(TensorKind.Adjacency, graphs, max_iter=2)
+    err = exc.value
+    assert err.iterations == 2
+    assert np.isfinite(err.lower) and np.isfinite(err.upper)
+    widths = []
+    for g in graphs:
+        with pytest.raises(NoConvergence) as single:
+            spectral_radius(TensorKind.Adjacency, g, max_iter=2)
+        widths.append(single.value.upper - single.value.lower)
+    assert err.upper - err.lower == pytest.approx(max(widths), rel=1e-12)
+
+
+def test_batch_mixed_shapes():
+    with pytest.raises(DimensionMismatch):
+        spectral_radii(TensorKind.Adjacency, [loose_path(7, 3), loose_path(9, 3)])
+    with pytest.raises(DimensionMismatch):
+        spectral_radii(TensorKind.Adjacency, [loose_path(7, 3), single_edge(7)])
+    with pytest.raises(DimensionMismatch):  # same n and k, fewer edges
+        spectral_radii(TensorKind.Adjacency, [loose_path(7, 3), validate([[1, 2, 3]], 7, k=3)])
+    assert spectral_radii(TensorKind.Adjacency, []) == []
 
 
 def test_result_invariants(corpus_instance):

@@ -9,6 +9,7 @@ from hypertree_spectra import (
     TensorKind,
     apply,
     dense_build,
+    enumerate_supertrees,
     hyperstar,
     rayleigh,
     s_cycle,
@@ -17,6 +18,7 @@ from hypertree_spectra import (
 )
 from hypertree_spectra.canon import relabel
 from hypertree_spectra.errors import DimensionMismatch, TooLarge
+from oracles import edge_loop_apply
 
 KINDS = list(TensorKind)
 
@@ -97,6 +99,28 @@ def test_oracle_equivalence_random_vectors(small_instance, rng):
         for _ in range(100):
             x = rng.random(g.n)
             assert np.max(np.abs(apply(kind, g, x) - dense.contract(x))) < 1e-10
+
+
+@pytest.mark.parametrize("k,m", [(2, 6), (3, 5), (4, 4), (5, 3)])
+def test_apply_matches_oracles_on_census(k, m, rng):
+    """Every supertree shape of the census, with positive x, x with zero
+    entries and a unit vector, against the dense tensor and the edge loop."""
+    census = enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m)
+    for rec in census.records:
+        g = rec.hypergraph
+        zeros = rng.random(g.n)
+        zeros[rng.random(g.n) < 0.4] = 0.0
+        unit = np.zeros(g.n)
+        unit[rng.integers(g.n)] = 1.0
+        for kind in KINDS:
+            dense = dense_build(kind, g)
+            for x in (rng.random(g.n) + 0.05, zeros, unit):
+                out = apply(kind, g, x)
+                assert np.max(np.abs(out - dense.contract(x))) < 1e-10
+                assert np.max(np.abs(out - edge_loop_apply(kind, g, x))) < 1e-10
+                assert rayleigh(kind, g, x) == pytest.approx(
+                    float(x @ dense.contract(x)), rel=1e-12, abs=1e-12
+                )
 
 
 def test_rayleigh_identity_random(small_instance, rng):
