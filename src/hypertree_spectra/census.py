@@ -19,7 +19,6 @@ from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
 from .spectral import (
     DEFAULT_TOL,
-    SpectralResult,
     closed_form_hyperstar,
     spectral_radii,
     strict_margin,
@@ -36,7 +35,7 @@ class CensusRecord:
     hypergraph: Hypergraph
     canonical: CanonicalForm
     radii: dict[TensorKind, float]
-    solves: dict[TensorKind, SpectralResult]
+    solves: dict[TensorKind, dict[str, float]]  # iterations, lower, upper, residual
     is_hyperstar: bool
     is_loose_path: bool
     is_double_star_1: bool  # the second-largest shape S^k(1, m-2)
@@ -49,15 +48,7 @@ class CensusRecord:
                 "rho_adj": self.radii[TensorKind.Adjacency],
                 "rho_q": self.radii[TensorKind.SignlessLaplacian],
                 "rho_qstar": self.radii[TensorKind.IncidenceQ],
-                "solves": {
-                    kind.value: {
-                        "iterations": res.iterations,
-                        "lower": res.lower,
-                        "upper": res.upper,
-                        "residual": res.residual,
-                    }
-                    for kind, res in self.solves.items()
-                },
+                "solves": {kind.value: stats for kind, stats in self.solves.items()},
                 "is_hyperstar": self.is_hyperstar,
                 "is_loose_path": self.is_loose_path,
                 "is_double_star_1": self.is_double_star_1,
@@ -162,13 +153,21 @@ def enumerate_supertrees(
     solved = {kind: spectral_radii(kind, graphs, tol=tol) for kind in TensorKind}
     records = []
     for i, (form, g) in enumerate(shapes):
-        solves = {kind: results[i] for kind, results in solved.items()}
+        results = {kind: solves[i] for kind, solves in solved.items()}
         records.append(
             CensusRecord(
                 hypergraph=g,
                 canonical=form,
-                radii={kind: res.rho for kind, res in solves.items()},
-                solves=solves,
+                radii={kind: res.rho for kind, res in results.items()},
+                solves={
+                    kind: {
+                        "iterations": res.iterations,
+                        "lower": res.lower,
+                        "upper": res.upper,
+                        "residual": res.residual,
+                    }
+                    for kind, res in results.items()
+                },
                 is_hyperstar=form == star_form,
                 is_loose_path=form == path_form,
                 is_double_star_1=form == ds1_form,

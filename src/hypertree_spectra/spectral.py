@@ -12,7 +12,6 @@ one row per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SpectralResult:
     rho: float
     eigvec: np.ndarray  # positive, sum of k-th powers == 1
@@ -69,18 +68,17 @@ def spectral_radius(
 
 def spectral_radii(
     kind: TensorKind,
-    graphs: Sequence[Hypergraph],
+    graphs: list[Hypergraph],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    shift: float = 1.0,
 ) -> list[SpectralResult]:
     """spectral_radius of every graph, iterated together as one batch.
 
     The graphs must share (n, m, k).  Each row runs exactly the iteration
-    spectral_radius runs on it alone, and is frozen into its own result
-    when its own bracket closes.
+    spectral_radius runs on it alone with the default shift 1, and is
+    frozen into its own result when its own bracket closes.
     """
-    return _solve(kind, list(graphs), tol, max_iter, shift)
+    return _solve(kind, graphs, tol, max_iter, 1.0)
 
 
 def _solve(
@@ -103,8 +101,6 @@ def _solve(
     flat = _row_offset(idx, n)
     deg = _degrees(flat, len(active), n)
     x = np.full((len(active), n), n ** (-1.0 / k))
-    # one buffer for all eigenvectors: a census keeps every result
-    vectors = np.empty_like(x)
     for it in range(1, max_iter + 1):
         ax = _contract(kind, flat, x, deg)
         xk1 = x ** (k - 1)
@@ -117,10 +113,9 @@ def _solve(
             for r in np.flatnonzero(done):
                 lo, hi = float(lower[r]), float(upper[r])
                 rho = 0.5 * (lo + hi) - shift
-                vectors[active[r]] = x[r]
                 results[active[r]] = SpectralResult(
                     rho=rho,
-                    eigvec=vectors[active[r]],
+                    eigvec=x[r].copy(),
                     residual=float(np.max(np.abs(ax[r] - rho * xk1[r]))),
                     iterations=it,
                     lower=lo - shift,
