@@ -26,7 +26,7 @@ from hypertree_spectra import (  # noqa: E402
 def run_census(n, k, tol, export_dir, max_edges):
     start = time.perf_counter()
     census = enumerate_supertrees(n, k, tol=tol, max_edges=max_edges)
-    report = verify_extremal(census, tol=tol)
+    report = verify_extremal(census)
     elapsed = time.perf_counter() - start
 
     print(f"\n== census n={n} k={k} (m={census.m}): "
@@ -88,6 +88,10 @@ def main(argv=None):
     parser.add_argument("--bounds", action="store_true",
                         help="also print the degree/Gram bounds tables")
     args = parser.parse_args(argv)
+    if args.max_m < 1:
+        parser.error(f"--max-m must be at least 1, got {args.max_m}")
+    if args.k is not None and args.k < 2:
+        parser.error(f"--k must be at least 2, got {args.k}")
 
     ks = [args.k] if args.k is not None else [3, 4]
     all_passed = True

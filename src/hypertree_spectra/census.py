@@ -13,16 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .canon import CanonicalForm, canonical_form
+from .canon import CanonicalForm, _supertree_canonical, canonical_form
 from .errors import BadDimensions, IncompleteCensus, TooLarge
 from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
-from .spectral import (
-    DEFAULT_TOL,
-    closed_form_hyperstar,
-    spectral_radii,
-    strict_margin,
-)
+from .spectral import DEFAULT_TOL, closed_form_hyperstar, spectral_radii
 from .tensors import TensorKind
 from .transforms import edges_to_parents
 
@@ -76,8 +71,8 @@ class Assertion:
     name: str
     kind: str
     passed: bool
-    margin: float | None
-    detail: str = ""
+    margin: float | None  # certified bracket gap; None when nothing is to be beaten
+    detail: str = ""  # the verdict (certified, refuted or undecided) first
 
 
 @dataclass(frozen=True)
@@ -105,9 +100,11 @@ def enumerate_trees(n_prime: int) -> list[list[int]]:
 
 def _supertree_shapes(m: int, k: int) -> list[tuple[CanonicalForm, Hypergraph]]:
     """All k-uniform supertrees with m edges, one per isomorphism class,
-    each with its canonical form, in order of the form."""
+    each with its canonical form, in order of the form.  Pendent-edge
+    growth only makes supertrees, so the forms skip canonical_form's
+    connectivity check."""
     start = validate([list(range(1, k + 1))], k, k=k)
-    level: dict[CanonicalForm, Hypergraph] = {canonical_form(start): start}
+    level: dict[CanonicalForm, Hypergraph] = {_supertree_canonical(start): start}
     for _ in range(m - 1):
         nxt: dict[CanonicalForm, Hypergraph] = {}
         for g in level.values():
@@ -115,7 +112,7 @@ def _supertree_shapes(m: int, k: int) -> list[tuple[CanonicalForm, Hypergraph]]:
                 fresh = list(range(g.n + 1, g.n + k))
                 edges = [list(e) for e in g.edges] + [[v] + fresh]
                 grown = validate(edges, g.n + k - 1, k=k)
-                form = canonical_form(grown)
+                form = _supertree_canonical(grown)
                 if form not in nxt:
                     nxt[form] = grown
         level = nxt
@@ -179,86 +176,75 @@ def enumerate_supertrees(
 
 # -- verification ------------------------------------------------------------
 
-def verify_extremal(
-    census: Census,
-    tol: float = DEFAULT_TOL,
-    closed_form_tol: float = 1e-7,
-) -> VerificationReport:
+# A Collatz-Wielandt bracket encloses rho up to the rounding of the ratios
+# that form it: a few ulps of |rho|.  The exact hyperstar closed forms fall
+# outside the computed brackets by up to 1.4e-14 relative, so brackets count
+# as apart, and a closed form as inside, only beyond this relative pad.
+ROUNDING_PAD = 1e-12
+
+
+def _claim(
+    name: str,
+    kind: TensorKind,
+    winner: CensusRecord,
+    others: list[CensusRecord],
+    largest: bool,
+    closed: float | None = None,
+) -> Assertion:
+    """Certify from the stored brackets that winner's radius is strictly
+    above (largest) or below every radius of others.  The margin is the
+    certified gap, lower(winner) - max upper(others) for a maximum and
+    min lower(others) - upper(winner) for a minimum; a closed form, if
+    given, must lie inside winner's padded bracket."""
+    def bracket(r: CensusRecord) -> tuple[float, float]:
+        # oriented so that every claim reads "winner is the largest"
+        lo, hi = r.solves[kind]["lower"], r.solves[kind]["upper"]
+        return (lo, hi) if largest else (-hi, -lo)
+
+    pad = ROUNDING_PAD * max(1.0, abs(winner.radii[kind]))
+    own = bracket(winner)
+    gap = None
+    verdict = "certified"
+    if others:
+        rivals = [bracket(r) for r in others]
+        gap = own[0] - max(b[1] for b in rivals)
+        if gap <= pad:
+            beaten = max(b[0] for b in rivals) - own[1] > pad
+            verdict = "refuted" if beaten else "undecided"
+    detail = f"{verdict} rho={winner.radii[kind]:.12g}"
+    stats = winner.solves[kind]
+    inside = closed is None or stats["lower"] - pad <= closed <= stats["upper"] + pad
+    if closed is not None:
+        detail += f" closed={closed:.12g}" + ("" if inside else " outside the bracket")
+    return Assertion(name, kind.value, verdict == "certified" and inside, gap, detail)
+
+
+def _flagged(census: Census, flag: str, label: str) -> CensusRecord:
+    rec = next((r for r in census.records if getattr(r, flag)), None)
+    if rec is None:
+        raise IncompleteCensus(f"census lacks the {label}")
+    return rec
+
+
+def verify_extremal(census: Census) -> VerificationReport:
     """Check hyperstar maximality, the second-largest double star, and
-    loose-path minimality among tree powers, for all three tensors."""
+    loose-path minimality among tree powers, for all three tensors, each
+    claim certified by Collatz-Wielandt brackets that do not overlap."""
     n, k, m = census.n, census.k, census.m
-    if not any(r.is_hyperstar for r in census.records):
-        raise IncompleteCensus("census lacks the hyperstar")
-    if not any(r.is_loose_path for r in census.records):
-        raise IncompleteCensus("census lacks the loose path")
+    star = _flagged(census, "is_hyperstar", "hyperstar")
+    path = _flagged(census, "is_loose_path", "loose path")
+    ds1 = _flagged(census, "is_double_star_1", "double star S(1, m-2)") if m >= 3 else None
+    rest = [r for r in census.records if r is not star]
+    below_ds1 = [r for r in rest if r is not ds1]
+    powers = [r for r in census.records if r.is_tree_power and r is not path]
     assertions: list[Assertion] = []
     skipped: list[str] = []
     for kind in TensorKind:
-        ordered = sorted(census.records, key=lambda r: r.radii[kind], reverse=True)
-        top = ordered[0]
         closed = closed_form_hyperstar(kind, n, k)
-        ok_max = top.is_hyperstar and abs(top.radii[kind] - closed) <= closed_form_tol
-        margin = (
-            top.radii[kind] - ordered[1].radii[kind] if len(ordered) > 1 else None
-        )
-        if margin is not None:
-            ok_max = ok_max and margin > strict_margin(tol, top.radii[kind])
-        assertions.append(
-            Assertion(
-                name="hyperstar-maximal",
-                kind=kind.value,
-                passed=ok_max,
-                margin=margin,
-                detail=f"rho={top.radii[kind]:.12g} closed={closed:.12g}",
-            )
-        )
-        if m >= 3:
-            second = ordered[1]
-            ok_second = second.is_double_star_1
-            margin2 = (
-                second.radii[kind] - ordered[2].radii[kind]
-                if len(ordered) > 2
-                else None
-            )
-            if margin2 is not None:
-                ok_second = ok_second and margin2 > strict_margin(
-                    tol, second.radii[kind]
-                )
-            assertions.append(
-                Assertion(
-                    name="second-largest-double-star",
-                    kind=kind.value,
-                    passed=ok_second,
-                    margin=margin2,
-                    detail=f"rho={second.radii[kind]:.12g}",
-                )
-            )
+        assertions.append(_claim("hyperstar-maximal", kind, star, rest, True, closed))
+        if ds1 is None:
+            skipped.append(f"second-largest check skipped for m={m} < 3 ({kind.value})")
         else:
-            skipped.append(
-                f"second-largest check skipped for m={m} < 3 ({kind.value})"
-            )
-        powers = [r for r in census.records if r.is_tree_power]
-        powers.sort(key=lambda r: r.radii[kind])
-        bottom = powers[0]
-        ok_min = bottom.is_loose_path
-        margin3 = (
-            powers[1].radii[kind] - bottom.radii[kind] if len(powers) > 1 else None
-        )
-        if margin3 is not None:
-            ok_min = ok_min and margin3 > strict_margin(tol, bottom.radii[kind])
-        assertions.append(
-            Assertion(
-                name="loose-path-minimal-among-powers",
-                kind=kind.value,
-                passed=ok_min,
-                margin=margin3,
-                detail=f"rho={bottom.radii[kind]:.12g}",
-            )
-        )
-    return VerificationReport(
-        n=n,
-        k=k,
-        census_size=len(census.records),
-        assertions=tuple(assertions),
-        skipped=tuple(skipped),
-    )
+            assertions.append(_claim("second-largest-double-star", kind, ds1, below_ds1, True))
+        assertions.append(_claim("loose-path-minimal-among-powers", kind, path, powers, False))
+    return VerificationReport(n, k, len(census.records), tuple(assertions), tuple(skipped))

@@ -120,6 +120,12 @@ def cmd_construct(args) -> int:
 def cmd_transform(args) -> int:
     try:
         g = read_hypergraph(args.file)
+        if args.move is not None:
+            spec = EdgeMoveSpec(
+                tuple(int(t) - 1 for t in args.move[0].split(",")),
+                tuple(int(t) for t in args.move[1].split(",")),
+                int(args.move[2]),
+            )
     except (OSError, ValueError, HypertreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -131,10 +137,7 @@ def cmd_transform(args) -> int:
             v, p, q = args.graft
             out = total_graft(g, v, p, q)
         else:
-            edge_ids = tuple(int(t) - 1 for t in args.move[0].split(","))
-            sources = tuple(int(t) for t in args.move[1].split(","))
-            target = int(args.move[2])
-            out = move_edges(g, EdgeMoveSpec(edge_ids, sources, target))
+            out = move_edges(g, spec)
     except (InvalidSpec, MultipleEdge, PendentEdge, NotPendentPaths, HypertreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
@@ -155,7 +158,7 @@ def cmd_transform(args) -> int:
 def cmd_verify(args) -> int:
     try:
         census = enumerate_supertrees(args.n, args.k, tol=args.tol)
-        report = verify_extremal(census, tol=args.tol)
+        report = verify_extremal(census)
     except HypertreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

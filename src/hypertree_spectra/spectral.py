@@ -188,11 +188,6 @@ def closed_form_hyperstar(kind: TensorKind, n: int, k: int) -> float:
     return (m ** (1.0 / (k - 1)) + k - 1) ** (k - 1)
 
 
-def strict_margin(tol: float, scale: float) -> float:
-    """Minimum numeric gap accepted as witnessing a strict inequality."""
-    return max(100.0 * tol, 1e-8 * abs(scale))
-
-
 def bounds_report(g: Hypergraph) -> BoundsReport:
     """Degree bounds k^{k-1} d <= rho(Q*) <= k^{k-1} Delta and the
     incidence-matrix sandwich rho(RR^T) < rho(Q*) < k^{k-2} rho(RR^T)."""

@@ -94,8 +94,9 @@ def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray, deg: np.ndarray
         part = np.ones_like(vals)
         part[..., 1:] = prefix[..., :-1]
         part[..., :-1] *= suffix[..., 1:]
+    # float even when flat is empty (an edgeless graph), where bincount gives int
     out = np.bincount(flat.ravel(), weights=part.ravel(), minlength=rows * n)
-    out = out.reshape(rows, n)
+    out = out.astype(float, copy=False).reshape(rows, n)
     if kind is TensorKind.SignlessLaplacian:
         out += deg * x ** (k - 1)
     return out

@@ -128,6 +128,8 @@ def find_pendent_paths(g: Hypergraph, v: int) -> list[PendentPath]:
     A pendent path edge carries k-2 degree-one filler vertices; interior
     link vertices have degree two and the far end degree one.
     """
+    if not (1 <= v <= g.n):
+        raise InvalidSpec(f"vertex {v} outside 1..{g.n}")
     if not is_linear(g):
         raise NotLinear("pendent paths are defined on linear hypergraphs")
     degs = g.degrees

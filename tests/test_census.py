@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -239,7 +240,9 @@ def test_census_deterministic_export():
 # -- extremal verification ----------------------------------------------------
 
 
-@pytest.mark.parametrize("n,k", [(7, 3), (9, 3), (11, 3), (13, 4)])
+# At m = 1 the exact closed forms lie a few ulps outside the computed
+# hyperstar brackets, inside the rounding pad.
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (5, 5), (7, 3), (9, 3), (11, 3), (13, 4)])
 def test_verify_extremal_passes(n, k):
     census = enumerate_supertrees(n, k)
     report = verify_extremal(census)
@@ -281,6 +284,131 @@ def test_verify_extremal_incomplete_census():
     )
     with pytest.raises(IncompleteCensus):
         verify_extremal(gutted)
+    no_ds1 = Census(
+        n=census.n,
+        k=census.k,
+        records=tuple(
+            dataclasses.replace(r, is_double_star_1=False) for r in census.records
+        ),
+    )
+    with pytest.raises(IncompleteCensus):
+        verify_extremal(no_ds1)
+
+
+CLAIMS = [
+    "hyperstar-maximal",
+    "second-largest-double-star",
+    "loose-path-minimal-among-powers",
+]
+
+
+@pytest.fixture(scope="module")
+def c11():
+    """The k=3, m=5 census: eight shapes."""
+    return enumerate_supertrees(11, 3)
+
+
+# Each claim: its name, the flagged winner, the records it must beat, and
+# whether the winner is the largest (else the smallest) of them.
+def _claims(census):
+    recs = census.records
+    star = next(r for r in recs if r.is_hyperstar)
+    ds1 = next(r for r in recs if r.is_double_star_1)
+    path = next(r for r in recs if r.is_loose_path)
+    return {
+        "hyperstar-maximal": (star, [r for r in recs if r is not star], True),
+        "second-largest-double-star": (
+            ds1, [r for r in recs if r is not star and r is not ds1], True
+        ),
+        "loose-path-minimal-among-powers": (
+            path, [r for r in recs if r.is_tree_power and r is not path], False
+        ),
+    }
+
+
+def _with_bracket(census, target, kind, lower, upper):
+    """census with target's bracket for kind replaced.  The stored radius
+    is left as it was, so only a verdict read from the brackets sees it."""
+    def edit(r):
+        if r is not target:
+            return r
+        solves = {key: dict(stats) for key, stats in r.solves.items()}
+        solves[kind].update(lower=lower, upper=upper)
+        return dataclasses.replace(r, solves=solves)
+
+    return Census(census.n, census.k, tuple(edit(r) for r in census.records))
+
+
+def _assertion(report, name, kind):
+    (a,) = [a for a in report.assertions if (a.name, a.kind) == (name, kind.value)]
+    return a
+
+
+@pytest.mark.parametrize("n,k", [(11, 3), (13, 4)])
+def test_verify_extremal_margin_is_the_certified_gap(n, k):
+    census = enumerate_supertrees(n, k)
+    report = verify_extremal(census)
+    assert len(report.assertions) == 9
+    for name, (winner, others, largest) in _claims(census).items():
+        for kind in KINDS:
+            lo, hi = winner.solves[kind]["lower"], winner.solves[kind]["upper"]
+            if largest:
+                gap = lo - max(r.solves[kind]["upper"] for r in others)
+            else:
+                gap = min(r.solves[kind]["lower"] for r in others) - hi
+            a = _assertion(report, name, kind)
+            assert a.passed and a.detail.startswith("certified")
+            assert a.margin == gap
+
+
+def _farthest(others, largest, kind):
+    # the competitor furthest from the winner, never the runner-up
+    pick = min if largest else max
+    return pick(others, key=lambda r: r.radii[kind])
+
+
+@pytest.mark.parametrize("name", CLAIMS)
+def test_verify_extremal_overlapping_brackets_are_undecided(c11, name):
+    for kind in KINDS:
+        winner, others, largest = _claims(c11)[name]
+        rival = _farthest(others, largest, kind)
+        lo, hi = rival.solves[kind]["lower"], rival.solves[kind]["upper"]
+        if largest:  # raise the rival's upper end past the winner's lower end
+            hi = winner.solves[kind]["lower"] + 1e-6
+        else:
+            lo = winner.solves[kind]["upper"] - 1e-6
+        a = _assertion(verify_extremal(_with_bracket(c11, rival, kind, lo, hi)), name, kind)
+        assert not a.passed
+        assert a.detail.startswith("undecided")
+        assert a.margin < 0
+
+
+@pytest.mark.parametrize("name", CLAIMS)
+def test_verify_extremal_separated_wrong_way_is_refuted(c11, name):
+    for kind in KINDS:
+        winner, others, largest = _claims(c11)[name]
+        rival = _farthest(others, largest, kind)
+        if largest:  # move the rival's bracket wholly above the winner's
+            lo = winner.solves[kind]["upper"] + 0.5
+            hi = lo + 1e-11
+        else:
+            hi = winner.solves[kind]["lower"] - 0.5
+            lo = hi - 1e-11
+        a = _assertion(verify_extremal(_with_bracket(c11, rival, kind, lo, hi)), name, kind)
+        assert not a.passed
+        assert a.detail.startswith("refuted")
+
+
+def test_verify_extremal_hyperstar_off_its_closed_form_fails(c11):
+    star = next(r for r in c11.records if r.is_hyperstar)
+    for kind in KINDS:
+        lo, hi = star.solves[kind]["lower"], star.solves[kind]["upper"]
+        shifted = _with_bracket(c11, star, kind, lo + 1e-9, hi + 1e-9)
+        report = verify_extremal(shifted)
+        a = _assertion(report, "hyperstar-maximal", kind)
+        assert not a.passed
+        assert "outside the bracket" in a.detail
+        assert [b for b in report.assertions if not b.passed] == [a]
 
 
 def test_brute_force_bad_dimensions():

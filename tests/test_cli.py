@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,12 @@ def test_compute_adj_single_edge(capsys, tmp_path):
     code, out, _ = run(capsys, "compute", "--kind", "adj", str(f))
     assert code == 0
     assert json.loads(out)["rho"] == pytest.approx(1.0, abs=1e-10)
+    # one vertex and no edges: every tensor is zero
+    f.write_text("2 1 0\n")
+    for kind in ("adj", "q", "qstar"):
+        code, out, _ = run(capsys, "compute", "--kind", kind, str(f))
+        assert code == 0
+        assert json.loads(out)["rho"] == 0.0
 
 
 def test_compute_q_matches_library(capsys, star_file):
@@ -267,6 +274,11 @@ def test_transform_precondition_failure(capsys, star_file):
     # graft at a vertex without the requested paths
     code, _, err = run(capsys, "transform", star_file, "--graft", "1", "2", "1")
     assert code == 5
+    # graft at a vertex outside 1..n
+    for v in ("0", "8"):
+        code, _, err = run(capsys, "transform", star_file, "--graft", v, "1", "1")
+        assert code == 5
+        assert err.startswith("error: ") and "outside 1..7" in err
 
 
 def test_transform_parse_error(capsys, tmp_path):
@@ -274,6 +286,11 @@ def test_transform_parse_error(capsys, tmp_path):
     f.write_text("not a header\n")
     code, _, _ = run(capsys, "transform", str(f), "--release", "2", "3")
     assert code == 2
+    # a --move argument that is not an integer
+    f.write_text(format_hypergraph(loose_path(9, 3)))
+    code, out, err = run(capsys, "transform", str(f), "--move", "x", "1", "2")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 # -- verify ------------------------------------------------------------------
@@ -304,6 +321,19 @@ def test_verify_small_m_records_skip(capsys):
 def test_verify_bad_dimensions(capsys):
     code, _, err = run(capsys, "verify", "--n", "6", "--k", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [("--max-m", "0"), ("--k", "1")], ids=["max-m-zero", "k-one"]
+)
+def test_run_verification_rejects_bad_ranges(flags):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), *flags], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+    assert "passed" not in proc.stdout
 
 
 def test_console_script_installed():

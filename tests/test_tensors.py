@@ -103,11 +103,11 @@ def test_oracle_equivalence_random_vectors(small_instance, rng):
 
 @pytest.mark.parametrize("k,m", [(2, 6), (3, 5), (4, 4), (5, 3)])
 def test_apply_matches_oracles_on_census(k, m, rng):
-    """Every supertree shape of the census, with positive x, x with zero
-    entries and a unit vector, against the dense tensor and the edge loop."""
+    """Every supertree shape of the census and the edgeless one-vertex
+    graph, with positive x, x with zero entries and a unit vector, against
+    the dense tensor and the edge loop."""
     census = enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m)
-    for rec in census.records:
-        g = rec.hypergraph
+    for g in [rec.hypergraph for rec in census.records] + [validate([], 1, k=k)]:
         zeros = rng.random(g.n)
         zeros[rng.random(g.n) < 0.4] = 0.0
         unit = np.zeros(g.n)

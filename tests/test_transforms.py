@@ -29,7 +29,6 @@ from hypertree_spectra.errors import (
     NotPendentPaths,
     PendentEdge,
 )
-from hypertree_spectra.spectral import strict_margin
 from hypertree_spectra.transforms import (
     GraftStep,
     apply_graft_sequence,
@@ -40,6 +39,11 @@ from oracles import tree_canonical_code
 
 KINDS = list(TensorKind)
 TOL = 1e-10
+
+
+def strict_margin(tol: float, scale: float) -> float:
+    """Minimum numeric gap accepted as witnessing a strict inequality."""
+    return max(100.0 * tol, 1e-8 * abs(scale))
 
 
 def assert_strictly_greater(a, b):
@@ -234,6 +238,15 @@ def test_graft_rejects_zero_length():
 def test_graft_rejects_missing_paths():
     with pytest.raises(NotPendentPaths):
         total_graft(hyperstar(7, 3), 1, 2, 1)
+
+
+@pytest.mark.parametrize("v", [0, 8], ids=["zero", "n-plus-one"])
+def test_graft_rejects_vertex_out_of_range(v):
+    g = hyperstar(7, 3)
+    with pytest.raises(InvalidSpec):
+        find_pendent_paths(g, v)
+    with pytest.raises(InvalidSpec):
+        total_graft(g, v, 1, 1)
 
 
 def test_graft_rejects_degenerate_base():
