@@ -51,7 +51,7 @@ def run_census(n, k, tol, export_dir, max_edges):
     for a in report.assertions:
         status = "PASS" if a.passed else "FAIL"
         margin = "n/a" if a.margin is None else f"{a.margin:.6g}"
-        print(f"  {status} {a.name} [{a.kind}] margin={margin}")
+        print(f"  {status} {a.name} [{a.kind}] margin={margin} {a.detail}")
     for note in report.skipped:
         print(f"  SKIP {note}")
 

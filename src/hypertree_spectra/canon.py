@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 from .errors import TooLarge
-from .hypergraph import Hypergraph, is_connected, validate
+from .hypergraph import Hypergraph, is_supertree, validate
 
 CanonicalForm = tuple[tuple[int, ...], ...]
 
@@ -27,8 +28,8 @@ _BRUTE_FORCE_CAP = 2_000_000  # permutations examined in the fallback
 def canonical_form(g: Hypergraph) -> CanonicalForm:
     if g.m == 0:
         return ()
-    if is_connected(g) and g.m * (g.k - 1) == g.n - 1:
-        return _supertree_canonical(g)
+    if is_supertree(g):
+        return _supertree_canonical(g.edges, g.n)
     return _brute_force_canonical(g)
 
 
@@ -48,28 +49,18 @@ def relabel(g: Hypergraph, perm: dict[int, int]) -> Hypergraph:
 
 # -- supertree canonicalization via the bipartite incidence tree -------------
 
-def _supertree_canonical(g: Hypergraph) -> CanonicalForm:
-    # bipartite tree nodes: ('v', vertex) and ('e', edge id)
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for v in range(1, g.n + 1):
-        adj[("v", v)] = [("e", j) for j in g.incident_edges(v)]
-    for j, e in enumerate(g.edges):
-        adj[("e", j)] = [("v", v) for v in e]
+def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> CanonicalForm:
+    """Canonical form of the supertree on vertices 1..n with these edges.
+    Incidence-tree nodes are ints: vertex v is v-1, edge j is n+j."""
+    adj: list[list[int]] = [[] for _ in range(n + len(edges))]
+    for j, e in enumerate(edges):
+        for v in e:
+            adj[v - 1].append(n + j)
+            adj[n + j].append(v - 1)
 
-    centers = _tree_centers(adj)
-    best = None
-    for root in centers:
-        labeling = _canonical_labeling(g, adj, root)
-        form = _apply_labeling(g, labeling)
-        if best is None or form < best:
-            best = form
-    assert best is not None
-    return best
-
-
-def _tree_centers(adj: dict) -> list:
-    degree = {node: len(nbrs) for node, nbrs in adj.items()}
-    leaves = [node for node, d in degree.items() if d <= 1]
+    # centers: peel leaves until at most two nodes remain
+    degree = [len(nbrs) for nbrs in adj]
+    leaves = [x for x, d in enumerate(degree) if d <= 1]
     remaining = len(adj)
     while remaining > 2:
         remaining -= len(leaves)
@@ -79,51 +70,43 @@ def _tree_centers(adj: dict) -> list:
                 degree[nb] -= 1
                 if degree[nb] == 1:
                     nxt.append(nb)
-            degree[leaf] = 0
         leaves = nxt
-    return leaves
+
+    forms = []
+    for root in leaves:
+        parent = [-1] * len(adj)
+        order = [root]
+        for x in order:  # breadth-first; order grows while it is walked
+            for nb in adj[x]:
+                if nb != parent[x]:
+                    parent[nb] = x
+                    order.append(nb)
+        # AHU codes bottom-up: a node's code is its children's codes,
+        # sorted.  Siblings in a bipartite tree all have one type, so the
+        # codes need no vertex/edge tag.
+        code: list = [()] * len(adj)
+        kids: list[list[int]] = [[]] * len(adj)
+        for x in reversed(order):
+            kids[x] = sorted((c for c in adj[x] if c != parent[x]), key=code.__getitem__)
+            code[x] = tuple(code[c] for c in kids[x])
+        # label vertices in pre-order, smallest child code first (equal
+        # codes are automorphic subtrees, so their order is immaterial)
+        label = [0] * (n + 1)
+        nxt_label = 1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            if x < n:
+                label[x + 1] = nxt_label
+                nxt_label += 1
+            stack.extend(reversed(kids[x]))
+        forms.append(_apply_labeling(edges, label))
+    return min(forms)
 
 
-def _canonical_labeling(g: Hypergraph, adj: dict, root) -> dict[int, int]:
-    # rooted AHU codes: code(node) = (type, sorted child codes)
-    code: dict = {}
-    order: list = []  # post-order
-    stack = [(root, None, False)]
-    while stack:
-        node, parent, processed = stack.pop()
-        if processed:
-            children = [nb for nb in adj[node] if nb != parent]
-            tag = 0 if node[0] == "v" else 1
-            code[node] = (tag, tuple(sorted(code[c] for c in children)))
-            order.append(node)
-            continue
-        stack.append((node, parent, True))
-        for nb in adj[node]:
-            if nb != parent:
-                stack.append((nb, node, False))
-
-    # pre-order traversal with children sorted by code; assign vertex
-    # labels in first-visit order (ties are automorphic, order immaterial)
-    labeling: dict[int, int] = {}
-    nxt = 1
-    stack2 = [(root, None)]
-    while stack2:
-        node, parent = stack2.pop()
-        if node[0] == "v":
-            labeling[node[1]] = nxt
-            nxt += 1
-        children = sorted(
-            (nb for nb in adj[node] if nb != parent),
-            key=lambda c: code[c],
-            reverse=True,  # stack pops smallest-code child first
-        )
-        for c in children:
-            stack2.append((c, node))
-    return labeling
-
-
-def _apply_labeling(g: Hypergraph, labeling: dict[int, int]) -> CanonicalForm:
-    return tuple(sorted(tuple(sorted(labeling[v] for v in e)) for e in g.edges))
+def _apply_labeling(edges: Sequence[Sequence[int]], label) -> CanonicalForm:
+    """The edge list with each vertex v renamed label[v], sorted."""
+    return tuple(sorted(tuple(sorted(label[v] for v in e)) for e in edges))
 
 
 # -- brute-force fallback ----------------------------------------------------
@@ -154,7 +137,7 @@ def _brute_force_canonical(g: Hypergraph) -> CanonicalForm:
         for cls, new_labels in zip(classes, perms):
             for old, new in zip(cls, new_labels):
                 labeling[old] = new
-        form = _apply_labeling(g, labeling)
+        form = _apply_labeling(g.edges, labeling)
         if best is None or form < best:
             best = form
     assert best is not None

@@ -27,8 +27,7 @@ MAX_TREE_NODES = 10
 
 @dataclass(frozen=True)
 class CensusRecord:
-    hypergraph: Hypergraph
-    canonical: CanonicalForm
+    hypergraph: Hypergraph  # labeled by its own canonical form
     radii: dict[TensorKind, float]
     solves: dict[TensorKind, dict[str, float]]  # iterations, lower, upper, residual
     is_hyperstar: bool
@@ -39,7 +38,7 @@ class CensusRecord:
     def to_json_line(self) -> str:
         return json.dumps(
             {
-                "edges": [list(e) for e in self.canonical],
+                "edges": [list(e) for e in self.hypergraph.edges],
                 "rho_adj": self.radii[TensorKind.Adjacency],
                 "rho_q": self.radii[TensorKind.SignlessLaplacian],
                 "rho_qstar": self.radii[TensorKind.IncidenceQ],
@@ -95,28 +94,23 @@ def enumerate_trees(n_prime: int) -> list[list[int]]:
     the 2-uniform supertree census with n'-1 edges."""
     if not (2 <= n_prime <= MAX_TREE_NODES):
         raise TooLarge(f"enumerate_trees supports 2 <= n' <= {MAX_TREE_NODES}")
-    return [edges_to_parents(g.edges, n_prime) for _, g in _supertree_shapes(n_prime - 1, 2)]
+    return [edges_to_parents(g.edges, n_prime) for g in _supertree_shapes(n_prime - 1, 2)]
 
 
-def _supertree_shapes(m: int, k: int) -> list[tuple[CanonicalForm, Hypergraph]]:
+def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     """All k-uniform supertrees with m edges, one per isomorphism class,
-    each with its canonical form, in order of the form.  Pendent-edge
-    growth only makes supertrees, so the forms skip canonical_form's
-    connectivity check."""
-    start = validate([list(range(1, k + 1))], k, k=k)
-    level: dict[CanonicalForm, Hypergraph] = {_supertree_canonical(start): start}
-    for _ in range(m - 1):
-        nxt: dict[CanonicalForm, Hypergraph] = {}
-        for g in level.values():
-            for v in range(1, g.n + 1):
-                fresh = list(range(g.n + 1, g.n + k))
-                edges = [list(e) for e in g.edges] + [[v] + fresh]
-                grown = validate(edges, g.n + k - 1, k=k)
-                form = _supertree_canonical(grown)
-                if form not in nxt:
-                    nxt[form] = grown
-        level = nxt
-    return sorted(level.items())
+    each labeled by its own canonical form, in order of the form.  Growth
+    keeps canonical edge lists; only the kept shapes are validated."""
+    level: set[CanonicalForm] = {(tuple(range(1, k + 1)),)}
+    for size in range(1, m):
+        n = size * (k - 1) + 1
+        fresh = tuple(range(n + 1, n + k))
+        level = {
+            _supertree_canonical(form + ((v, *fresh),), n + k - 1)
+            for form in level
+            for v in range(1, n + 1)
+        }
+    return [validate(form, m * (k - 1) + 1, k=k) for form in sorted(level)]
 
 
 def _is_tree_power(g: Hypergraph) -> bool:
@@ -146,15 +140,13 @@ def enumerate_supertrees(
     path_form = canonical_form(loose_path(n, k))
     ds1_form = canonical_form(double_star(1, m - 2, k)) if m >= 3 else None
     shapes = _supertree_shapes(m, k)
-    graphs = [g for _, g in shapes]
-    solved = {kind: spectral_radii(kind, graphs, tol=tol) for kind in TensorKind}
+    solved = {kind: spectral_radii(kind, shapes, tol=tol) for kind in TensorKind}
     records = []
-    for i, (form, g) in enumerate(shapes):
+    for i, g in enumerate(shapes):
         results = {kind: solves[i] for kind, solves in solved.items()}
         records.append(
             CensusRecord(
                 hypergraph=g,
-                canonical=form,
                 radii={kind: res.rho for kind, res in results.items()},
                 solves={
                     kind: {
@@ -165,9 +157,9 @@ def enumerate_supertrees(
                     }
                     for kind, res in results.items()
                 },
-                is_hyperstar=form == star_form,
-                is_loose_path=form == path_form,
-                is_double_star_1=form == ds1_form,
+                is_hyperstar=g.edges == star_form,
+                is_loose_path=g.edges == path_form,
+                is_double_star_1=g.edges == ds1_form,
                 is_tree_power=_is_tree_power(g),
             )
         )

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import families
-from .census import enumerate_supertrees, verify_extremal
+from .census import ROUNDING_PAD, enumerate_supertrees, verify_extremal
 from .errors import (
     BadParameter,
     Disconnected,
@@ -64,6 +64,36 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
+SOLVE_ERRORS = (BadParameter, Disconnected, NoConvergence)
+
+
+def _solve_failed(exc: HypertreeError) -> int:
+    """Report a failed solve; exit 2 (bad parameter), 3 (disconnected)
+    or 4 (no convergence, with the bracket)."""
+    if isinstance(exc, NoConvergence):
+        print(f"error: {exc} bracket=[{exc.lower}, {exc.upper}]", file=sys.stderr)
+        return 4
+    print(f"error: {exc}", file=sys.stderr)
+    return 3 if isinstance(exc, Disconnected) else 2
+
+
+def _monotone_line(kind: TensorKind, before, after) -> str:
+    """Both brackets and the verdict of the census rule: a change is
+    certified only when the brackets are apart by more than the rounding
+    pad.  The margin is the signed certified gap, 0 when undecided."""
+    pad = ROUNDING_PAD * max(1.0, abs(before.rho), abs(after.rho))
+    rise = after.lower - before.upper
+    fall = before.lower - after.upper
+    if rise > pad:
+        verdict, margin = "increase", rise
+    elif fall > pad:
+        verdict, margin = "decrease", -fall
+    else:
+        verdict, margin = "undecided", 0.0
+    return (f"# {kind.value}: before=[{before.lower!r}, {before.upper!r}] "
+            f"after=[{after.lower!r}, {after.upper!r}] {verdict} margin={margin!r}")
+
+
 def cmd_compute(args) -> int:
     try:
         g = read_hypergraph(args.file)
@@ -73,18 +103,8 @@ def cmd_compute(args) -> int:
     kind = KIND_BY_FLAG[args.kind]
     try:
         result = spectral_radius(kind, g, tol=args.tol, max_iter=args.max_iter)
-    except BadParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Disconnected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NoConvergence as exc:
-        print(
-            f"error: {exc} bracket=[{exc.lower}, {exc.upper}]",
-            file=sys.stderr,
-        )
-        return 4
+    except SOLVE_ERRORS as exc:
+        return _solve_failed(exc)
     _emit(_compute_payload(g, kind, result, args.eigvec), args.format)
     return 0
 
@@ -144,13 +164,11 @@ def cmd_transform(args) -> int:
     if args.check_monotone:
         for kind in TensorKind:
             try:
-                before = spectral_radius(kind, g, tol=args.tol).rho
-                after = spectral_radius(kind, out, tol=args.tol).rho
-            except BadParameter as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(f"# {kind.value}: before={before!r} after={after!r} "
-                  f"margin={after - before!r}")
+                before = spectral_radius(kind, g, tol=args.tol)
+                after = spectral_radius(kind, out, tol=args.tol)
+            except SOLVE_ERRORS as exc:
+                return _solve_failed(exc)
+            print(_monotone_line(kind, before, after))
     sys.stdout.write(format_hypergraph(out))
     return 0
 

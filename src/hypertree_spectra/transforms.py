@@ -114,11 +114,10 @@ def edge_release_best(
 ) -> Hypergraph:
     """Release at the vertex of the edge with the largest Perron
     component, which guarantees the radius strictly increases."""
-    result = spectral_radius(kind, g, tol=tol)
-    e = g.edges[edge_id] if 0 <= edge_id < g.m else ()
-    if not e:
+    if not (0 <= edge_id < g.m):
         raise InvalidSpec(f"edge id {edge_id} out of range")
-    u = max(e, key=lambda v: result.eigvec[v - 1])
+    result = spectral_radius(kind, g, tol=tol)
+    u = max(g.edges[edge_id], key=lambda v: result.eigvec[v - 1])
     return edge_release(g, edge_id, u)
 
 

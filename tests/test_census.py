@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -17,7 +18,7 @@ from hypertree_spectra import (
     spectral_radius,
     verify_extremal,
 )
-from hypertree_spectra.census import Census
+from hypertree_spectra.census import Census, _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
 from hypertree_spectra.transforms import parents_to_edges
 from oracles import brute_force_supertrees, tree_canonical_code
@@ -112,7 +113,7 @@ def test_census_three_edges_k3():
 @pytest.mark.parametrize("n,k", [(5, 3), (7, 3)])
 def test_census_completeness_against_brute_force(n, k):
     census = enumerate_supertrees(n, k)
-    assert sorted(r.canonical for r in census.records) == brute_force_supertrees(
+    assert sorted(r.hypergraph.edges for r in census.records) == brute_force_supertrees(
         n, k
     )
 
@@ -127,14 +128,34 @@ def test_census_sizes_frozen():
 
 
 def test_census_members_are_distinct_linear_supertrees():
-    for n, k in [(9, 3), (13, 4)]:
+    # each record's graph is labeled by its own canonical form
+    for n, k in [(3, 2), (7, 2), (3, 3), (9, 3), (13, 3), (13, 4), (16, 4), (21, 5)]:
         census = enumerate_supertrees(n, k)
-        forms = [r.canonical for r in census.records]
+        forms = [r.hypergraph.edges for r in census.records]
         assert len(set(forms)) == len(forms)
         for r in census.records:
             assert is_supertree(r.hypergraph)
             assert is_linear(r.hypergraph)
-            assert r.canonical == canonical_form(r.hypergraph)
+            assert r.hypergraph.edges == canonical_form(r.hypergraph)
+
+
+# sha256 of the JSON forms of _supertree_shapes(m, k), in order, for
+# m = 1..top; recorded from the growth that kept one Hypergraph per form
+PINNED_FORMS = {
+    (2, 9): "528a176bf26622866f96c70263edea8a13138c36237d3c5753c7df02e6779d2d",
+    (3, 8): "4eda96765ddb3f85f92f0dd8869ced6e1d7baadabb3069bc50d73ead49b8f275",
+    (4, 7): "0d91384c8eeced470b801c8da2980c2754af157eb4b7e516c2b5098f726d7ed4",
+    (5, 5): "77e8145520707196845e3f0a44509f3dfed20a8dbc86f9db714e47921c3b8ab0",
+}
+
+
+@pytest.mark.parametrize("k,top", sorted(PINNED_FORMS))
+def test_census_forms_are_pinned(k, top):
+    digest = hashlib.sha256()
+    for m in range(1, top + 1):
+        forms = [[list(e) for e in g.edges] for g in _supertree_shapes(m, k)]
+        digest.update(json.dumps(forms).encode())
+    assert digest.hexdigest() == PINNED_FORMS[k, top]
 
 
 def test_census_flags():
@@ -146,7 +167,7 @@ def test_census_flags():
     path = next(r for r in census.records if r.is_loose_path)
     assert star.is_tree_power and path.is_tree_power
     ds = next(r for r in census.records if r.is_double_star_1)
-    assert ds.canonical == canonical_form(double_star(1, 2, 3))
+    assert ds.hypergraph.edges == canonical_form(double_star(1, 2, 3))
 
 
 def test_census_tree_power_count_is_free_tree_count():
@@ -189,7 +210,7 @@ def test_census_orderings_share_top_two():
             ordered = sorted(
                 census.records, key=lambda r: r.radii[kind], reverse=True
             )
-            tops.append((ordered[0].canonical, ordered[1].canonical))
+            tops.append((ordered[0].hypergraph.edges, ordered[1].hypergraph.edges))
         assert len(set(tops)) == 1
 
 
@@ -272,7 +293,7 @@ def test_verify_extremal_second_largest_is_named_double_star():
         ordered = sorted(
             census.records, key=lambda r: r.radii[kind], reverse=True
         )
-        assert ordered[1].canonical == canonical_form(double_star(1, 2, 3))
+        assert ordered[1].hypergraph.edges == canonical_form(double_star(1, 2, 3))
 
 
 def test_verify_extremal_incomplete_census():

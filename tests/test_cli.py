@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,65 @@ def test_transform_graft_monotone(capsys, star_file):
     assert all(m < 0 for m in margins)
 
 
+def _monotone_lines(out):
+    return [line for line in out.splitlines() if line.startswith("#")]
+
+
+def test_transform_check_monotone_prints_brackets_and_verdicts(capsys, tmp_path):
+    f = tmp_path / "p7.hg"
+    f.write_text(format_hypergraph(loose_path(7, 3)))
+    code, out, _ = run(
+        capsys, "transform", str(f), "--release", "2", "3", "--check-monotone"
+    )
+    assert code == 0
+    lines = _monotone_lines(out)
+    assert len(lines) == 3
+    pattern = re.compile(
+        r"# (\w+): before=\[(\S+), (\S+)\] after=\[(\S+), (\S+)\] increase margin=(\S+)$"
+    )
+    for line, kind in zip(lines, TensorKind):
+        found = pattern.match(line)
+        assert found and found[1] == kind.value
+        b_lo, b_hi, a_lo, a_hi, margin = map(float, found.groups()[1:])
+        assert b_lo <= spectral_radius(kind, loose_path(7, 3)).rho <= b_hi
+        star = spectral_radius(kind, hyperstar(7, 3)).rho
+        assert a_lo <= a_hi and star == pytest.approx((a_lo + a_hi) / 2, rel=1e-9)
+        assert margin == a_lo - b_hi > 0
+
+
+def test_transform_check_monotone_isomorphic_result_is_undecided(capsys, tmp_path):
+    # moving the second edge of a two-edge path onto vertex 1 gives the
+    # hyperstar, which is the same shape: no change can be certified
+    f = tmp_path / "p5.hg"
+    f.write_text(format_hypergraph(loose_path(5, 3)))
+    code, out, _ = run(
+        capsys, "transform", str(f), "--move", "2", "3", "1", "--check-monotone"
+    )
+    assert code == 0
+    lines = _monotone_lines(out)
+    assert len(lines) == 3
+    assert all(" undecided margin=0.0" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "text,move",
+    [
+        ("3 7 3\n1 2 3\n3 4 5\n5 6 7\n", "2 3 6"),  # the result splits
+        ("3 6 2\n1 2 3\n4 5 6\n", "1 1 4"),  # the input is split
+    ],
+    ids=["result", "input"],
+)
+def test_transform_check_monotone_disconnected(capsys, tmp_path, text, move):
+    f = tmp_path / "g.hg"
+    f.write_text(text)
+    code, out, err = run(
+        capsys, "transform", str(f), "--move", *move.split(), "--check-monotone"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_transform_move(capsys, tmp_path):
     f = tmp_path / "p7.hg"
     f.write_text(format_hypergraph(loose_path(7, 3)))
@@ -334,6 +394,19 @@ def test_run_verification_rejects_bad_ranges(flags):
     assert proc.returncode == 2
     assert "error: " in proc.stderr and "Traceback" not in proc.stderr
     assert "passed" not in proc.stdout
+
+
+def test_run_verification_prints_verdicts():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--k", "3", "--max-m", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    claims = [line for line in proc.stdout.splitlines() if line.startswith("  PASS")]
+    assert len(claims) == 3 * 3 * 2 + 3  # second-largest only at m = 3
+    assert all(" certified rho=" in line for line in claims)
 
 
 def test_console_script_installed():

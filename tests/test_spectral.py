@@ -99,7 +99,7 @@ def test_bad_solver_parameters(tol, max_iter):
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_batch_matches_single_solves_on_census(kind):
     """Each row of the batched k=3, m=8 census runs the single iteration."""
-    graphs = [g for _, g in _supertree_shapes(8, 3)]
+    graphs = _supertree_shapes(8, 3)
     batch = spectral_radii(kind, graphs)
     assert len(batch) == len(graphs) == 126
     for g, row in zip(graphs, batch):

@@ -191,6 +191,12 @@ def test_release_strictly_increases_all_radii():
 def test_release_best_out_of_range():
     with pytest.raises(InvalidSpec):
         edge_release_best(loose_path(7, 3), 9)
+    # the id is checked before the solve, which rejects a disconnected graph
+    split = validate([[1, 2, 3], [4, 5, 6]], 6)
+    with pytest.raises(InvalidSpec):
+        edge_release_best(split, 2)
+    with pytest.raises(Disconnected):
+        edge_release_best(split, 0)
 
 
 # -- pendent paths and total_graft -------------------------------------------
