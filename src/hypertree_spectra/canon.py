@@ -2,9 +2,10 @@
 
 For connected acyclic hypergraphs (supertrees) the bipartite
 vertex/edge incidence graph is a tree, so a rooted-tree canonical code
-(computed at the tree center) yields an exact canonical labeling in
-linear time.  Non-acyclic hypergraphs fall back to exhaustive search
-over relabelings restricted to degree classes, guarded by a size cap.
+(computed at the tree center) yields an exact canonical labeling, and
+the same pass yields the vertex automorphism orbits.  Non-acyclic
+hypergraphs fall back to exhaustive search over relabelings restricted
+to degree classes, guarded by a size cap.
 
 A canonical form is the relabeled edge list: a sorted tuple of sorted
 vertex tuples.  Two hypergraphs are isomorphic iff their canonical forms
@@ -17,7 +18,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .errors import TooLarge
+from .errors import NotATree, TooLarge
 from .hypergraph import Hypergraph, is_supertree, validate
 
 CanonicalForm = tuple[tuple[int, ...], ...]
@@ -29,7 +30,7 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
     if g.m == 0:
         return ()
     if is_supertree(g):
-        return _supertree_canonical(g.edges, g.n)
+        return _supertree_canonical(g.edges, g.n)[0]
     return _brute_force_canonical(g)
 
 
@@ -49,20 +50,32 @@ def relabel(g: Hypergraph, perm: dict[int, int]) -> Hypergraph:
 
 # -- supertree canonicalization via the bipartite incidence tree -------------
 
-def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> CanonicalForm:
-    """Canonical form of the supertree on vertices 1..n with these edges.
-    Incidence-tree nodes are ints: vertex v is v-1, edge j is n+j."""
+def automorphism_orbits(g: Hypergraph) -> list[set[int]]:
+    """Vertex orbits of the automorphism group of a supertree, in order of
+    their smallest vertex."""
+    if not is_supertree(g):
+        raise NotATree("automorphism orbits are computed for supertrees only")
+    orbit = _supertree_canonical(g.edges, g.n)[1]
+    return [{v for v, o in enumerate(orbit, 1) if o == rep} for rep in sorted(set(orbit))]
+
+
+def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> tuple[CanonicalForm, list[int]]:
+    """Canonical form of the supertree on vertices 1..n with these edges,
+    and its vertex orbits: orbit[v-1] is the smallest vertex that an
+    automorphism maps v to.  Incidence-tree nodes are ints: vertex v is
+    v-1, edge j is n+j."""
     adj: list[list[int]] = [[] for _ in range(n + len(edges))]
     for j, e in enumerate(edges):
         for v in e:
             adj[v - 1].append(n + j)
             adj[n + j].append(v - 1)
 
-    # centers: peel leaves until at most two nodes remain
+    # the center: every leaf is a vertex and the tree is bipartite, so
+    # leaf-to-leaf paths have even length and peeling leaves ends at one node
     degree = [len(nbrs) for nbrs in adj]
     leaves = [x for x, d in enumerate(degree) if d <= 1]
     remaining = len(adj)
-    while remaining > 2:
+    while remaining > 1:
         remaining -= len(leaves)
         nxt = []
         for leaf in leaves:
@@ -71,37 +84,43 @@ def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> CanonicalFor
                 if degree[nb] == 1:
                     nxt.append(nb)
         leaves = nxt
+    (root,) = leaves
 
-    forms = []
-    for root in leaves:
-        parent = [-1] * len(adj)
-        order = [root]
-        for x in order:  # breadth-first; order grows while it is walked
-            for nb in adj[x]:
-                if nb != parent[x]:
-                    parent[nb] = x
-                    order.append(nb)
-        # AHU codes bottom-up: a node's code is its children's codes,
-        # sorted.  Siblings in a bipartite tree all have one type, so the
-        # codes need no vertex/edge tag.
-        code: list = [()] * len(adj)
-        kids: list[list[int]] = [[]] * len(adj)
-        for x in reversed(order):
-            kids[x] = sorted((c for c in adj[x] if c != parent[x]), key=code.__getitem__)
-            code[x] = tuple(code[c] for c in kids[x])
-        # label vertices in pre-order, smallest child code first (equal
-        # codes are automorphic subtrees, so their order is immaterial)
-        label = [0] * (n + 1)
-        nxt_label = 1
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            if x < n:
-                label[x + 1] = nxt_label
-                nxt_label += 1
-            stack.extend(reversed(kids[x]))
-        forms.append(_apply_labeling(edges, label))
-    return min(forms)
+    parent = [-1] * len(adj)
+    order = [root]
+    for x in order:  # breadth-first; order grows while it is walked
+        for nb in adj[x]:
+            if nb != parent[x]:
+                parent[nb] = x
+                order.append(nb)
+    # AHU codes bottom-up: a node's code is its children's codes, sorted.
+    # Siblings in a bipartite tree all have one type, so the codes need no
+    # vertex/edge tag.
+    code: list = [()] * len(adj)
+    kids: list[list[int]] = [[]] * len(adj)
+    for x in reversed(order):
+        kids[x] = sorted((c for c in adj[x] if c != parent[x]), key=code.__getitem__)
+        code[x] = tuple(code[c] for c in kids[x])
+    # automorphisms fix the center, so two nodes share an orbit iff their
+    # root paths carry equal codes; key[x] numbers x's path, not its code
+    key = [0] * len(adj)
+    keys: dict[tuple, int] = {}
+    for x in order[1:]:
+        key[x] = keys.setdefault((key[parent[x]], code[x]), len(keys) + 1)
+    smallest: dict[int, int] = {}
+    orbit = [smallest.setdefault(key[v - 1], v) for v in range(1, n + 1)]
+    # label vertices in pre-order, smallest child code first (equal codes
+    # are automorphic subtrees, so their order is immaterial)
+    label = [0] * (n + 1)
+    nxt_label = 1
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x < n:
+            label[x + 1] = nxt_label
+            nxt_label += 1
+        stack.extend(reversed(kids[x]))
+    return _apply_labeling(edges, label), orbit
 
 
 def _apply_labeling(edges: Sequence[Sequence[int]], label) -> CanonicalForm:

@@ -4,7 +4,8 @@ verification of the extremal theorems over the census.
 Supertrees are generated by growing a pendent edge at a time: every
 supertree with m >= 2 edges has a pendent edge whose removal leaves a
 smaller supertree, so attaching a fresh edge sharing exactly one vertex
-reaches every isomorphism class.  Deduplication is by canonical form.
+reaches every isomorphism class, and automorphic vertices give isomorphic
+children, so one vertex per orbit suffices.  Deduplication is by canonical form.
 Free trees on n' nodes are the k=2 census with n'-1 edges.
 """
 
@@ -100,15 +101,16 @@ def enumerate_trees(n_prime: int) -> list[list[int]]:
 def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     """All k-uniform supertrees with m edges, one per isomorphism class,
     each labeled by its own canonical form, in order of the form.  Growth
-    keeps canonical edge lists; only the kept shapes are validated."""
+    hangs a fresh edge at the smallest vertex of each orbit of each kept
+    canonical edge list; only the kept shapes are validated."""
     level: set[CanonicalForm] = {(tuple(range(1, k + 1)),)}
     for size in range(1, m):
         n = size * (k - 1) + 1
         fresh = tuple(range(n + 1, n + k))
         level = {
-            _supertree_canonical(form + ((v, *fresh),), n + k - 1)
+            _supertree_canonical(form + ((v, *fresh),), n + k - 1)[0]
             for form in level
-            for v in range(1, n + 1)
+            for v in set(_supertree_canonical(form, n)[1])
         }
     return [validate(form, m * (k - 1) + 1, k=k) for form in sorted(level)]
 
@@ -175,6 +177,17 @@ def enumerate_supertrees(
 ROUNDING_PAD = 1e-12
 
 
+def bracket_verdict(own: tuple[float, float], rival: tuple[float, float]) -> tuple[str, float]:
+    """Is own's (lower, upper) bracket above rival's?  "certified" when the
+    gap lower(own) - upper(rival) exceeds the rounding pad, "refuted" when
+    the brackets are that far apart the other way, else "undecided"."""
+    pad = ROUNDING_PAD * max(1.0, *map(abs, own), *map(abs, rival))
+    gap = own[0] - rival[1]
+    if gap > pad:
+        return "certified", gap
+    return ("refuted" if rival[0] - own[1] > pad else "undecided"), gap
+
+
 def _claim(
     name: str,
     kind: TensorKind,
@@ -193,19 +206,16 @@ def _claim(
         lo, hi = r.solves[kind]["lower"], r.solves[kind]["upper"]
         return (lo, hi) if largest else (-hi, -lo)
 
-    pad = ROUNDING_PAD * max(1.0, abs(winner.radii[kind]))
-    own = bracket(winner)
     gap = None
     verdict = "certified"
     if others:
         rivals = [bracket(r) for r in others]
-        gap = own[0] - max(b[1] for b in rivals)
-        if gap <= pad:
-            beaten = max(b[0] for b in rivals) - own[1] > pad
-            verdict = "refuted" if beaten else "undecided"
+        envelope = (max(b[0] for b in rivals), max(b[1] for b in rivals))
+        verdict, gap = bracket_verdict(bracket(winner), envelope)
     detail = f"{verdict} rho={winner.radii[kind]:.12g}"
-    stats = winner.solves[kind]
-    inside = closed is None or stats["lower"] - pad <= closed <= stats["upper"] + pad
+    # a point is inside the padded bracket iff neither is above the other
+    own = winner.solves[kind]["lower"], winner.solves[kind]["upper"]
+    inside = closed is None or bracket_verdict(own, (closed, closed))[0] == "undecided"
     if closed is not None:
         detail += f" closed={closed:.12g}" + ("" if inside else " outside the bracket")
     return Assertion(name, kind.value, verdict == "certified" and inside, gap, detail)

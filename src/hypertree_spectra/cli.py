@@ -14,17 +14,8 @@ import json
 import sys
 
 from . import families
-from .census import ROUNDING_PAD, enumerate_supertrees, verify_extremal
-from .errors import (
-    BadParameter,
-    Disconnected,
-    HypertreeError,
-    InvalidSpec,
-    MultipleEdge,
-    NoConvergence,
-    NotPendentPaths,
-    PendentEdge,
-)
+from .census import bracket_verdict, enumerate_supertrees, verify_extremal
+from .errors import BadParameter, Disconnected, HypertreeError, NoConvergence
 from .hypergraph import format_hypergraph, read_hypergraph
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_radius
 from .tensors import TensorKind
@@ -78,18 +69,16 @@ def _solve_failed(exc: HypertreeError) -> int:
 
 
 def _monotone_line(kind: TensorKind, before, after) -> str:
-    """Both brackets and the verdict of the census rule: a change is
-    certified only when the brackets are apart by more than the rounding
-    pad.  The margin is the signed certified gap, 0 when undecided."""
-    pad = ROUNDING_PAD * max(1.0, abs(before.rho), abs(after.rho))
-    rise = after.lower - before.upper
-    fall = before.lower - after.upper
-    if rise > pad:
+    """Both brackets and the verdict of the census rule
+    (census.bracket_verdict).  The margin is the signed certified gap, 0
+    when undecided."""
+    verdict, rise = bracket_verdict((after.lower, after.upper), (before.lower, before.upper))
+    if verdict == "certified":
         verdict, margin = "increase", rise
-    elif fall > pad:
-        verdict, margin = "decrease", -fall
+    elif verdict == "refuted":
+        verdict, margin = "decrease", after.upper - before.lower
     else:
-        verdict, margin = "undecided", 0.0
+        margin = 0.0
     return (f"# {kind.value}: before=[{before.lower!r}, {before.upper!r}] "
             f"after=[{after.lower!r}, {after.upper!r}] {verdict} margin={margin!r}")
 
@@ -158,7 +147,7 @@ def cmd_transform(args) -> int:
             out = total_graft(g, v, p, q)
         else:
             out = move_edges(g, spec)
-    except (InvalidSpec, MultipleEdge, PendentEdge, NotPendentPaths, HypertreeError) as exc:
+    except HypertreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     if args.check_monotone:

@@ -39,22 +39,6 @@ def loose_path(n: int, k: int) -> Hypergraph:
     return validate(edges, n, k=k)
 
 
-def loose_path_reflection_orbits(n: int, k: int) -> list[set[int]]:
-    """Vertex orbits of loose_path(n, k) under the end-to-end reflection
-    v -> n+1-v (an automorphism of the construction)."""
-    orbits = []
-    for v in range(1, n // 2 + 1):
-        orbits.append({v, n + 1 - v})
-    if n % 2 == 1:
-        orbits.append({(n + 1) // 2})
-    return orbits
-
-
-def hyperstar_orbits(n: int, k: int) -> list[set[int]]:
-    """Center vs. the rest: the two automorphism orbits of the hyperstar."""
-    return [{1}, set(range(2, n + 1))]
-
-
 def double_star(a: int, b: int, k: int) -> Hypergraph:
     """k-th power of the ordinary double star S(a, b): a bridge edge whose
     end vertices carry a and b pendent edges."""

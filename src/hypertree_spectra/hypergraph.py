@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadDimensions,
     DuplicateEdge,
     NonUniform,
     NotLinear,
@@ -66,8 +67,9 @@ class IncidenceMatrix:
 def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -> Hypergraph:
     """Build a Hypergraph from raw edge lists, rejecting malformed input.
 
-    Uniformity k is inferred from the first edge unless given explicitly.
-    Duplicate edges are an error, never silently merged.
+    Uniformity k is inferred from the first edge unless given explicitly,
+    and must be at least 2; n must be at least 1.  Duplicate edges are an
+    error, never silently merged.
     """
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -89,6 +91,8 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
         edges.append(e)
     if k is None:
         raise NonUniform("cannot infer uniformity from an empty edge list")
+    if k < 2 or n < 1:
+        raise BadDimensions(f"need k >= 2 and n >= 1, got k={k}, n={n}")
     edges.sort()
     v2e: list[list[int]] = [[] for _ in range(n)]
     for j, e in enumerate(edges):
@@ -105,10 +109,6 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
 def is_connected(g: Hypergraph) -> bool:
     """True iff every pair of vertices is joined by an alternating
     vertex/edge path."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
     seen = {1}
     stack = [1]
     while stack:

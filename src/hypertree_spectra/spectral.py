@@ -197,8 +197,8 @@ def bounds_report(g: Hypergraph) -> BoundsReport:
     d = k * g.m / g.n
     delta = max(g.degrees)
     r = incidence_matrix(g).to_dense()
-    # R^T R (m x m) shares the nonzero spectrum of R R^T (n x n)
-    gram = r.T @ r if g.m < g.n else r @ r.T
+    # R^T R (m x m) shares the nonzero spectrum of R R^T (n x n), if m > 0
+    gram = r.T @ r if 0 < g.m < g.n else r @ r.T
     rho_rrt = matrix_spectral_radius(gram)
     return BoundsReport(
         avg_degree=d,

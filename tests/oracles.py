@@ -29,6 +29,25 @@ def brute_force_supertrees(n: int, k: int) -> list[CanonicalForm]:
     return sorted(forms)
 
 
+def brute_force_orbits(g) -> list[set[int]]:
+    """Vertex orbits under every relabeling that maps the edge set onto
+    itself, found by trying each permutation within degree classes, in
+    order of their smallest vertex.  Only viable for tiny n."""
+    by_degree: dict[int, list[int]] = {}
+    for v in range(1, g.n + 1):
+        by_degree.setdefault(g.degree(v), []).append(v)
+    classes = list(by_degree.values())
+    edges = set(g.edges)
+    orbit = {v: {v} for v in range(1, g.n + 1)}
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        sigma = {old: new for c, img in zip(classes, images) for old, new in zip(c, img)}
+        if all(tuple(sorted(sigma[v] for v in e)) in edges for e in g.edges):
+            for v in orbit:
+                orbit[v].add(sigma[v])
+    blocks = {min(o): o for o in orbit.values()}
+    return [blocks[v] for v in sorted(blocks)]
+
+
 def has_berge_cycle(g) -> bool:
     """Direct cycle search on the bipartite incidence graph.
 

@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree_spectra import (
+    automorphism_orbits,
     canonical_form,
     double_star,
     hyperstar,
@@ -15,8 +18,9 @@ from hypertree_spectra import (
     validate,
 )
 from hypertree_spectra.canon import _brute_force_canonical, relabel
-from hypertree_spectra.errors import TooLarge
-from oracles import tree_canonical_code
+from hypertree_spectra.census import _supertree_shapes
+from hypertree_spectra.errors import NotATree, TooLarge
+from oracles import brute_force_orbits, tree_canonical_code
 
 
 def _random_relabel(g, rnd):
@@ -159,3 +163,35 @@ def test_tree_code_distinguishes_all_six_node_trees():
         for p in enumerate_trees(6)
     }
     assert len(codes) == 6  # six non-isomorphic trees on six nodes
+
+
+# -- automorphism orbits -------------------------------------------------------
+
+
+def test_automorphism_orbits_match_brute_force():
+    # every census shape on at most 8 vertices, under a random relabeling
+    rnd = random.Random(11)
+    checked = 0
+    for k in range(2, 9):
+        for m in range(1, 7 // (k - 1) + 1):
+            for shape in _supertree_shapes(m, k):
+                g = _random_relabel(shape, rnd)
+                assert automorphism_orbits(g) == brute_force_orbits(g)
+                checked += 1
+    assert checked == 57
+
+
+def test_automorphism_orbits_pinned():
+    assert automorphism_orbits(hyperstar(9, 3)) == [{1}, set(range(2, 10))]
+    assert automorphism_orbits(loose_path(9, 3)) == [{1, 2, 8, 9}, {3, 7}, {4, 6}, {5}]
+    # leaves 1 and 4 both have the empty code, but only the end leaves
+    # are automorphic
+    assert automorphism_orbits(loose_path(7, 3)) == [{1, 2, 6, 7}, {3, 5}, {4}]
+    assert automorphism_orbits(validate([], 1, k=3)) == [{1}]
+
+
+def test_automorphism_orbits_need_a_supertree():
+    with pytest.raises(NotATree):
+        automorphism_orbits(s_cycle(4, 1, 3))
+    with pytest.raises(NotATree):
+        automorphism_orbits(validate([[1, 2, 3], [4, 5, 6]], 6))

@@ -111,6 +111,17 @@ def test_compute_parse_error(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text", ["3 -1 0\n", "0 1 0\n", "1 1 1\n1\n"])
+def test_compute_bad_dimensions(capsys, tmp_path, text):
+    # k < 2 or n < 1: a typed error, never a traceback or a radius
+    f = tmp_path / "dims.hg"
+    f.write_text(text)
+    code, out, err = run(capsys, "compute", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_compute_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "compute", str(tmp_path / "nope.hg"))
     assert code == 2

@@ -17,6 +17,7 @@ from hypertree_spectra import (
     validate,
 )
 from hypertree_spectra.errors import (
+    BadDimensions,
     DuplicateEdge,
     NonUniform,
     NotLinear,
@@ -51,6 +52,24 @@ def test_validate_vertex_out_of_range():
 def test_validate_repeated_vertex():
     with pytest.raises(RepeatedVertexInEdge):
         validate([[1, 2, 2]], 3)
+
+
+@pytest.mark.parametrize("text", ["3 -1 0\n", "3 0 0\n", "0 1 0\n", "1 1 1\n1\n"])
+def test_parse_rejects_bad_dimensions(text):
+    # k < 2 or n < 1
+    with pytest.raises(BadDimensions):
+        parse_hypergraph(text)
+
+
+def test_validate_bad_inferred_uniformity():
+    with pytest.raises(BadDimensions):
+        validate([[1]], 1)
+
+
+def test_validate_one_vertex_edgeless():
+    g = validate([], 1, k=2)
+    assert (g.n, g.m, g.degrees) == (1, 0, (0,))
+    assert is_connected(g)
 
 
 def test_connectivity():

@@ -5,14 +5,13 @@ from hypertree_spectra import (
     TensorKind,
     alpha_star,
     apply,
+    automorphism_orbits,
     bounds_report,
     closed_form_hyperstar,
     dense_build,
     double_star,
     hyperstar,
-    hyperstar_orbits,
     loose_path,
-    loose_path_reflection_orbits,
     matrix_spectral_radius,
     orbit_constancy_check,
     rayleigh,
@@ -307,6 +306,14 @@ def test_degree_sandwich_all_corpus(corpus_instance):
             assert rep.sandwich_upper - rho > 1e-8 * scale
 
 
+def test_bounds_report_one_vertex_edgeless():
+    # R is 1 x 0: the Gram matrix used is the nonempty 1 x 1 one
+    rep = bounds_report(validate([], 1, k=3))
+    assert rep.rho_rrt == 0.0
+    assert rep.sandwich_upper == 0.0
+    assert (rep.max_degree, rep.upper_deg) == (0, 0.0)
+
+
 def test_bounds_report_disconnected():
     with pytest.raises(Disconnected):
         bounds_report(validate([[1, 2, 3], [4, 5, 6]], 6))
@@ -315,14 +322,24 @@ def test_bounds_report_disconnected():
 def test_orbit_constancy_hyperstar():
     g = hyperstar(7, 3)
     result = spectral_radius(TensorKind.IncidenceQ, g)
-    assert orbit_constancy_check(g, hyperstar_orbits(7, 3), result)
+    assert orbit_constancy_check(g, automorphism_orbits(g), result)
 
 
 def test_orbit_constancy_loose_path():
     g = loose_path(7, 3)
     for kind in KINDS:
         result = spectral_radius(kind, g)
-        assert orbit_constancy_check(g, loose_path_reflection_orbits(7, 3), result)
+        assert orbit_constancy_check(g, automorphism_orbits(g), result)
+
+
+@pytest.mark.parametrize("k,top", [(2, 7), (3, 6), (4, 5)])
+def test_orbit_constancy_over_census(k, top):
+    # the batched Perron vector is constant on every automorphism orbit
+    for m in range(1, top + 1):
+        graphs = _supertree_shapes(m, k)
+        for kind in KINDS:
+            for g, result in zip(graphs, spectral_radii(kind, graphs)):
+                assert orbit_constancy_check(g, automorphism_orbits(g), result)
 
 
 def test_orbit_constancy_wrong_partition():
