@@ -49,9 +49,7 @@ def run_census(n, k, tol, export_dir, max_edges):
             f"{rec.radii[TensorKind.IncidenceQ]:>14.10f} {flags}"
         )
     for a in report.assertions:
-        status = "PASS" if a.passed else "FAIL"
-        margin = "n/a" if a.margin is None else f"{a.margin:.6g}"
-        print(f"  {status} {a.name} [{a.kind}] margin={margin} {a.detail}")
+        print(f"  {a.line()}")
     for note in report.skipped:
         print(f"  SKIP {note}")
 

@@ -19,7 +19,7 @@ import math
 from typing import Sequence
 
 from .errors import NotATree, TooLarge
-from .hypergraph import Hypergraph, is_supertree, validate
+from .hypergraph import Hypergraph, is_supertree
 
 CanonicalForm = tuple[tuple[int, ...], ...]
 
@@ -40,12 +40,6 @@ def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     if sorted(a.degrees) != sorted(b.degrees):
         return False
     return canonical_form(a) == canonical_form(b)
-
-
-def relabel(g: Hypergraph, perm: dict[int, int]) -> Hypergraph:
-    """Apply a vertex relabeling old -> new and re-sort edges."""
-    edges = [[perm[v] for v in e] for e in g.edges]
-    return validate(edges, g.n, k=g.k)
 
 
 # -- supertree canonicalization via the bipartite incidence tree -------------

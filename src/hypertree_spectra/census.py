@@ -74,6 +74,12 @@ class Assertion:
     margin: float | None  # certified bracket gap; None when nothing is to be beaten
     detail: str = ""  # the verdict (certified, refuted or undecided) first
 
+    def line(self) -> str:
+        """The report line: status, name, kind, margin and detail."""
+        status = "PASS" if self.passed else "FAIL"
+        margin = "n/a" if self.margin is None else f"{self.margin:.6g}"
+        return f"{status} {self.name} [{self.kind}] margin={margin} {self.detail}"
+
 
 @dataclass(frozen=True)
 class VerificationReport:

@@ -4,12 +4,14 @@ Exit codes: 0 success; 2 parse/parameter error; 3 disconnected input;
 4 no convergence (bracket still printed); 5 transform precondition
 violated; 6 a theorem assertion failed during verify.
 
-Vertex ids and edge ids are 1-based on the command line.
+Vertex ids and edge ids are 1-based on the command line; an id outside
+1..n (vertices) or 1..m (edges) is a parameter error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -98,55 +100,72 @@ def cmd_compute(args) -> int:
     return 0
 
 
+# construct family -> (constructor, names of its integer parameters);
+# treepower also takes the parent array given by --tree
+FAMILIES = {
+    "hyperstar": (families.hyperstar, ("n", "k")),
+    "loosepath": (families.loose_path, ("n", "k")),
+    "doublestar": (families.double_star, ("a", "b", "k")),
+    "treepower": (families.tree_power, ("k",)),
+    "spath": (families.s_path, ("m", "s", "k")),
+    "scycle": (families.s_cycle, ("m", "s", "k")),
+    "singleedge": (families.single_edge, ("k",)),
+}
+
+
 def cmd_construct(args) -> int:
+    build, names = FAMILIES[args.family]
+    params = list(args.params)
     try:
-        if args.family == "hyperstar":
-            g = families.hyperstar(args.params[0], args.params[1])
-        elif args.family == "loosepath":
-            g = families.loose_path(args.params[0], args.params[1])
-        elif args.family == "doublestar":
-            g = families.double_star(args.params[0], args.params[1], args.params[2])
-        elif args.family == "spath":
-            g = families.s_path(args.params[0], args.params[1], args.params[2])
-        elif args.family == "scycle":
-            g = families.s_cycle(args.params[0], args.params[1], args.params[2])
-        elif args.family == "treepower":
+        if len(params) != len(names):
+            got = " ".join(map(str, params)) or "none"
+            raise ValueError(f"{args.family} expects {' '.join(names)}, got {got}")
+        if args.family == "treepower":
             if args.tree is None:
                 raise ValueError("treepower requires --tree \"p2 p3 ...\"")
-            parents = [int(tok) for tok in args.tree.split()]
-            g = families.tree_power(parents, args.params[0])
-        elif args.family == "singleedge":
-            g = families.single_edge(args.params[0])
-        else:
-            raise ValueError(f"unknown family {args.family}")
-    except (IndexError, ValueError, HypertreeError) as exc:
+            params.insert(0, [int(tok) for tok in args.tree.split()])
+        g = build(*params)
+    except (ValueError, HypertreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(format_hypergraph(g))
     return 0
 
 
+def _check_ids(g, edge_ids, vertices) -> None:
+    """Reject 1-based edge ids outside 1..m and vertex ids outside 1..n."""
+    for eid in edge_ids:
+        if not 1 <= eid <= g.m:
+            raise ValueError(f"edge id {eid} outside 1..{g.m}")
+    for v in vertices:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} outside 1..{g.n}")
+
+
 def cmd_transform(args) -> int:
+    """Ids out of range exit 2, before the transform runs; a violated
+    structural precondition of the transform exits 5."""
     try:
         g = read_hypergraph(args.file)
-        if args.move is not None:
-            spec = EdgeMoveSpec(
-                tuple(int(t) - 1 for t in args.move[0].split(",")),
-                tuple(int(t) for t in args.move[1].split(",")),
-                int(args.move[2]),
-            )
+        if args.release is not None:
+            eid, u = args.release
+            _check_ids(g, [eid], [u])
+            transform = functools.partial(edge_release, g, eid - 1, u)
+        elif args.graft is not None:
+            v, p, q = args.graft
+            _check_ids(g, [], [v])
+            transform = functools.partial(total_graft, g, v, p, q)
+        else:
+            eids, sources = ([int(t) for t in arg.split(",")] for arg in args.move[:2])
+            target = int(args.move[2])
+            _check_ids(g, eids, [*sources, target])
+            spec = EdgeMoveSpec(tuple(e - 1 for e in eids), tuple(sources), target)
+            transform = functools.partial(move_edges, g, spec)
     except (OSError, ValueError, HypertreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.release is not None:
-            eid, u = args.release
-            out = edge_release(g, eid - 1, u)
-        elif args.graft is not None:
-            v, p, q = args.graft
-            out = total_graft(g, v, p, q)
-        else:
-            out = move_edges(g, spec)
+        out = transform()
     except HypertreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
@@ -170,9 +189,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for a in report.assertions:
-        status = "PASS" if a.passed else "FAIL"
-        margin = "n/a" if a.margin is None else f"{a.margin:.6g}"
-        print(f"{status} {a.name} [{a.kind}] margin={margin} {a.detail}")
+        print(a.line())
     for note in report.skipped:
         print(f"SKIP {note}")
     print(f"census size {report.census_size}")
@@ -203,18 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_construct = sub.add_parser("construct", help="emit a named family")
-    p_construct.add_argument(
-        "family",
-        choices=[
-            "hyperstar",
-            "loosepath",
-            "doublestar",
-            "treepower",
-            "spath",
-            "scycle",
-            "singleedge",
-        ],
-    )
+    p_construct.add_argument("family", choices=list(FAMILIES))
     p_construct.add_argument("params", type=int, nargs="*")
     p_construct.add_argument("--tree", help="parent array for nodes 2..n'")
     p_construct.set_defaults(func=cmd_construct)

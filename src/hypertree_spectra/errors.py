@@ -72,10 +72,6 @@ class NotSquare(HypertreeError):
     """Matrix argument is not square."""
 
 
-class BadPartition(HypertreeError):
-    """Supplied orbit blocks do not partition the vertex set."""
-
-
 # -- transforms --------------------------------------------------------------
 
 class InvalidSpec(HypertreeError):

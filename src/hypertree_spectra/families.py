@@ -27,16 +27,10 @@ def hyperstar(n: int, k: int) -> Hypergraph:
 
 
 def loose_path(n: int, k: int) -> Hypergraph:
-    """Consecutive edges share exactly one vertex; all interior shared
-    vertices have degree two."""
+    """Consecutive edges share exactly one vertex: the 1-path."""
     if k < 2 or n < k or (n - 1) % (k - 1) != 0:
         raise BadDimensions(f"no loose path with n={n}, k={k}")
-    m = (n - 1) // (k - 1)
-    edges = []
-    for i in range(m):
-        start = i * (k - 1) + 1
-        edges.append(list(range(start, start + k)))
-    return validate(edges, n, k=k)
+    return s_path((n - 1) // (k - 1), 1, k)
 
 
 def double_star(a: int, b: int, k: int) -> Hypergraph:
@@ -44,15 +38,7 @@ def double_star(a: int, b: int, k: int) -> Hypergraph:
     end vertices carry a and b pendent edges."""
     if a < 0 or b < 0 or k < 2:
         raise BadDimensions(f"double_star needs a, b >= 0 and k >= 2, got ({a}, {b}, {k})")
-    tree_edges = [(1, 2)]
-    nxt = 3
-    for _ in range(a):
-        tree_edges.append((1, nxt))
-        nxt += 1
-    for _ in range(b):
-        tree_edges.append((2, nxt))
-        nxt += 1
-    return _power_of_tree_edges(tree_edges, nxt - 1, k)
+    return tree_power([1] * (a + 1) + [2] * b, k)
 
 
 def tree_power(parents: Sequence[int], k: int) -> Hypergraph:
@@ -60,22 +46,24 @@ def tree_power(parents: Sequence[int], k: int) -> Hypergraph:
 
     ``parents[i]`` is the parent of node i+2 (the array covers nodes
     2..n', the tree being rooted at node 1).  Each ordinary edge becomes a
-    k-edge padded with k-2 fresh degree-one vertices.
+    k-edge padded with k-2 fresh degree-one vertices, numbered from n'+1
+    in edge order.
     """
     n_prime = len(parents) + 1
     if n_prime < 2:
         raise NotATree("tree must have at least 2 nodes")
-    tree_edges = []
     for i, p in enumerate(parents):
-        child = i + 2
-        if not (1 <= p <= n_prime) or p == child:
-            raise NotATree(f"bad parent {p} for node {child}")
-        tree_edges.append((p, child))
+        if not (1 <= p <= n_prime) or p == i + 2:
+            raise NotATree(f"bad parent {p} for node {i + 2}")
     # parent arrays of this shape are cycle-free iff every node reaches
     # the root; check reachability
     if not _parents_form_tree(parents):
         raise NotATree("parent array contains a cycle or unreachable node")
-    return _power_of_tree_edges(tree_edges, n_prime, k)
+    edges = []
+    for i, p in enumerate(parents):
+        pad = n_prime + 1 + i * (k - 2)
+        edges.append([p, i + 2, *range(pad, pad + k - 2)])
+    return validate(edges, n_prime + len(parents) * (k - 2), k=k)
 
 
 def _parents_form_tree(parents: Sequence[int]) -> bool:
@@ -89,17 +77,6 @@ def _parents_form_tree(parents: Sequence[int]) -> bool:
             seen.add(cur)
             cur = parents[cur - 2]
     return True
-
-
-def _power_of_tree_edges(tree_edges: list[tuple[int, int]], n_prime: int, k: int) -> Hypergraph:
-    n = n_prime + len(tree_edges) * (k - 2)
-    nxt = n_prime + 1
-    edges = []
-    for u, v in tree_edges:
-        pad = list(range(nxt, nxt + k - 2))
-        nxt += k - 2
-        edges.append([u, v] + pad)
-    return validate(edges, n, k=k)
 
 
 def s_path(m: int, s: int, k: int) -> Hypergraph:

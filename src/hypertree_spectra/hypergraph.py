@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     BadDimensions,
     DuplicateEdge,
@@ -44,24 +46,6 @@ class Hypergraph:
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """0-based ids of the edges containing vertex v."""
         return self.vertex_to_edges[v - 1]
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Sparse 0/1 vertex-edge incidence matrix, stored column-wise."""
-
-    rows: int
-    cols: int
-    columns: tuple[tuple[int, ...], ...]  # column j = vertices of edge j
-
-    def to_dense(self):
-        import numpy as np
-
-        r = np.zeros((self.rows, self.cols))
-        for j, col in enumerate(self.columns):
-            for i in col:
-                r[i - 1, j] = 1.0
-        return r
 
 
 def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -> Hypergraph:
@@ -137,8 +121,12 @@ def is_linear(g: Hypergraph) -> bool:
     return True
 
 
-def incidence_matrix(g: Hypergraph) -> IncidenceMatrix:
-    return IncidenceMatrix(rows=g.n, cols=g.m, columns=g.edges)
+def incidence_matrix(g: Hypergraph) -> np.ndarray:
+    """Dense (n, m) 0/1 vertex-edge incidence matrix R; column j is edge j."""
+    r = np.zeros((g.n, g.m))
+    for j, e in enumerate(g.edges):
+        r[[v - 1 for v in e], j] = 1.0
+    return r
 
 
 def pendent_edges(g: Hypergraph) -> set[int]:

@@ -1,5 +1,6 @@
 """Spectral radii via shifted higher-order power iteration, closed forms,
-the bisection root solver, and degree / incidence-matrix bounds.
+the bisection root solver, and degree / incidence-matrix bounds (the
+incidence sandwich is strict only for k >= 3; see bounds_report).
 
 The H-eigenpair convention throughout is T x^{k-1} = lambda x^{[k-1]} with
 x normalized so that sum_i x_i^k = 1.  For a connected hypergraph the
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import (
     BadDimensions,
     BadParameter,
-    BadPartition,
     DimensionMismatch,
     Disconnected,
     NoConvergence,
@@ -190,13 +190,18 @@ def closed_form_hyperstar(kind: TensorKind, n: int, k: int) -> float:
 
 def bounds_report(g: Hypergraph) -> BoundsReport:
     """Degree bounds k^{k-1} d <= rho(Q*) <= k^{k-1} Delta and the
-    incidence-matrix sandwich rho(RR^T) < rho(Q*) < k^{k-2} rho(RR^T)."""
+    incidence-matrix sandwich rho(RR^T) <= rho(Q*) <= k^{k-2} rho(RR^T).
+
+    For k >= 3 the lower comparison is strict, and so is the upper one
+    unless g is regular, where the uniform Perron vector attains it.  At
+    k = 2, Q* is the matrix RR^T, so both comparisons are equalities.
+    """
     if not is_connected(g):
         raise Disconnected("bounds_report requires a connected hypergraph")
     k = g.k
     d = k * g.m / g.n
     delta = max(g.degrees)
-    r = incidence_matrix(g).to_dense()
+    r = incidence_matrix(g)
     # R^T R (m x m) shares the nonzero spectrum of R R^T (n x n), if m > 0
     gram = r.T @ r if 0 < g.m < g.n else r @ r.T
     rho_rrt = matrix_spectral_radius(gram)
@@ -208,27 +213,3 @@ def bounds_report(g: Hypergraph) -> BoundsReport:
         rho_rrt=rho_rrt,
         sandwich_upper=k ** (k - 2) * rho_rrt,
     )
-
-
-def orbit_constancy_check(
-    g: Hypergraph,
-    orbits: list[set[int]],
-    result: SpectralResult,
-    rel_tol: float = 1e-7,
-) -> bool:
-    """True iff eigvec components agree (relatively) within each orbit block."""
-    covered: set[int] = set()
-    for block in orbits:
-        for v in block:
-            if not (1 <= v <= g.n) or v in covered:
-                raise BadPartition(f"vertex {v} repeated or out of range")
-            covered.add(v)
-    if len(covered) != g.n:
-        raise BadPartition("orbit blocks do not cover every vertex")
-    x = result.eigvec
-    for block in orbits:
-        vals = [x[v - 1] for v in block]
-        lo, hi = min(vals), max(vals)
-        if hi - lo > rel_tol * max(hi, 1e-300):
-            return False
-    return True

@@ -1,5 +1,5 @@
-"""Edge-based application of the three spectral tensors, Rayleigh forms,
-and a dense materialized oracle for small instances.
+"""Edge-based application of the three spectral tensors and a dense
+materialized oracle for small instances.
 
 All three operators act on a k-uniform hypergraph G:
 
@@ -110,16 +110,8 @@ def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
 
 
 def rayleigh(kind: TensorKind, g: Hypergraph, x) -> float:
-    """x^T (T x) via the closed edge sums."""
-    x = _check_vector(g, x)
-    k = g.k
-    vals = x[_edge_index([g])[0]]
-    if kind is TensorKind.IncidenceQ:
-        return float((vals.sum(axis=1) ** k).sum())
-    total = float(k * vals.prod(axis=1).sum())
-    if kind is TensorKind.SignlessLaplacian:
-        total += float((vals**k).sum())
-    return total
+    """x^T (T x^{k-1})."""
+    return float(x @ apply(kind, g, x))
 
 
 def dense_build(kind: TensorKind, g: Hypergraph, cap: int = DEFAULT_DENSE_CAP) -> DenseTensor:

@@ -202,10 +202,6 @@ class GraftStep:
     q: int
 
 
-def parents_to_edges(parents: Sequence[int]) -> list[tuple[int, int]]:
-    return [(p, i + 2) for i, p in enumerate(parents)]
-
-
 def edges_to_parents(edges: Sequence[tuple[int, int]], n_prime: int) -> list[int]:
     """Root the tree at node 1 and emit the parent of each node 2..n'."""
     g = validate(edges, n_prime, k=2)

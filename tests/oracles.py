@@ -7,6 +7,36 @@ from hypertree_spectra.canon import CanonicalForm
 from hypertree_spectra.errors import BadDimensions
 
 
+def relabel(g, perm: dict[int, int]):
+    """Apply a vertex relabeling old -> new and re-sort edges."""
+    return validate([[perm[v] for v in e] for e in g.edges], g.n, k=g.k)
+
+
+def parents_to_edges(parents) -> list[tuple[int, int]]:
+    """Edge list of the tree whose node i+2 has parent parents[i]."""
+    return [(p, i + 2) for i, p in enumerate(parents)]
+
+
+def orbit_constancy_check(g, orbits: list[set[int]], result, rel_tol: float = 1e-7) -> bool:
+    """True iff the eigvec components agree (relatively) within each orbit
+    block; ValueError unless the blocks partition 1..n."""
+    covered: set[int] = set()
+    for block in orbits:
+        for v in block:
+            if not (1 <= v <= g.n) or v in covered:
+                raise ValueError(f"vertex {v} repeated or out of range")
+            covered.add(v)
+    if len(covered) != g.n:
+        raise ValueError("orbit blocks do not cover every vertex")
+    x = result.eigvec
+    for block in orbits:
+        vals = [x[v - 1] for v in block]
+        lo, hi = min(vals), max(vals)
+        if hi - lo > rel_tol * max(hi, 1e-300):
+            return False
+    return True
+
+
 def tree_canonical_code(edges, n_prime):
     """Canonical form of a free tree given as an edge list on 1..n'."""
     return canonical_form(validate(edges, n_prime, k=2))

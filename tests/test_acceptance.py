@@ -23,7 +23,6 @@ from hypertree_spectra import (
     incidence_matrix,
     loose_path,
     matrix_spectral_radius,
-    orbit_constancy_check,
     pendent_edges,
     rayleigh,
     s_cycle,
@@ -31,13 +30,13 @@ from hypertree_spectra import (
     spectral_radius,
     tree_power,
 )
-from hypertree_spectra.canon import relabel
 from hypertree_spectra.errors import NotPendentPaths
 from hypertree_spectra.transforms import (
     edge_release_best,
     find_pendent_paths,
     total_graft,
 )
+from oracles import orbit_constancy_check, relabel
 
 from conftest import CORPUS, SMALL
 
@@ -212,7 +211,7 @@ def test_criterion_09_incidence_gram_sandwich():
             assert rep.sandwich_upper - rho > 1e-8 * scale
             upper_margin = min(upper_margin, rep.sandwich_upper - rho)
     for m, s, k in [(3, 2, 4), (4, 1, 3), (5, 2, 5)]:
-        r = incidence_matrix(s_cycle(m, s, k)).to_dense()
+        r = incidence_matrix(s_cycle(m, s, k))
         assert abs(matrix_spectral_radius(r.T @ r) - (k + 2 * s)) <= 1e-10
     _done(
         9,

@@ -17,10 +17,10 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
-from hypertree_spectra.canon import _brute_force_canonical, relabel
+from hypertree_spectra.canon import _brute_force_canonical
 from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.errors import NotATree, TooLarge
-from oracles import brute_force_orbits, tree_canonical_code
+from oracles import brute_force_orbits, parents_to_edges, relabel, tree_canonical_code
 
 
 def _random_relabel(g, rnd):
@@ -156,7 +156,6 @@ def test_tree_code_relabeling_invariant():
 
 def test_tree_code_distinguishes_all_six_node_trees():
     from hypertree_spectra import enumerate_trees
-    from hypertree_spectra.transforms import parents_to_edges
 
     codes = {
         tree_canonical_code(parents_to_edges(p), 6)

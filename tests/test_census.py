@@ -20,8 +20,7 @@ from hypertree_spectra import (
 )
 from hypertree_spectra.census import Census, _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
-from hypertree_spectra.transforms import parents_to_edges
-from oracles import brute_force_supertrees, tree_canonical_code
+from oracles import brute_force_supertrees, parents_to_edges, tree_canonical_code
 
 KINDS = list(TensorKind)
 

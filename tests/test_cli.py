@@ -215,6 +215,11 @@ def test_construct_bad_parameters(capsys):
     assert run(capsys, "construct", "hyperstar", "6", "3")[0] == 2
     assert run(capsys, "construct", "hyperstar", "7")[0] == 2
     assert run(capsys, "construct", "scycle", "2", "1", "3")[0] == 2
+    # surplus parameters are an error, not silently dropped
+    for argv in (["hyperstar", "7", "3", "9"], ["singleedge", "3", "5"]):
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 def test_construct_then_compute_pipeline(capsys, tmp_path):
@@ -345,11 +350,33 @@ def test_transform_precondition_failure(capsys, star_file):
     # graft at a vertex without the requested paths
     code, _, err = run(capsys, "transform", star_file, "--graft", "1", "2", "1")
     assert code == 5
-    # graft at a vertex outside 1..n
-    for v in ("0", "8"):
-        code, _, err = run(capsys, "transform", star_file, "--graft", v, "1", "1")
-        assert code == 5
-        assert err.startswith("error: ") and "outside 1..7" in err
+    # release at a vertex that is not in the edge
+    code, _, err = run(capsys, "transform", star_file, "--release", "1", "4")
+    assert code == 5
+    assert err.startswith("error: ") and "not in edge" in err
+
+
+@pytest.mark.parametrize(
+    "op,message",
+    [
+        (["--release", "9", "3"], "edge id 9 outside 1..3"),
+        (["--release", "0", "3"], "edge id 0 outside 1..3"),
+        (["--move", "0", "1", "5"], "edge id 0 outside 1..3"),
+        (["--move", "1", "1", "99"], "vertex 99 outside 1..7"),
+        (["--move", "1,4", "1,5", "2"], "edge id 4 outside 1..3"),
+        (["--graft", "99", "1", "1"], "vertex 99 outside 1..7"),
+        (["--graft", "0", "1", "1"], "vertex 0 outside 1..7"),
+    ],
+)
+def test_transform_ids_out_of_range(capsys, tmp_path, op, message):
+    # ids are 1-based; one out of range is a parameter error naming the id
+    # as typed, caught before the transform runs
+    f = tmp_path / "p7.hg"
+    f.write_text(format_hypergraph(loose_path(7, 3)))
+    code, out, err = run(capsys, "transform", str(f), *op)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_transform_parse_error(capsys, tmp_path):

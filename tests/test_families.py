@@ -59,6 +59,28 @@ def test_double_star_one_sided_is_hyperstar():
     assert is_isomorphic(double_star(0, 2, 4), hyperstar(10, 4))
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_double_star_labels(k):
+    # the bridge is {1, 2}; node 1's a leaves are 3..a+2 and node 2's b
+    # leaves follow; each edge gets k-2 fresh pad vertices in edge order
+    for a in range(5):
+        for b in range(5):
+            tree = [(1, 2), *((1, 3 + i) for i in range(a)), *((2, 3 + a + i) for i in range(b))]
+            pad = a + b + 3
+            expected = []
+            for u, v in tree:
+                expected.append(tuple(sorted([u, v, *range(pad, pad + k - 2)])))
+                pad += k - 2
+            assert double_star(a, b, k).edges == tuple(sorted(expected))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_loose_path_labels(k):
+    for m in range(1, 12):
+        expected = tuple(tuple(range(i * (k - 1) + 1, i * (k - 1) + k + 1)) for i in range(m))
+        assert loose_path(m * (k - 1) + 1, k).edges == expected
+
+
 def test_tree_power_path_is_loose_path():
     # path on 4 nodes: 2<-1, 3<-2, 4<-3
     assert is_isomorphic(tree_power([1, 2, 3], 3), loose_path(7, 3))
@@ -129,7 +151,7 @@ def _ordinary_cycle_adjacency(m):
 
 @pytest.mark.parametrize("m,s,k", [(3, 1, 3), (4, 2, 4), (5, 2, 5)])
 def test_s_path_gram_closed_form(m, s, k):
-    r = incidence_matrix(s_path(m, s, k)).to_dense()
+    r = incidence_matrix(s_path(m, s, k))
     expected = k * np.eye(m) + s * _ordinary_path_adjacency(m)
     assert np.array_equal(r.T @ r, expected)
 
@@ -139,7 +161,7 @@ def test_s_cycle_gram_closed_form(m, s, k):
     # edge storage order permutes the Gram matrix, so check the kI + sA(C_m)
     # shape structurally: diagonal k, two off-diagonal s per row forming one
     # cycle, and matching eigenvalues
-    r = incidence_matrix(s_cycle(m, s, k)).to_dense()
+    r = incidence_matrix(s_cycle(m, s, k))
     gram = r.T @ r
     assert np.array_equal(np.diag(gram), np.full(m, float(k)))
     off = gram - k * np.eye(m)

@@ -16,9 +16,8 @@ from hypertree_spectra import (
     single_edge,
     validate,
 )
-from hypertree_spectra.canon import relabel
 from hypertree_spectra.errors import DimensionMismatch, TooLarge
-from oracles import edge_loop_apply
+from oracles import edge_loop_apply, relabel
 
 KINDS = list(TensorKind)
 

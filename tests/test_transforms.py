@@ -33,9 +33,8 @@ from hypertree_spectra.transforms import (
     GraftStep,
     apply_graft_sequence,
     edges_to_parents,
-    parents_to_edges,
 )
-from oracles import tree_canonical_code
+from oracles import parents_to_edges, tree_canonical_code
 
 KINDS = list(TensorKind)
 TOL = 1e-10
