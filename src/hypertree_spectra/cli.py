@@ -143,8 +143,9 @@ def _check_ids(g, edge_ids, vertices) -> None:
 
 
 def cmd_transform(args) -> int:
-    """Ids out of range exit 2, before the transform runs; a violated
-    structural precondition of the transform exits 5."""
+    """Ids out of range and malformed counts or lengths exit 2, before the
+    transform runs; a violated structural precondition of the transform
+    exits 5."""
     try:
         g = read_hypergraph(args.file)
         if args.release is not None:
@@ -153,11 +154,18 @@ def cmd_transform(args) -> int:
             transform = functools.partial(edge_release, g, eid - 1, u)
         elif args.graft is not None:
             v, p, q = args.graft
+            if p < 1 or q < 1:
+                raise ValueError(f"graft path lengths must be >= 1, got p={p} q={q}")
             _check_ids(g, [], [v])
             transform = functools.partial(total_graft, g, v, p, q)
         else:
             eids, sources = ([int(t) for t in arg.split(",")] for arg in args.move[:2])
             target = int(args.move[2])
+            if len(eids) != len(sources):
+                raise ValueError(
+                    f"{len(eids)} edge ids but {len(sources)} source vertices; "
+                    "give one source per edge"
+                )
             _check_ids(g, eids, [*sources, target])
             spec = EdgeMoveSpec(tuple(e - 1 for e in eids), tuple(sources), target)
             transform = functools.partial(move_edges, g, spec)

@@ -140,6 +140,21 @@ def test_compute_no_convergence_prints_bracket(capsys, path_file):
     assert "bracket=[" in err
 
 
+def test_compute_failed_newton_prints_finite_bracket(capsys, tmp_path):
+    # tol below the rounding floor: the q solve stops with a finite,
+    # certified bracket instead of a NaN one
+    f = tmp_path / "path_121_3.hg"
+    f.write_text(format_hypergraph(loose_path(121, 3)))
+    code, out, err = run(
+        capsys, "compute", "--kind", "q", "--tol", "1e-300", "--max-iter", "50", str(f)
+    )
+    assert code == 4
+    assert out == ""
+    lo, hi = map(float, re.search(r"bracket=\[(.*), (.*)\]", err).groups())
+    rho = spectral_radius(TensorKind.SignlessLaplacian, loose_path(121, 3)).rho
+    assert lo <= rho <= hi
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--tol", "0"), ("--tol=-1e-9",), ("--max-iter", "0")],
@@ -371,6 +386,24 @@ def test_transform_precondition_failure(capsys, star_file):
 def test_transform_ids_out_of_range(capsys, tmp_path, op, message):
     # ids are 1-based; one out of range is a parameter error naming the id
     # as typed, caught before the transform runs
+    f = tmp_path / "p7.hg"
+    f.write_text(format_hypergraph(loose_path(7, 3)))
+    code, out, err = run(capsys, "transform", str(f), *op)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "op,message",
+    [
+        (["--move", "1,2", "3", "5"], "2 edge ids but 1 source vertices; give one source per edge"),
+        (["--graft", "3", "0", "1"], "graft path lengths must be >= 1, got p=0 q=1"),
+        (["--graft", "3", "1", "-2"], "graft path lengths must be >= 1, got p=1 q=-2"),
+    ],
+)
+def test_transform_malformed_parameters(capsys, tmp_path, op, message):
+    # a malformed parameter is a parameter error, not a violated precondition
     f = tmp_path / "p7.hg"
     f.write_text(format_hypergraph(loose_path(7, 3)))
     code, out, err = run(capsys, "transform", str(f), *op)

@@ -21,7 +21,7 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
-from hypertree_spectra.census import _supertree_shapes
+from hypertree_spectra.census import ROUNDING_PAD, _supertree_shapes
 from hypertree_spectra.errors import (
     BadDimensions,
     BadParameter,
@@ -30,21 +30,24 @@ from hypertree_spectra.errors import (
     NoConvergence,
     NotSquare,
 )
+from hypertree_spectra.spectral import _newton_noda_step
+from hypertree_spectra.tensors import _edge_index, _row_offset
 from oracles import orbit_constancy_check, relabel
 
 KINDS = list(TensorKind)
+NEWTON_KINDS = [TensorKind.SignlessLaplacian, TensorKind.IncidenceQ]
 
 
 def dense_power_iteration(dense, tol=1e-12, max_iter=200000):
     """Independent oracle: shifted power iteration run directly on the
-    materialized tensor."""
+    materialized tensor; returns its Collatz-Wielandt bracket."""
     k, n = dense.k, dense.n
     x = np.full(n, n ** (-1.0 / k))
     for _ in range(max_iter):
         y = dense.contract(x) + x ** (k - 1)
         ratios = y / x ** (k - 1)
         if ratios.max() - ratios.min() <= tol:
-            return 0.5 * (ratios.max() + ratios.min()) - 1.0
+            return ratios.min() - 1.0, ratios.max() - 1.0
         x = y ** (1.0 / (k - 1))
         x = x / (x**k).sum() ** (1.0 / k)
     raise AssertionError("dense oracle did not converge")
@@ -65,10 +68,10 @@ def test_single_edge_k4_incidence_q():
 def test_loose_path_adjacency_between_brackets():
     result = spectral_radius(TensorKind.Adjacency, loose_path(7, 3))
     assert 2 ** (1 / 3) < result.rho < 3 ** (1 / 3)
-    oracle = dense_power_iteration(
+    lower, upper = dense_power_iteration(
         dense_build(TensorKind.Adjacency, loose_path(7, 3))
     )
-    assert result.rho == pytest.approx(oracle, abs=1e-8)
+    assert result.rho == pytest.approx(0.5 * (lower + upper), abs=1e-8)
 
 
 def test_spectral_radius_disconnected():
@@ -108,6 +111,59 @@ def test_batch_matches_single_solves_on_census(kind):
         assert abs(row.upper - single.upper) <= 1e-13
         assert np.max(np.abs(row.eigvec - single.eigvec)) <= 1e-13
     assert len({row.iterations for row in batch}) > 1  # rows freeze apart
+    if kind in NEWTON_KINDS:
+        assert max(row.iterations for row in batch) <= 30
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+def test_newton_steps_on_long_path(kind):
+    # power iteration needs O(m^2) steps here (9890 for q, 5707 for qstar)
+    result = spectral_radius(kind, loose_path(121, 3))
+    assert result.iterations <= 30
+    assert result.upper - result.lower <= 1e-10
+
+
+def test_newton_budget_below_rounding_floor():
+    # tol below the rounding floor: the q solve runs out of its budget
+    # with a finite bracket around the default-tol radius
+    g = loose_path(121, 3)
+    rho = spectral_radius(TensorKind.SignlessLaplacian, g).rho
+    with pytest.raises(NoConvergence) as exc:
+        spectral_radius(TensorKind.SignlessLaplacian, g, tol=1e-300, max_iter=50)
+    err = exc.value
+    assert np.isfinite(err.lower) and np.isfinite(err.upper)
+    assert err.lower <= rho <= err.upper
+
+
+@pytest.mark.parametrize(
+    "kind,n,k",
+    [(TensorKind.IncidenceQ, 4, 2), (TensorKind.SignlessLaplacian, 5, 3)],
+    ids=["qstar-singular", "q-negative"],
+)
+def test_newton_failed_step_keeps_certified_bracket(kind, n, k):
+    """On these stars Z becomes numerically singular before the budget
+    ends: the solve of the k=2 star's Z fails outright, the k=3 star's w
+    has a negative entry.  The solve stops with the last bracket, which
+    holds the closed form up to rounding."""
+    with pytest.raises(NoConvergence) as exc:
+        spectral_radius(kind, hyperstar(n, k), tol=1e-300, max_iter=50)
+    err = exc.value
+    assert "Newton step failed" in str(err) and err.iterations < 50
+    rho = closed_form_hyperstar(kind, n, k)
+    pad = ROUNDING_PAD * rho
+    assert err.lower - pad <= rho <= err.upper + pad
+
+
+def test_newton_step_singular_row_is_nan():
+    # x is the Perron vector of the k=2 edge and upper its exact radius, so
+    # that row's Z is singular; the other row's bracket is open
+    g = single_edge(2)
+    x = np.array([[2**-0.5, 2**-0.5], [0.6, 0.8]])
+    flat = _row_offset(_edge_index([g, g]), 2)
+    upper = np.array([2.0, 1.4 / 0.6]) + 1.0  # with the shift 1
+    y = _newton_noda_step(TensorKind.IncidenceQ, flat, x, x, upper, 1.0)
+    assert np.isnan(y[0]).all()
+    assert np.isfinite(y[1]).all() and (y[1] > 0).all()
 
 
 def test_batch_disconnected_member():
@@ -183,9 +239,13 @@ def test_relabeling_invariance(rng):
 def test_dense_oracle_agreement(small_instance):
     g = small_instance
     for kind in KINDS:
-        fast = spectral_radius(kind, g).rho
-        oracle = dense_power_iteration(dense_build(kind, g))
-        assert fast == pytest.approx(oracle, abs=1e-8)
+        fast = spectral_radius(kind, g)
+        lower, upper = dense_power_iteration(dense_build(kind, g))
+        assert fast.rho == pytest.approx(0.5 * (lower + upper), abs=1e-8)
+        if kind in NEWTON_KINDS:
+            # both brackets are certified, so they overlap up to rounding
+            pad = ROUNDING_PAD * max(1.0, abs(fast.rho))
+            assert fast.lower <= upper + pad and lower <= fast.upper + pad
 
 
 def test_matrix_spectral_radius_hyperstar_gram():

@@ -17,6 +17,7 @@ from hypertree_spectra import (
     validate,
 )
 from hypertree_spectra.errors import DimensionMismatch, TooLarge
+from hypertree_spectra.tensors import _edge_index, _linearize
 from oracles import edge_loop_apply, relabel
 
 KINDS = list(TensorKind)
@@ -120,6 +121,24 @@ def test_apply_matches_oracles_on_census(k, m, rng):
                 assert rayleigh(kind, g, x) == pytest.approx(
                     float(x @ dense.contract(x)), rel=1e-12, abs=1e-12
                 )
+
+
+@pytest.mark.parametrize(
+    "kind", [TensorKind.SignlessLaplacian, TensorKind.IncidenceQ], ids=["q", "qstar"]
+)
+def test_linearization_matches_dense_oracle(corpus_instance, kind, rng):
+    """M(x) is the dense tensor contracted k-2 times, and M(x) x = apply."""
+    g = corpus_instance
+    dense = dense_build(kind, g).values
+    flat = _edge_index([g])
+    for _ in range(20):
+        x = rng.random(g.n) + 0.05
+        mx = _linearize(kind, flat, x[None, :])[0]
+        oracle = dense
+        for _ in range(g.k - 2):
+            oracle = oracle @ x
+        assert np.allclose(mx, oracle, rtol=1e-12, atol=1e-12)
+        assert np.allclose(mx @ x, apply(kind, g, x), rtol=1e-12, atol=1e-12)
 
 
 def test_rayleigh_identity_random(small_instance, rng):
