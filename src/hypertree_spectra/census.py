@@ -18,7 +18,7 @@ from .canon import CanonicalForm, _supertree_canonical, canonical_form
 from .errors import BadDimensions, IncompleteCensus, TooLarge
 from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
-from .spectral import DEFAULT_TOL, closed_form_hyperstar, spectral_radii
+from .spectral import DEFAULT_TOL, ROUNDING_PAD, closed_form_hyperstar, spectral_radii
 from .tensors import TensorKind
 from .transforms import edges_to_parents
 
@@ -175,13 +175,6 @@ def enumerate_supertrees(
 
 
 # -- verification ------------------------------------------------------------
-
-# A Collatz-Wielandt bracket encloses rho up to the rounding of the ratios
-# that form it: a few ulps of |rho|.  The exact hyperstar closed forms fall
-# outside the computed brackets by up to 1.4e-14 relative, so brackets count
-# as apart, and a closed form as inside, only beyond this relative pad.
-ROUNDING_PAD = 1e-12
-
 
 def bracket_verdict(own: tuple[float, float], rival: tuple[float, float]) -> tuple[str, float]:
     """Is own's (lower, upper) bracket above rival's?  "certified" when the

@@ -59,9 +59,9 @@ class Disconnected(HypertreeError):
 
 
 class NoConvergence(HypertreeError):
-    """The solver exhausted max_iter, or a Newton-Noda step failed on a
-    numerically singular system; carries the last certified bracket (the
-    widest one, for a batch) and the iteration it stopped at."""
+    """The solver, Newton-Noda or power iteration, exhausted max_iter;
+    carries the last certified bracket (the widest one, for a batch) and
+    the iteration it stopped at."""
 
     def __init__(self, message, lower=None, upper=None, iterations=None):
         super().__init__(message)

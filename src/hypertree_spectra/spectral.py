@@ -1,5 +1,6 @@
 """Spectral radii via Newton-Noda steps (signless Laplacian and incidence
-Q-tensor) or shifted higher-order power iteration (adjacency), closed
+Q-tensor of a supertree) or shifted higher-order power iteration (the
+adjacency tensor, and any hypergraph that is not a supertree), closed
 forms, the bisection root solver, and degree / incidence-matrix bounds (the
 incidence sandwich is strict only for k >= 3; see bounds_report).
 
@@ -8,7 +9,8 @@ x normalized so that sum_i x_i^k = 1.  For a connected hypergraph both
 iterations keep the iterate strictly positive, and each step brackets
 rho + shift between min_i y_i / x_i^{k-1} and max_i y_i / x_i^{k-1}, with
 y = T x^{k-1} + shift x^{[k-1]} (Collatz-Wielandt).  A Newton-Noda step
-(Liu, Guo & Lin, Numer. Math. 2017) solves one dense n x n system per row
+(Liu, Guo & Lin, Numer. Math. 2017) solves one linear system per row by
+eliminating along the supertree, in O(m k^3) time and O(m k^2) memory,
 and converges quadratically, in about ten steps where the power iteration
 needs thousands on long paths and nearly degenerate shapes.
 spectral_radii runs the iteration on a batch of graphs sharing (n, m, k),
@@ -34,6 +36,15 @@ from .tensors import TensorKind, _contract, _degrees, _edge_index, _linearize, _
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
+# A Collatz-Wielandt bracket encloses rho up to the rounding of the ratios
+# that form it: a few ulps of |rho|.  The exact hyperstar closed forms fall
+# outside the computed brackets by up to 1.4e-14 relative, so brackets count
+# as apart, and a closed form as inside, only beyond this relative pad.
+ROUNDING_PAD = 1e-12
+# Far from rho a Newton-Noda step can widen the bracket; on random trees
+# of up to 79 edges, up to 9 steps ran without a narrower one.  A row that
+# takes this many is taken to be stuck at its rounding floor.
+NEWTON_PATIENCE = 30
 
 
 @dataclass(frozen=True)
@@ -64,15 +75,14 @@ def spectral_radius(
     shift: float = 1.0,
 ) -> SpectralResult:
     """Perron root with min/max ratio brackets: Newton-Noda steps for the
-    signless Laplacian and the incidence Q-tensor, shifted power iteration
-    for the adjacency tensor.
+    signless Laplacian and the incidence Q-tensor of a supertree, shifted
+    power iteration otherwise.
 
     The shift keeps the power iterate positive (the adjacency tensor has
     zero diagonal) and makes that iteration convergent for connected
-    inputs.  In a Newton-Noda step the shift enters both the bracket top
-    and the matrix, and cancels up to rounding.  A Newton-Noda step
-    whose system is numerically singular (only below the rounding floor of
-    the bracket) ends the solve in NoConvergence with the last bracket.
+    inputs; a Newton-Noda step does not depend on it.  Near the rounding
+    floor a Newton-Noda step can fail or stop shrinking the bracket, and
+    the solve then finishes with power steps.
     """
     return _solve(kind, [g], tol, max_iter, shift)[0]
 
@@ -105,11 +115,16 @@ def _solve(
         raise DimensionMismatch("a batch of graphs must share (n, m, k)")
     if not all(is_connected(g) for g in graphs):
         raise Disconnected("spectral_radius requires a connected hypergraph")
-    n, k = graphs[0].n, graphs[0].k
-    newton = kind is not TensorKind.Adjacency
+    n, m, k = graphs[0].n, graphs[0].m, graphs[0].k
+    # connected with m (k-1) = n-1 is a supertree, which Newton-Noda needs
+    newton = kind is not TensorKind.Adjacency and m * (k - 1) == n - 1
     idx = _edge_index(graphs)
+    idx, height = _elimination_order(idx, n) if newton else (idx, None)
     results: list[SpectralResult | None] = [None] * len(graphs)
     active = np.arange(len(graphs))  # batch row -> position in graphs
+    on_newton = np.full(len(graphs), newton)  # rows still taking Newton-Noda steps
+    best = np.full(len(graphs), np.inf)  # each row's narrowest bracket so far
+    stalls = np.zeros(len(graphs), dtype=np.intp)  # steps since it narrowed
     flat = _row_offset(idx, n)
     deg = _degrees(flat, len(active), n)
     x = np.full((len(active), n), n ** (-1.0 / k))
@@ -138,74 +153,134 @@ def _solve(
             keep = ~done
             active, x, xk1, y, deg = active[keep], x[keep], xk1[keep], y[keep], deg[keep]
             lower, upper = lower[keep], upper[keep]
+            on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
             flat = _row_offset(idx[active], n)
+        x_next = y ** (1.0 / (k - 1))
+        tiny = x_next.min(axis=1) < 1e-300
+        if tiny.any():
+            x_next[tiny] /= np.maximum(x_next[tiny].max(axis=1, keepdims=True), 1e-300)
         if newton:
-            x = _newton_noda_step(kind, flat, x, xk1, upper, shift)
-            failed = ~np.isfinite(x).all(axis=1)
-            if failed.any():
-                raise _stalled(
-                    lower[failed], upper[failed], shift, it,
-                    f"Newton step failed at iteration {it} for {int(failed.sum())} of "
-                    f"{len(graphs)} graphs, its system too near singular",
+            # A row at its rounding floor (a bracket within ROUNDING_PAD that
+            # stopped narrowing), a row that stalls for NEWTON_PATIENCE
+            # steps, and a row whose step fails finish with power steps
+            narrower = upper - lower < best
+            best = np.where(narrower, upper - lower, best)
+            stalls = np.where(narrower, 0, stalls + 1)
+            floor = (stalls > 0) & (best <= ROUNDING_PAD * np.abs(upper - shift))
+            on_newton &= (stalls < NEWTON_PATIENCE) & ~floor
+            rows = np.flatnonzero(on_newton)
+            if rows.size:
+                sub = active[rows]
+                step = _newton_noda_step(
+                    kind, idx[sub], height[sub], x[rows], xk1[rows], upper[rows] - shift
                 )
-        else:
-            x = y ** (1.0 / (k - 1))
-            tiny = x.min(axis=1) < 1e-300
-            if tiny.any():
-                x[tiny] /= np.maximum(x[tiny].max(axis=1, keepdims=True), 1e-300)
+                ok = (np.isfinite(step) & (step > 0)).all(axis=1)
+                x_next[rows[ok]] = step[ok]
+                on_newton[rows[~ok]] = False
+        x = x_next
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
-    raise _stalled(
-        lower, upper, shift, max_iter,
-        f"no convergence after {max_iter} iterations for {len(active)} of {len(graphs)} graphs",
+    widest = int(np.argmax(upper - lower))
+    lo, hi = float(lower[widest]) - shift, float(upper[widest]) - shift
+    raise NoConvergence(
+        f"no convergence after {max_iter} iterations for {len(active)} of "
+        f"{len(graphs)} graphs (widest bracket [{lo}, {hi}])",
+        lower=lo,
+        upper=hi,
+        iterations=max_iter,
     )
+
+
+def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order in which a Newton-Noda step eliminates a batch of
+    supertrees, from their (B, m, k) 0-based edge index.
+
+    Rounds of leaf peeling remove, in every row at once, each edge with at
+    most one vertex in another remaining edge; an edge's height is its
+    round.  Its parent is that shared vertex, or its first vertex when it is
+    the last edge; the others are its children.  Every vertex but one root
+    per row is a child of exactly one edge, and is the parent only of
+    edges of smaller height.  Returns idx with each parent moved to
+    position 0, and the (B, m) heights.
+    """
+    rows, m, k = idx.shape
+    flat = _row_offset(idx, n)
+    height = np.zeros((rows, m), dtype=np.intp)
+    parent = np.zeros((rows, m), dtype=np.intp)
+    live = np.ones((rows, m), dtype=bool)
+    h = 0
+    while live.any():
+        deg = np.bincount(flat[live].ravel(), minlength=rows * n)[flat]
+        leaf = live & ((deg > 1).sum(axis=2) <= 1)
+        height[leaf] = h
+        parent[leaf] = deg.argmax(axis=2)[leaf]
+        live &= ~leaf
+        h += 1
+    order = np.broadcast_to(np.arange(k), idx.shape).copy()
+    np.put_along_axis(order, parent[..., None], 0, axis=2)
+    order[..., 0] = parent
+    return np.take_along_axis(idx, order, axis=2), height
 
 
 def _newton_noda_step(
-    kind: TensorKind, flat: np.ndarray, x: np.ndarray, xk1: np.ndarray, upper: np.ndarray,
-    shift: float,
+    kind: TensorKind,
+    idx: np.ndarray,
+    height: np.ndarray,
+    x: np.ndarray,
+    xk1: np.ndarray,
+    top: np.ndarray,
 ) -> np.ndarray:
     """One Newton-Noda step from the positive rows of x, before
-    normalization; a row whose step fails is NaN.
+    normalization; a row whose step fails is not finite and positive.
 
-    upper is each row's bracket top with the shift, so Z = upper D - (M +
-    shift D), with D = diag(x^{[k-2]}) and M = T x^{k-2}, is a nonsingular
-    M-matrix while the row's bracket is open, and w = Z^{-1} x^{[k-1]} > 0.
-    The step y = (k-2) x + t w, t = <x^{[k-1]}, x> / <x^{[k-1]}, w>, is
-    Newton's on T x^{k-1} = lambda x^{[k-1]} with <x^{[k-1]}, x> held
-    fixed; at k = 2 it is Noda's iteration.  A w that is not finite and
-    positive comes only from rounding once Z is nearly singular.
+    idx and height come from _elimination_order, and top is each row's
+    bracket top, so Z = top D - M, with D = diag(x^{[k-2]}) and
+    M = T x^{k-2}, is a nonsingular M-matrix while the row's bracket is
+    open, and w = Z^{-1} x^{[k-1]} > 0.  The step y = (k-2) x + t w,
+    t = <x^{[k-1]}, x> / <x^{[k-1]}, w>, is Newton's on T x^{k-1} = lambda
+    x^{[k-1]} with <x^{[k-1]}, x> held fixed; at k = 2 it is Noda's
+    iteration.
+
+    Off the diagonal, Z of a supertree is nonzero only inside the edges'
+    blocks, so eliminating each edge's children onto its parent, one
+    height at a time, makes no fill: O(m k^3) time and O(m k^2) memory per
+    row.  The last pivot, at the root, carries the near-singularity; once
+    the bracket top is within rounding of rho it may round to the wrong
+    sign, which only flips the sign of w and leaves t w unchanged.
     """
-    k = flat.shape[2]
-    xk2 = x ** (k - 2)
-    diag = np.arange(x.shape[1])
-    z = -_linearize(kind, flat, x)
-    z[:, diag, diag] += upper[:, None] * xk2 - shift * xk2
-    w = _solve_rows(z, xk1)
-    w[~((w > 0) & np.isfinite(w)).all(axis=1)] = np.nan
-    t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
-    return (k - 2) * x + t[:, None] * w
-
-
-def _solve_rows(z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w with z w = b for every row of the batch; NaN in a row whose z is
-    singular."""
-    try:
-        return np.linalg.solve(z, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(z) == 1:
-            return np.full_like(b, np.nan)
-        return np.concatenate([_solve_rows(z[r : r + 1], b[r : r + 1]) for r in range(len(z))])
-
-
-def _stalled(
-    lower: np.ndarray, upper: np.ndarray, shift: float, iterations: int, message: str
-) -> NoConvergence:
-    """NoConvergence carrying the widest of the rows' certified brackets."""
-    widest = int(np.argmax(upper - lower))
-    lo, hi = float(lower[widest]) - shift, float(upper[widest]) - shift
-    return NoConvergence(
-        f"{message} (widest bracket [{lo}, {hi}])", lower=lo, upper=hi, iterations=iterations
-    )
+    rows, n = x.shape
+    k = idx.shape[2]
+    flat = _row_offset(idx, n)
+    verts = flat.reshape(-1, k)
+    block = _linearize(kind, flat, x).reshape(-1, k, k)
+    order = np.argsort(height.ravel(), kind="stable")
+    levels = np.split(order, np.cumsum(np.bincount(height.ravel()))[:-1])  # lowest first
+    pair, child_pair = np.arange(k), np.arange(k - 1)
+    diag = np.bincount(verts.ravel(), weights=block[:, pair, pair].ravel(), minlength=rows * n)
+    zd = (top[:, None] * x ** (k - 2)).ravel() - diag  # Z's diagonal, then its Schur complements'
+    b = xk1.ravel().copy()
+    folds = []
+    for e in levels:
+        parent, child = verts[e, 0], verts[e, 1:]
+        a = -block[e, 1:, 1:]
+        a[:, child_pair, child_pair] = zd[child]
+        z = -block[e, 0, 1:]  # Z[parent, child], and Z is symmetric
+        try:
+            u = np.linalg.solve(a, np.stack([z, b[child]], axis=2))
+        except np.linalg.LinAlgError:
+            return np.full_like(x, np.nan)
+        np.subtract.at(zd, parent, (z * u[..., 0]).sum(axis=1))
+        np.subtract.at(b, parent, (z * u[..., 1]).sum(axis=1))
+        folds.append(u)
+    root = np.ones(rows * n, dtype=bool)
+    root[verts[:, 1:]] = False
+    w = np.zeros(rows * n)
+    with np.errstate(all="ignore"):
+        w[root] = b[root] / zd[root]
+        for e, u in zip(reversed(levels), reversed(folds)):
+            w[verts[e, 1:]] = u[..., 1] - u[..., 0] * w[verts[e, 0], None]
+        w = w.reshape(rows, n)
+        t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
+        return (k - 2) * x + t[:, None] * w
 
 
 def matrix_spectral_radius(mat) -> float:

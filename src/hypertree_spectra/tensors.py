@@ -12,7 +12,7 @@ apply() gathers x over the (m, k) edge index array and scatters the edge
 terms back with one bincount (O(m*k) arithmetic), never materializing the
 n^k tensor; the solver runs the same kernel on a batch of graphs that
 share (n, m, k), and builds the Newton-Noda solver's matrices T x^{k-2}
-with one more bincount.  dense_build() materializes the tensor, as a
+as one k x k block per edge.  dense_build() materializes the tensor, as a
 cross-check oracle.
 """
 
@@ -104,28 +104,25 @@ def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray, deg: np.ndarray
 
 
 def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (B, n, n) matrices M(x) = T x^{k-2} with M(x) x = T x^{k-1}, for
-    every row of x (B, n); kind is SignlessLaplacian or IncidenceQ.
+    """(B, m, k, k) edge blocks of the matrices M(x) = T x^{k-2}, for every
+    row of x (B, n); kind is SignlessLaplacian or IncidenceQ.
 
-    Each ordered pair (a, b) of positions in an edge adds one term to
-    M[e_a, e_b]: for IncidenceQ the edge sum to the power k-2; for
-    SignlessLaplacian the product of the other k-2 entries over k-1 when
-    a != b, and x_a^{k-2} when a == b, which sums to the degree term.  One
-    bincount adds the terms up per entry.
+    M(x) x = T x^{k-1}, and M(x) is the sum over the edges of their blocks,
+    block [a, b] of an edge adding to M[e_a, e_b].  For IncidenceQ every
+    entry of an edge's block is the edge sum to the power k-2; for
+    SignlessLaplacian an off-diagonal entry is the product of the other
+    k-2 entries over k-1, and a diagonal entry x_a^{k-2}, which sums to the
+    degree term.
     """
-    rows, n = x.shape
     k = flat.shape[2]
     vals = x.ravel()[flat]
     if kind is TensorKind.IncidenceQ:
-        part = np.broadcast_to((vals.sum(axis=2) ** (k - 2))[..., None, None], (*vals.shape, k))
-    else:
-        pair = np.arange(k)
-        others = (pair[:, None, None] != pair) & (pair[None, :, None] != pair)
-        part = np.where(others, vals[..., None, None, :], 1.0).prod(axis=-1) / (k - 1)
-        part[..., pair, pair] = vals ** (k - 2)
-    entry = flat[..., :, None] * n + flat[..., None, :] % n
-    out = np.bincount(entry.ravel(), weights=part.ravel(), minlength=rows * n * n)
-    return out.reshape(rows, n, n)
+        return np.broadcast_to((vals.sum(axis=2) ** (k - 2))[..., None, None], (*vals.shape, k))
+    pair = np.arange(k)
+    others = (pair[:, None, None] != pair) & (pair[None, :, None] != pair)
+    block = np.where(others, vals[..., None, None, :], 1.0).prod(axis=-1) / (k - 1)
+    block[..., pair, pair] = vals ** (k - 2)
+    return block
 
 
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:

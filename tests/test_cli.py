@@ -140,9 +140,9 @@ def test_compute_no_convergence_prints_bracket(capsys, path_file):
     assert "bracket=[" in err
 
 
-def test_compute_failed_newton_prints_finite_bracket(capsys, tmp_path):
-    # tol below the rounding floor: the q solve stops with a finite,
-    # certified bracket instead of a NaN one
+def test_compute_below_rounding_floor_prints_finite_bracket(capsys, tmp_path):
+    # tol below the rounding floor: the q solve runs out of its budget with
+    # a finite, certified bracket
     f = tmp_path / "path_121_3.hg"
     f.write_text(format_hypergraph(loose_path(121, 3)))
     code, out, err = run(

@@ -21,6 +21,7 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
+from hypertree_spectra import spectral
 from hypertree_spectra.census import ROUNDING_PAD, _supertree_shapes
 from hypertree_spectra.errors import (
     BadDimensions,
@@ -30,7 +31,7 @@ from hypertree_spectra.errors import (
     NoConvergence,
     NotSquare,
 )
-from hypertree_spectra.spectral import _newton_noda_step
+from hypertree_spectra.spectral import _elimination_order, _newton_noda_step
 from hypertree_spectra.tensors import _edge_index, _row_offset
 from oracles import orbit_constancy_check, relabel
 
@@ -136,34 +137,92 @@ def test_newton_budget_below_rounding_floor():
 
 
 @pytest.mark.parametrize(
-    "kind,n,k",
-    [(TensorKind.IncidenceQ, 4, 2), (TensorKind.SignlessLaplacian, 5, 3)],
-    ids=["qstar-singular", "q-negative"],
+    "kind,g",
+    [
+        (TensorKind.SignlessLaplacian, loose_path(13, 4)),
+        (TensorKind.SignlessLaplacian, hyperstar(7, 4)),
+        (TensorKind.IncidenceQ, hyperstar(15, 3)),
+    ],
+    ids=["q-path", "q-star", "qstar-star"],
 )
-def test_newton_failed_step_keeps_certified_bracket(kind, n, k):
-    """On these stars Z becomes numerically singular before the budget
-    ends: the solve of the k=2 star's Z fails outright, the k=3 star's w
-    has a negative entry.  The solve stops with the last bracket, which
-    holds the closed form up to rounding."""
+def test_newton_below_rounding_floor_finishes_with_power_steps(kind, g):
+    """With tol below the rounding floor a Newton step fails (the path:
+    the root pivot of the elimination rounds to zero) or the bracket stops
+    shrinking (the stars).  The row goes on with power steps, and the
+    budget ends with a finite bracket around the default-tol radius."""
+    rho = spectral_radius(kind, g).rho
     with pytest.raises(NoConvergence) as exc:
-        spectral_radius(kind, hyperstar(n, k), tol=1e-300, max_iter=50)
+        spectral_radius(kind, g, tol=1e-300, max_iter=50)
     err = exc.value
-    assert "Newton step failed" in str(err) and err.iterations < 50
-    rho = closed_form_hyperstar(kind, n, k)
+    assert err.iterations == 50 and "no convergence after 50 iterations" in str(err)
+    assert np.isfinite(err.lower) and np.isfinite(err.upper)
     pad = ROUNDING_PAD * rho
     assert err.lower - pad <= rho <= err.upper + pad
 
 
-def test_newton_step_singular_row_is_nan():
-    # x is the Perron vector of the k=2 edge and upper its exact radius, so
-    # that row's Z is singular; the other row's bracket is open
-    g = single_edge(2)
+def test_newton_step_fails_on_singular_system():
+    # x is the Perron vector of the k=2 edge and top its exact radius, so
+    # the first row's Z is singular and its step is not finite; the second
+    # row's bracket is open and it steps to a positive y
+    idx, height = _elimination_order(_edge_index([single_edge(2)] * 2), 2)
     x = np.array([[2**-0.5, 2**-0.5], [0.6, 0.8]])
-    flat = _row_offset(_edge_index([g, g]), 2)
-    upper = np.array([2.0, 1.4 / 0.6]) + 1.0  # with the shift 1
-    y = _newton_noda_step(TensorKind.IncidenceQ, flat, x, x, upper, 1.0)
-    assert np.isnan(y[0]).all()
+    top = np.array([2.0, 1.4 / 0.6])
+    y = _newton_noda_step(TensorKind.IncidenceQ, idx, height, x, x, top)
+    assert not np.isfinite(y[0]).any()
     assert np.isfinite(y[1]).all() and (y[1] > 0).all()
+
+
+@pytest.mark.parametrize("k,m", [(2, 9), (3, 8), (4, 6)])
+def test_elimination_order_on_census(k, m):
+    """The order keeps every edge, makes each vertex but one root per row
+    the child of exactly one edge, and takes an edge only after every edge
+    whose parent is one of its children."""
+    graphs = _supertree_shapes(m, k)
+    n = graphs[0].n
+    idx, height = _elimination_order(_edge_index(graphs), n)
+    for g, edges, heights in zip(graphs, idx, height):
+        assert sorted(tuple(sorted(e + 1)) for e in edges) == list(g.edges)
+        children = edges[:, 1:].ravel()
+        assert len(set(children.tolist())) == len(children) == n - 1
+        child_height = dict(zip(children.tolist(), np.repeat(heights, k - 1).tolist()))
+        for e, h in zip(edges, heights):
+            assert child_height.get(int(e[0]), m) > h
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+def test_newton_on_large_star(kind):
+    # a dense n x n system would take 3.2 GB per row at n = 20001; the
+    # elimination holds one k x k block per edge.  Newton's bracket stalls
+    # at its rounding floor, 1e-13 relative and above tol, and power steps
+    # close it.
+    n = 20001
+    result = spectral_radius(kind, hyperstar(n, 3))
+    rho = closed_form_hyperstar(kind, n, 3)
+    pad = ROUNDING_PAD * rho
+    assert result.lower - pad <= rho <= result.upper + pad
+    assert result.iterations <= 30
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+def test_out_of_patience_rows_take_power_steps(kind, monkeypatch):
+    """With no patience every row hands over to power steps at once: the
+    solve is the shifted power iteration, and its bracket overlaps the
+    dense oracle's."""
+    monkeypatch.setattr(spectral, "NEWTON_PATIENCE", 0)
+    g = loose_path(9, 3)
+    result = spectral_radius(kind, g)
+    assert result.iterations > 30
+    lower, upper = dense_power_iteration(dense_build(kind, g))
+    pad = ROUNDING_PAD * result.rho
+    assert result.lower <= upper + pad and lower <= result.upper + pad
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+def test_newton_on_long_path_with_1000_edges(kind):
+    # the power iteration would need millions of steps here
+    result = spectral_radius(kind, loose_path(2001, 3))
+    assert result.iterations <= 30
+    assert result.upper - result.lower <= 1e-10
 
 
 def test_batch_disconnected_member():

@@ -127,13 +127,16 @@ def test_apply_matches_oracles_on_census(k, m, rng):
     "kind", [TensorKind.SignlessLaplacian, TensorKind.IncidenceQ], ids=["q", "qstar"]
 )
 def test_linearization_matches_dense_oracle(corpus_instance, kind, rng):
-    """M(x) is the dense tensor contracted k-2 times, and M(x) x = apply."""
+    """The edge blocks sum to M(x), the dense tensor contracted k-2 times,
+    and M(x) x = apply."""
     g = corpus_instance
     dense = dense_build(kind, g).values
     flat = _edge_index([g])
     for _ in range(20):
         x = rng.random(g.n) + 0.05
-        mx = _linearize(kind, flat, x[None, :])[0]
+        mx = np.zeros((g.n, g.n))
+        for e, block in zip(flat[0], _linearize(kind, flat, x[None, :])[0]):
+            mx[np.ix_(e, e)] += block
         oracle = dense
         for _ in range(g.k - 2):
             oracle = oracle @ x
