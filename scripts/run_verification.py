@@ -21,6 +21,7 @@ from hypertree_spectra import (  # noqa: E402
     enumerate_supertrees,
     verify_extremal,
 )
+from hypertree_spectra.spectral import DEFAULT_TOL  # noqa: E402
 
 
 def run_census(n, k, tol, export_dir, max_edges):
@@ -80,7 +81,7 @@ def main(argv=None):
                         help="restrict to one uniformity (default: 3 and 4)")
     parser.add_argument("--max-m", type=int, default=5,
                         help="largest edge count per census (default 5)")
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--export-dir", type=Path, default=None,
                         help="write one JSON-lines census file per (n, k)")
     parser.add_argument("--bounds", action="store_true",

@@ -1,20 +1,21 @@
-"""Spectral radii via Newton-Noda steps (signless Laplacian and incidence
-Q-tensor of a supertree) or shifted higher-order power iteration (the
-adjacency tensor, and any hypergraph that is not a supertree), closed
-forms, the bisection root solver, and degree / incidence-matrix bounds (the
-incidence sandwich is strict only for k >= 3; see bounds_report).
+"""Spectral radii via Newton-Noda steps (any tensor of a supertree) or
+shifted higher-order power iteration (any hypergraph that is not a
+supertree), closed forms, the bisection root solver, and degree /
+incidence-matrix bounds (the incidence sandwich is strict only for k >= 3;
+see bounds_report).
 
 The H-eigenpair convention throughout is T x^{k-1} = lambda x^{[k-1]} with
 x normalized so that sum_i x_i^k = 1.  For a connected hypergraph both
-iterations keep the iterate strictly positive, and each step brackets
-rho + shift between min_i y_i / x_i^{k-1} and max_i y_i / x_i^{k-1}, with
-y = T x^{k-1} + shift x^{[k-1]} (Collatz-Wielandt).  A Newton-Noda step
-(Liu, Guo & Lin, Numer. Math. 2017) solves one linear system per row by
-eliminating along the supertree, in O(m k^3) time and O(m k^2) memory,
-and converges quadratically, in about ten steps where the power iteration
-needs thousands on long paths and nearly degenerate shapes.
-spectral_radii runs the iteration on a batch of graphs sharing (n, m, k),
-one row per graph.
+iterations keep the iterate strictly positive, and each step brackets rho
+between min_i y_i / x_i^{k-1} - 1 and max_i y_i / x_i^{k-1} - 1, with
+y = T x^{k-1} + x^{[k-1]} (Collatz-Wielandt); the shift by 1 keeps the
+power iterate positive, since the adjacency tensor has zero diagonal, and
+makes it converge.  A Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017)
+solves one linear system per row by eliminating along the supertree, in
+O(m k^3) time and O(m k^2) memory, and converges quadratically, in about
+ten steps where the power iteration needs thousands on long paths and
+nearly degenerate shapes.  spectral_radii runs the iteration on a batch of
+graphs sharing (n, m, k), one row per graph.
 """
 
 from __future__ import annotations
@@ -72,19 +73,14 @@ def spectral_radius(
     g: Hypergraph,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    shift: float = 1.0,
 ) -> SpectralResult:
-    """Perron root with min/max ratio brackets: Newton-Noda steps for the
-    signless Laplacian and the incidence Q-tensor of a supertree, shifted
-    power iteration otherwise.
+    """Perron root with min/max ratio brackets: Newton-Noda steps on a
+    supertree, shifted power iteration otherwise.
 
-    The shift keeps the power iterate positive (the adjacency tensor has
-    zero diagonal) and makes that iteration convergent for connected
-    inputs; a Newton-Noda step does not depend on it.  Near the rounding
-    floor a Newton-Noda step can fail or stop shrinking the bracket, and
-    the solve then finishes with power steps.
+    Near the rounding floor a Newton-Noda step can fail or stop shrinking
+    the bracket, and the solve then finishes with power steps.
     """
-    return _solve(kind, [g], tol, max_iter, shift)[0]
+    return _solve(kind, [g], tol, max_iter)[0]
 
 
 def spectral_radii(
@@ -96,14 +92,14 @@ def spectral_radii(
     """spectral_radius of every graph, iterated together as one batch.
 
     The graphs must share (n, m, k).  Each row runs exactly the iteration
-    spectral_radius runs on it alone with the default shift 1, and is
-    frozen into its own result when its own bracket closes.
+    spectral_radius runs on it alone, and is frozen into its own result
+    when its own bracket closes.
     """
-    return _solve(kind, graphs, tol, max_iter, 1.0)
+    return _solve(kind, graphs, tol, max_iter)
 
 
 def _solve(
-    kind: TensorKind, graphs: list[Hypergraph], tol: float, max_iter: int, shift: float
+    kind: TensorKind, graphs: list[Hypergraph], tol: float, max_iter: int
 ) -> list[SpectralResult]:
     if not tol > 0:
         raise BadParameter(f"tol must be positive, got {tol}")
@@ -117,7 +113,7 @@ def _solve(
         raise Disconnected("spectral_radius requires a connected hypergraph")
     n, m, k = graphs[0].n, graphs[0].m, graphs[0].k
     # connected with m (k-1) = n-1 is a supertree, which Newton-Noda needs
-    newton = kind is not TensorKind.Adjacency and m * (k - 1) == n - 1
+    newton = m * (k - 1) == n - 1
     idx = _edge_index(graphs)
     idx, height = _elimination_order(idx, n) if newton else (idx, None)
     results: list[SpectralResult | None] = [None] * len(graphs)
@@ -131,22 +127,22 @@ def _solve(
     for it in range(1, max_iter + 1):
         ax = _contract(kind, flat, x, deg)
         xk1 = x ** (k - 1)
-        y = ax + shift * xk1
-        ratios = y / xk1
+        y = ax + xk1
+        ratios = y / xk1 - 1
         lower = ratios.min(axis=1)
         upper = ratios.max(axis=1)
         done = upper - lower <= tol
         if done.any():
             for r in np.flatnonzero(done):
                 lo, hi = float(lower[r]), float(upper[r])
-                rho = 0.5 * (lo + hi) - shift
+                rho = 0.5 * (lo + hi)
                 results[active[r]] = SpectralResult(
                     rho=rho,
                     eigvec=x[r].copy(),
                     residual=float(np.max(np.abs(ax[r] - rho * xk1[r]))),
                     iterations=it,
-                    lower=lo - shift,
-                    upper=hi - shift,
+                    lower=lo,
+                    upper=hi,
                 )
             if done.all():
                 return results
@@ -166,13 +162,13 @@ def _solve(
             narrower = upper - lower < best
             best = np.where(narrower, upper - lower, best)
             stalls = np.where(narrower, 0, stalls + 1)
-            floor = (stalls > 0) & (best <= ROUNDING_PAD * np.abs(upper - shift))
+            floor = (stalls > 0) & (best <= ROUNDING_PAD * np.abs(upper))
             on_newton &= (stalls < NEWTON_PATIENCE) & ~floor
             rows = np.flatnonzero(on_newton)
             if rows.size:
                 sub = active[rows]
                 step = _newton_noda_step(
-                    kind, idx[sub], height[sub], x[rows], xk1[rows], upper[rows] - shift
+                    kind, idx[sub], height[sub], x[rows], xk1[rows], upper[rows]
                 )
                 ok = (np.isfinite(step) & (step > 0)).all(axis=1)
                 x_next[rows[ok]] = step[ok]
@@ -180,7 +176,7 @@ def _solve(
         x = x_next
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
     widest = int(np.argmax(upper - lower))
-    lo, hi = float(lower[widest]) - shift, float(upper[widest]) - shift
+    lo, hi = float(lower[widest]), float(upper[widest])
     raise NoConvergence(
         f"no convergence after {max_iter} iterations for {len(active)} of "
         f"{len(graphs)} graphs (widest bracket [{lo}, {hi}])",

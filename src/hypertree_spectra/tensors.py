@@ -105,14 +105,14 @@ def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray, deg: np.ndarray
 
 def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(B, m, k, k) edge blocks of the matrices M(x) = T x^{k-2}, for every
-    row of x (B, n); kind is SignlessLaplacian or IncidenceQ.
+    row of x (B, n).
 
     M(x) x = T x^{k-1}, and M(x) is the sum over the edges of their blocks,
     block [a, b] of an edge adding to M[e_a, e_b].  For IncidenceQ every
-    entry of an edge's block is the edge sum to the power k-2; for
-    SignlessLaplacian an off-diagonal entry is the product of the other
-    k-2 entries over k-1, and a diagonal entry x_a^{k-2}, which sums to the
-    degree term.
+    entry of an edge's block is the edge sum to the power k-2; otherwise an
+    off-diagonal entry is the product of the other k-2 entries over k-1,
+    and a diagonal entry is 0 for Adjacency and x_a^{k-2} for
+    SignlessLaplacian, which sums to the degree term.
     """
     k = flat.shape[2]
     vals = x.ravel()[flat]
@@ -121,7 +121,7 @@ def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     pair = np.arange(k)
     others = (pair[:, None, None] != pair) & (pair[None, :, None] != pair)
     block = np.where(others, vals[..., None, None, :], 1.0).prod(axis=-1) / (k - 1)
-    block[..., pair, pair] = vals ** (k - 2)
+    block[..., pair, pair] = vals ** (k - 2) if kind is TensorKind.SignlessLaplacian else 0.0
     return block
 
 

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .families import tree_power
 from .hypergraph import Hypergraph, is_linear, pendent_edges, validate
-from .spectral import spectral_radius
+from .spectral import DEFAULT_TOL, spectral_radius
 from .tensors import TensorKind
 
 
@@ -110,7 +110,7 @@ def edge_release_best(
     g: Hypergraph,
     edge_id: int,
     kind: TensorKind = TensorKind.IncidenceQ,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> Hypergraph:
     """Release at the vertex of the edge with the largest Perron
     component, which guarantees the radius strictly increases."""

@@ -2,6 +2,8 @@
 
 import itertools
 
+import numpy as np
+
 from hypertree_spectra import TensorKind, canonical_form, is_linear, is_supertree, validate
 from hypertree_spectra.canon import CanonicalForm
 from hypertree_spectra.errors import BadDimensions
@@ -35,6 +37,22 @@ def orbit_constancy_check(g, orbits: list[set[int]], result, rel_tol: float = 1e
         if hi - lo > rel_tol * max(hi, 1e-300):
             return False
     return True
+
+
+def dense_power_iteration(dense, tol=1e-12, max_iter=200000, shift=1.0):
+    """Shifted power iteration run directly on the materialized tensor;
+    returns its Collatz-Wielandt bracket of rho, which any shift > 0 gives
+    for a connected hypergraph."""
+    k, n = dense.k, dense.n
+    x = np.full(n, n ** (-1.0 / k))
+    for _ in range(max_iter):
+        y = dense.contract(x) + shift * x ** (k - 1)
+        ratios = y / x ** (k - 1)
+        if ratios.max() - ratios.min() <= tol:
+            return ratios.min() - shift, ratios.max() - shift
+        x = y ** (1.0 / (k - 1))
+        x = x / (x**k).sum() ** (1.0 / k)
+    raise AssertionError("dense oracle did not converge")
 
 
 def tree_canonical_code(edges, n_prime):

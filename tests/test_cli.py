@@ -140,6 +140,17 @@ def test_compute_no_convergence_prints_bracket(capsys, path_file):
     assert "bracket=[" in err
 
 
+def test_compute_adj_long_path_with_1000_edges(capsys, tmp_path):
+    # Newton-Noda steps: the power iteration would need millions here
+    f = tmp_path / "path_2001_3.hg"
+    f.write_text(format_hypergraph(loose_path(2001, 3)))
+    code, out, _ = run(capsys, "compute", "--kind", "adj", str(f))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["upper"] - payload["lower"] <= 1e-10
+    assert payload["iterations"] <= 30
+
+
 def test_compute_below_rounding_floor_prints_finite_bracket(capsys, tmp_path):
     # tol below the rounding floor: the q solve runs out of its budget with
     # a finite, certified bracket

@@ -10,6 +10,7 @@ from hypertree_spectra import (
     closed_form_hyperstar,
     dense_build,
     double_star,
+    enumerate_trees,
     hyperstar,
     loose_path,
     matrix_spectral_radius,
@@ -33,25 +34,10 @@ from hypertree_spectra.errors import (
 )
 from hypertree_spectra.spectral import _elimination_order, _newton_noda_step
 from hypertree_spectra.tensors import _edge_index, _row_offset
-from oracles import orbit_constancy_check, relabel
+from oracles import dense_power_iteration, orbit_constancy_check, relabel
 
 KINDS = list(TensorKind)
-NEWTON_KINDS = [TensorKind.SignlessLaplacian, TensorKind.IncidenceQ]
-
-
-def dense_power_iteration(dense, tol=1e-12, max_iter=200000):
-    """Independent oracle: shifted power iteration run directly on the
-    materialized tensor; returns its Collatz-Wielandt bracket."""
-    k, n = dense.k, dense.n
-    x = np.full(n, n ** (-1.0 / k))
-    for _ in range(max_iter):
-        y = dense.contract(x) + x ** (k - 1)
-        ratios = y / x ** (k - 1)
-        if ratios.max() - ratios.min() <= tol:
-            return ratios.min() - 1.0, ratios.max() - 1.0
-        x = y ** (1.0 / (k - 1))
-        x = x / (x**k).sum() ** (1.0 / k)
-    raise AssertionError("dense oracle did not converge")
+KIND_IDS = [k.value for k in KINDS]
 
 
 def test_hyperstar_adjacency_closed_form():
@@ -98,7 +84,7 @@ def test_bad_solver_parameters(tol, max_iter):
         spectral_radii(TensorKind.Adjacency, [g], tol=tol, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_batch_matches_single_solves_on_census(kind):
     """Each row of the batched k=3, m=8 census runs the single iteration."""
     graphs = _supertree_shapes(8, 3)
@@ -112,13 +98,13 @@ def test_batch_matches_single_solves_on_census(kind):
         assert abs(row.upper - single.upper) <= 1e-13
         assert np.max(np.abs(row.eigvec - single.eigvec)) <= 1e-13
     assert len({row.iterations for row in batch}) > 1  # rows freeze apart
-    if kind in NEWTON_KINDS:
-        assert max(row.iterations for row in batch) <= 30
+    assert max(row.iterations for row in batch) <= 30
 
 
-@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_steps_on_long_path(kind):
-    # power iteration needs O(m^2) steps here (9890 for q, 5707 for qstar)
+    # power iteration needs O(m^2) steps here (5960 for adj, 9890 for q,
+    # 5707 for qstar)
     result = spectral_radius(kind, loose_path(121, 3))
     assert result.iterations <= 30
     assert result.upper - result.lower <= 1e-10
@@ -139,11 +125,12 @@ def test_newton_budget_below_rounding_floor():
 @pytest.mark.parametrize(
     "kind,g",
     [
+        (TensorKind.Adjacency, loose_path(13, 4)),
         (TensorKind.SignlessLaplacian, loose_path(13, 4)),
         (TensorKind.SignlessLaplacian, hyperstar(7, 4)),
         (TensorKind.IncidenceQ, hyperstar(15, 3)),
     ],
-    ids=["q-path", "q-star", "qstar-star"],
+    ids=["adj-path", "q-path", "q-star", "qstar-star"],
 )
 def test_newton_below_rounding_floor_finishes_with_power_steps(kind, g):
     """With tol below the rounding floor a Newton step fails (the path:
@@ -189,12 +176,12 @@ def test_elimination_order_on_census(k, m):
             assert child_height.get(int(e[0]), m) > h
 
 
-@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_on_large_star(kind):
     # a dense n x n system would take 3.2 GB per row at n = 20001; the
-    # elimination holds one k x k block per edge.  Newton's bracket stalls
-    # at its rounding floor, 1e-13 relative and above tol, and power steps
-    # close it.
+    # elimination holds one k x k block per edge.  For q and qstar Newton's
+    # bracket stalls at its rounding floor, 1e-13 relative and above tol,
+    # and power steps close it.
     n = 20001
     result = spectral_radius(kind, hyperstar(n, 3))
     rho = closed_form_hyperstar(kind, n, 3)
@@ -203,7 +190,7 @@ def test_newton_on_large_star(kind):
     assert result.iterations <= 30
 
 
-@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_out_of_patience_rows_take_power_steps(kind, monkeypatch):
     """With no patience every row hands over to power steps at once: the
     solve is the shifted power iteration, and its bracket overlaps the
@@ -217,12 +204,44 @@ def test_out_of_patience_rows_take_power_steps(kind, monkeypatch):
     assert result.lower <= upper + pad and lower <= result.upper + pad
 
 
-@pytest.mark.parametrize("kind", NEWTON_KINDS, ids=[k.value for k in NEWTON_KINDS])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_on_long_path_with_1000_edges(kind):
     # the power iteration would need millions of steps here
     result = spectral_radius(kind, loose_path(2001, 3))
     assert result.iterations <= 30
     assert result.upper - result.lower <= 1e-10
+
+
+def _tree_power_bracket_check(parents, k, result):
+    """The bracket of rho(A(T^k)) holds rho(A(T))^{2/k} (Zhou, Sun, Wang &
+    Bu 2014), with the tree's radius from eigvalsh, within the rounding pad."""
+    n_prime = len(parents) + 1
+    adj = np.zeros((n_prime, n_prime))
+    for i, p in enumerate(parents):
+        adj[p - 1, i + 1] = adj[i + 1, p - 1] = 1.0
+    rho = np.linalg.eigvalsh(adj)[-1] ** (2.0 / k)
+    pad = ROUNDING_PAD * max(1.0, rho)
+    assert result.lower - pad <= rho <= result.upper + pad
+    assert result.iterations <= 30
+
+
+@pytest.mark.parametrize("k,top", [(3, 8), (4, 6)])
+def test_adjacency_tree_powers_on_census(k, top):
+    for m in range(1, top + 1):
+        trees = enumerate_trees(m + 1)
+        graphs = [tree_power(parents, k) for parents in trees]
+        for parents, result in zip(trees, spectral_radii(TensorKind.Adjacency, graphs)):
+            _tree_power_bracket_check(parents, k, result)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_adjacency_tree_powers_on_random_trees(k):
+    rng = np.random.default_rng(k)
+    for _ in range(100):
+        m = int(rng.integers(1, 60))
+        parents = [int(rng.integers(1, i + 2)) for i in range(m)]
+        result = spectral_radius(TensorKind.Adjacency, tree_power(parents, k))
+        _tree_power_bracket_check(parents, k, result)
 
 
 def test_batch_disconnected_member():
@@ -274,12 +293,16 @@ def test_result_invariants(corpus_instance):
 
 
 def test_shift_invariance(corpus_instance):
+    # the dense oracle's radius does not depend on its shift, and the
+    # solver agrees with it at either shift
     g = corpus_instance
     tol = 1e-10
     for kind in KINDS:
-        a = spectral_radius(kind, g, tol=tol, shift=1.0)
-        b = spectral_radius(kind, g, tol=tol, shift=2.0)
-        assert abs(a.rho - b.rho) <= 2 * tol
+        rho = spectral_radius(kind, g, tol=tol).rho
+        dense = dense_build(kind, g)
+        for shift in (1.0, 2.0):
+            lower, upper = dense_power_iteration(dense, shift=shift)
+            assert abs(rho - 0.5 * (lower + upper)) <= 2 * tol
 
 
 def test_relabeling_invariance(rng):
@@ -301,10 +324,9 @@ def test_dense_oracle_agreement(small_instance):
         fast = spectral_radius(kind, g)
         lower, upper = dense_power_iteration(dense_build(kind, g))
         assert fast.rho == pytest.approx(0.5 * (lower + upper), abs=1e-8)
-        if kind in NEWTON_KINDS:
-            # both brackets are certified, so they overlap up to rounding
-            pad = ROUNDING_PAD * max(1.0, abs(fast.rho))
-            assert fast.lower <= upper + pad and lower <= fast.upper + pad
+        # both brackets are certified, so they overlap up to rounding
+        pad = ROUNDING_PAD * max(1.0, abs(fast.rho))
+        assert fast.lower <= upper + pad and lower <= fast.upper + pad
 
 
 def test_matrix_spectral_radius_hyperstar_gram():

@@ -123,9 +123,7 @@ def test_apply_matches_oracles_on_census(k, m, rng):
                 )
 
 
-@pytest.mark.parametrize(
-    "kind", [TensorKind.SignlessLaplacian, TensorKind.IncidenceQ], ids=["q", "qstar"]
-)
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_linearization_matches_dense_oracle(corpus_instance, kind, rng):
     """The edge blocks sum to M(x), the dense tensor contracted k-2 times,
     and M(x) x = apply."""
