@@ -11,11 +11,11 @@ between min_i y_i / x_i^{k-1} - 1 and max_i y_i / x_i^{k-1} - 1, with
 y = T x^{k-1} + x^{[k-1]} (Collatz-Wielandt); the shift by 1 keeps the
 power iterate positive, since the adjacency tensor has zero diagonal, and
 makes it converge.  A Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017)
-solves one linear system per row by eliminating along the supertree, in
-O(m k^3) time and O(m k^2) memory, and converges quadratically, in about
-ten steps where the power iteration needs thousands on long paths and
-nearly degenerate shapes.  spectral_radii runs the iteration on a batch of
-graphs sharing (n, m, k), one row per graph.
+solves one linear system per row by eliminating along the supertree, each
+edge's block a diagonal plus a rank-one term, in O(m k) time and memory,
+and converges quadratically, in about ten steps where the power iteration
+needs thousands on long paths and nearly degenerate shapes.  spectral_radii
+runs the iteration on a batch of graphs sharing (n, m, k), one row per graph.
 """
 
 from __future__ import annotations
@@ -116,6 +116,7 @@ def _solve(
     newton = m * (k - 1) == n - 1
     idx = _edge_index(graphs)
     idx, height = _elimination_order(idx, n) if newton else (idx, None)
+    scheduled = schedule = None  # the Newton rows that schedule was built for
     results: list[SpectralResult | None] = [None] * len(graphs)
     active = np.arange(len(graphs))  # batch row -> position in graphs
     on_newton = np.full(len(graphs), newton)  # rows still taking Newton-Noda steps
@@ -167,9 +168,9 @@ def _solve(
             rows = np.flatnonzero(on_newton)
             if rows.size:
                 sub = active[rows]
-                step = _newton_noda_step(
-                    kind, idx[sub], height[sub], x[rows], xk1[rows], upper[rows]
-                )
+                if not np.array_equal(sub, scheduled):
+                    scheduled, schedule = sub, _schedule(idx[sub], height[sub], n)
+                step = _newton_noda_step(kind, schedule, x[rows], xk1[rows], upper[rows])
                 ok = (np.isfinite(step) & (step > 0)).all(axis=1)
                 x_next[rows[ok]] = step[ok]
                 on_newton[rows[~ok]] = False
@@ -217,64 +218,64 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return np.take_along_axis(idx, order, axis=2), height
 
 
+def _schedule(idx: np.ndarray, height: np.ndarray, n: int) -> tuple:
+    """Schedule of a Newton-Noda step on rows of _elimination_order's idx and
+    height: the (B m, k) row-offset edge index, each height's (edge, parent,
+    child) flat indices, lowest first, and every row's root vertex."""
+    rows, m, k = idx.shape
+    verts = _row_offset(idx, n).reshape(-1, k)
+    order = np.argsort(height.ravel(), kind="stable")
+    split = np.split(order, np.cumsum(np.bincount(height.ravel()))[:-1])
+    root = verts[height.argmax(axis=1) + m * np.arange(rows), 0]
+    return verts, [(e, verts[e, 0], verts[e, 1:]) for e in split], root
+
+
 def _newton_noda_step(
-    kind: TensorKind,
-    idx: np.ndarray,
-    height: np.ndarray,
-    x: np.ndarray,
-    xk1: np.ndarray,
-    top: np.ndarray,
+    kind: TensorKind, schedule: tuple, x: np.ndarray, xk1: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
     """One Newton-Noda step from the positive rows of x, before
     normalization; a row whose step fails is not finite and positive.
 
-    idx and height come from _elimination_order, and top is each row's
-    bracket top, so Z = top D - M, with D = diag(x^{[k-2]}) and
-    M = T x^{k-2}, is a nonsingular M-matrix while the row's bracket is
-    open, and w = Z^{-1} x^{[k-1]} > 0.  The step y = (k-2) x + t w,
+    schedule comes from _schedule, and top is each row's bracket top, so
+    Z = top D - M, with D = diag(x^{[k-2]}) and M = T x^{k-2}, is a
+    nonsingular M-matrix while the row's bracket is open, and
+    w = Z^{-1} x^{[k-1]} > 0.  The step y = (k-2) x + t w,
     t = <x^{[k-1]}, x> / <x^{[k-1]}, w>, is Newton's on T x^{k-1} = lambda
     x^{[k-1]} with <x^{[k-1]}, x> held fixed; at k = 2 it is Noda's
     iteration.
 
     Off the diagonal, Z of a supertree is nonzero only inside the edges'
-    blocks, so eliminating each edge's children onto its parent, one
-    height at a time, makes no fill: O(m k^3) time and O(m k^2) memory per
-    row.  The last pivot, at the root, carries the near-singularity; once
-    the bracket top is within rounding of rho it may round to the wrong
-    sign, which only flips the sign of w and leaves t w unchanged.
+    blocks, -c u u^T there (_linearize), so eliminating each edge's children
+    C onto its parent p, one height at a time, makes no fill.  Their block
+    is diag(d) - c u u^T, d being their pivots plus c u^2; by
+    Sherman-Morrison, with s = sum u^2/d, t = sum u b/d and g = 1/(1 - c s),
+    p's pivot loses (c u_p)^2 s g, b_p gains c u_p t g, and
+    w_C = b_C/d + c g (t + u_p w_p) u/d: O(m k) time and memory per row.
+    The last pivot, at the root, carries the near-singularity; once the
+    bracket top is within rounding of rho it may round to the wrong sign,
+    which only flips the sign of w and leaves t w unchanged.
     """
-    rows, n = x.shape
-    k = idx.shape[2]
-    flat = _row_offset(idx, n)
-    verts = flat.reshape(-1, k)
-    block = _linearize(kind, flat, x).reshape(-1, k, k)
-    order = np.argsort(height.ravel(), kind="stable")
-    levels = np.split(order, np.cumsum(np.bincount(height.ravel()))[:-1])  # lowest first
-    pair, child_pair = np.arange(k), np.arange(k - 1)
-    diag = np.bincount(verts.ravel(), weights=block[:, pair, pair].ravel(), minlength=rows * n)
-    zd = (top[:, None] * x ** (k - 2)).ravel() - diag  # Z's diagonal, then its Schur complements'
+    verts, levels, root = schedule
+    k = verts.shape[1]
+    c, u, diag = _linearize(kind, verts, x)
+    pivot = (top[:, None] * x ** (k - 2)).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
     b = xk1.ravel().copy()
     folds = []
-    for e in levels:
-        parent, child = verts[e, 0], verts[e, 1:]
-        a = -block[e, 1:, 1:]
-        a[:, child_pair, child_pair] = zd[child]
-        z = -block[e, 0, 1:]  # Z[parent, child], and Z is symmetric
-        try:
-            u = np.linalg.solve(a, np.stack([z, b[child]], axis=2))
-        except np.linalg.LinAlgError:
-            return np.full_like(x, np.nan)
-        np.subtract.at(zd, parent, (z * u[..., 0]).sum(axis=1))
-        np.subtract.at(b, parent, (z * u[..., 1]).sum(axis=1))
-        folds.append(u)
-    root = np.ones(rows * n, dtype=bool)
-    root[verts[:, 1:]] = False
-    w = np.zeros(rows * n)
     with np.errstate(all="ignore"):
-        w[root] = b[root] / zd[root]
-        for e, u in zip(reversed(levels), reversed(folds)):
-            w[verts[e, 1:]] = u[..., 1] - u[..., 0] * w[verts[e, 0], None]
-        w = w.reshape(rows, n)
+        for e, parent, child in levels:
+            ce, up, uc, bc = c[e], u[e, 0], u[e, 1:], b[child]
+            d = pivot[child] + ce[:, None] * uc**2
+            ud = uc / d
+            s, t = (uc * ud).sum(axis=1), (bc * ud).sum(axis=1)
+            cg = ce / (1 - ce * s)
+            np.subtract.at(pivot, parent, cg * ce * up**2 * s)
+            np.add.at(b, parent, cg * up * t)
+            folds.append((bc / d, cg[:, None] * ud, t, up))
+        w = np.zeros(x.size)
+        w[root] = b[root] / pivot[root]
+        for (_, parent, child), (bd, cgud, t, up) in zip(reversed(levels), reversed(folds)):
+            w[child] = bd + (t + up * w[parent])[:, None] * cgud
+        w = w.reshape(x.shape)
         t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
         return (k - 2) * x + t[:, None] * w
 

@@ -11,9 +11,9 @@ All three operators act on a k-uniform hypergraph G:
 apply() gathers x over the (m, k) edge index array and scatters the edge
 terms back with one bincount (O(m*k) arithmetic), never materializing the
 n^k tensor; the solver runs the same kernel on a batch of graphs that
-share (n, m, k), and builds the Newton-Noda solver's matrices T x^{k-2}
-as one k x k block per edge.  dense_build() materializes the tensor, as a
-cross-check oracle.
+share (n, m, k), and gives the Newton-Noda solver's matrices T x^{k-2}
+as O(m*k) factors, each edge's k x k block being a diagonal plus a
+rank-one term.  dense_build() materializes the tensor, as an oracle.
 """
 
 from __future__ import annotations
@@ -103,26 +103,25 @@ def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray, deg: np.ndarray
     return out
 
 
-def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(B, m, k, k) edge blocks of the matrices M(x) = T x^{k-2}, for every
-    row of x (B, n).
+def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> tuple:
+    """c and u and diag, the factors of the edge blocks of M(x) = T x^{k-2}
+    (so M(x) x = T x^{k-1}) for every row of x (B, n) > 0, from the (..., k)
+    row-offset edge index flat: c has its shape (...), u and diag its own.
 
-    M(x) x = T x^{k-1}, and M(x) is the sum over the edges of their blocks,
-    block [a, b] of an edge adding to M[e_a, e_b].  For IncidenceQ every
-    entry of an edge's block is the edge sum to the power k-2; otherwise an
-    off-diagonal entry is the product of the other k-2 entries over k-1,
-    and a diagonal entry is 0 for Adjacency and x_a^{k-2} for
-    SignlessLaplacian, which sums to the degree term.
+    Block [a, b] of edge e adds c_e u_a u_b to M[e_a, e_b] off the diagonal
+    and diag_a on it.  For IncidenceQ, u = 1 and every entry is c_e, the
+    edge sum to the power k-2.  Otherwise an off-diagonal entry is the
+    product of the other k-2 entries over k-1, so u = 1/x and c_e is the
+    edge product over k-1; diag_a is 0 for Adjacency and x_a^{k-2} for
+    SignlessLaplacian.
     """
-    k = flat.shape[2]
+    k = flat.shape[-1]
     vals = x.ravel()[flat]
     if kind is TensorKind.IncidenceQ:
-        return np.broadcast_to((vals.sum(axis=2) ** (k - 2))[..., None, None], (*vals.shape, k))
-    pair = np.arange(k)
-    others = (pair[:, None, None] != pair) & (pair[None, :, None] != pair)
-    block = np.where(others, vals[..., None, None, :], 1.0).prod(axis=-1) / (k - 1)
-    block[..., pair, pair] = vals ** (k - 2) if kind is TensorKind.SignlessLaplacian else 0.0
-    return block
+        c = vals.sum(axis=-1) ** (k - 2)
+        return c, np.ones_like(vals), np.repeat(c[..., None], k, axis=-1)
+    diag = vals ** (k - 2) if kind is TensorKind.SignlessLaplacian else np.zeros_like(vals)
+    return vals.prod(axis=-1) / (k - 1), 1.0 / vals, diag
 
 
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:

@@ -32,7 +32,7 @@ from hypertree_spectra.errors import (
     NoConvergence,
     NotSquare,
 )
-from hypertree_spectra.spectral import _elimination_order, _newton_noda_step
+from hypertree_spectra.spectral import _elimination_order, _newton_noda_step, _schedule
 from hypertree_spectra.tensors import _edge_index, _row_offset
 from oracles import dense_power_iteration, orbit_constancy_check, relabel
 
@@ -126,8 +126,8 @@ def test_newton_budget_below_rounding_floor():
     "kind,g",
     [
         (TensorKind.Adjacency, loose_path(13, 4)),
-        (TensorKind.SignlessLaplacian, loose_path(13, 4)),
-        (TensorKind.SignlessLaplacian, hyperstar(7, 4)),
+        (TensorKind.SignlessLaplacian, loose_path(16, 4)),
+        (TensorKind.SignlessLaplacian, hyperstar(9, 3)),
         (TensorKind.IncidenceQ, hyperstar(15, 3)),
     ],
     ids=["adj-path", "q-path", "q-star", "qstar-star"],
@@ -147,30 +147,90 @@ def test_newton_below_rounding_floor_finishes_with_power_steps(kind, g):
     assert err.lower - pad <= rho <= err.upper + pad
 
 
+def test_newton_closes_bracket_exactly():
+    """Below the rounding floor a bracket can also close exactly: on this
+    star every ratio rounds to the same value, and the width-0 bracket
+    holds the closed form within the rounding pad."""
+    kind, g = TensorKind.SignlessLaplacian, hyperstar(7, 4)
+    result = spectral_radius(kind, g, tol=1e-300, max_iter=50)
+    assert result.lower == result.upper and result.iterations <= 30
+    rho = closed_form_hyperstar(kind, g.n, g.k)
+    pad = ROUNDING_PAD * rho
+    assert result.lower - pad <= rho <= result.upper + pad
+
+
+def _step_schedule(graphs):
+    n = graphs[0].n
+    return _schedule(*_elimination_order(_edge_index(graphs), n), n)
+
+
 def test_newton_step_fails_on_singular_system():
     # x is the Perron vector of the k=2 edge and top its exact radius, so
     # the first row's Z is singular and its step is not finite; the second
     # row's bracket is open and it steps to a positive y
-    idx, height = _elimination_order(_edge_index([single_edge(2)] * 2), 2)
+    schedule = _step_schedule([single_edge(2)] * 2)
     x = np.array([[2**-0.5, 2**-0.5], [0.6, 0.8]])
     top = np.array([2.0, 1.4 / 0.6])
-    y = _newton_noda_step(TensorKind.IncidenceQ, idx, height, x, x, top)
+    y = _newton_noda_step(TensorKind.IncidenceQ, schedule, x, x, top)
     assert not np.isfinite(y[0]).any()
     assert np.isfinite(y[1]).all() and (y[1] > 0).all()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("k,m", [(2, 4), (3, 3), (4, 3), (5, 3)])
+def test_newton_step_matches_dense_solve(kind, k, m):
+    """The step eliminates by Sherman-Morrison along the supertree; here
+    Z = top diag(x^{[k-2]}) - M(x) is built from the dense tensor contracted
+    k-2 times and solved by LAPACK, for a batch of census shapes and x
+    spread up to 1e-6..1, with top above each row's bracket."""
+    graphs = _supertree_shapes(m, k)
+    assert len(graphs) >= 2
+    n = graphs[0].n
+    schedule = _step_schedule(graphs)
+    rng = np.random.default_rng(100 * k + m)
+    shape = (len(graphs), n)
+    draws = [rng.random(shape) + 0.05, rng.random(shape) + 0.05, 10.0 ** rng.uniform(-6, 0, shape)]
+    for x in draws:
+        xk1 = x ** (k - 1)
+        ratios = np.array([apply(kind, g, row) for g, row in zip(graphs, x)]) / xk1
+        top = ratios.max(axis=1) * (1 + rng.random(len(graphs)))
+        y = _newton_noda_step(kind, schedule, x, xk1, top)
+        for g, row, rhs, lam, got in zip(graphs, x, xk1, top, y):
+            mx = dense_build(kind, g).values
+            for _ in range(k - 2):
+                mx = mx @ row
+            w = np.linalg.solve(lam * np.diag(row ** (k - 2)) - mx, rhs)
+            want = (k - 2) * row + (rhs @ row) / (rhs @ w) * w
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_newton_step_calls_no_lapack(kind, monkeypatch):
+    """The step solves no block with np.linalg.solve: a census batch still
+    takes Newton-Noda steps with it made to raise."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    results = spectral_radii(kind, _supertree_shapes(6, 3))
+    assert max(r.iterations for r in results) <= 30
 
 
 @pytest.mark.parametrize("k,m", [(2, 9), (3, 8), (4, 6)])
 def test_elimination_order_on_census(k, m):
     """The order keeps every edge, makes each vertex but one root per row
-    the child of exactly one edge, and takes an edge only after every edge
-    whose parent is one of its children."""
+    (the one the schedule names) the child of exactly one edge, and takes
+    an edge only after every edge whose parent is one of its children."""
     graphs = _supertree_shapes(m, k)
     n = graphs[0].n
     idx, height = _elimination_order(_edge_index(graphs), n)
-    for g, edges, heights in zip(graphs, idx, height):
+    roots = _schedule(idx, height, n)[2] - n * np.arange(len(graphs))
+    for g, edges, heights, root in zip(graphs, idx, height, roots):
         assert sorted(tuple(sorted(e + 1)) for e in edges) == list(g.edges)
         children = edges[:, 1:].ravel()
         assert len(set(children.tolist())) == len(children) == n - 1
+        assert root not in children
         child_height = dict(zip(children.tolist(), np.repeat(heights, k - 1).tolist()))
         for e, h in zip(edges, heights):
             assert child_height.get(int(e[0]), m) > h

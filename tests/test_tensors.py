@@ -125,15 +125,21 @@ def test_apply_matches_oracles_on_census(k, m, rng):
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_linearization_matches_dense_oracle(corpus_instance, kind, rng):
-    """The edge blocks sum to M(x), the dense tensor contracted k-2 times,
-    and M(x) x = apply."""
+    """The edge blocks rebuilt from the factors, c_e u_a u_b off the diagonal
+    and diag_a on it, sum to M(x), the dense tensor contracted k-2 times,
+    and M(x) x = apply.  The last draws spread x over 1e-6..1, where the
+    1/x of Adjacency and SignlessLaplacian has to cancel the edge product."""
     g = corpus_instance
     dense = dense_build(kind, g).values
     flat = _edge_index([g])
-    for _ in range(20):
-        x = rng.random(g.n) + 0.05
+    draws = [rng.random(g.n) + 0.05 for _ in range(20)]
+    draws += [10.0 ** rng.uniform(-6, 0, g.n) for _ in range(5)]
+    for x in draws:
+        c, u, diag = (f[0] for f in _linearize(kind, flat, x[None, :]))
         mx = np.zeros((g.n, g.n))
-        for e, block in zip(flat[0], _linearize(kind, flat, x[None, :])[0]):
+        for e, ce, ue, de in zip(flat[0], c, u, diag):
+            block = ce * np.outer(ue, ue)
+            np.fill_diagonal(block, de)
             mx[np.ix_(e, e)] += block
         oracle = dense
         for _ in range(g.k - 2):
