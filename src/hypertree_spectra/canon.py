@@ -1,54 +1,34 @@
-"""Canonical forms and isomorphism tests.
+"""Canonical forms and vertex automorphism orbits of supertrees.
 
-For connected acyclic hypergraphs (supertrees) the bipartite
-vertex/edge incidence graph is a tree, so a rooted-tree canonical code
-(computed at the tree center) yields an exact canonical labeling, and
-the same pass yields the vertex automorphism orbits.  Non-acyclic
-hypergraphs fall back to exhaustive search over relabelings restricted
-to degree classes, guarded by a size cap.
+A supertree's bipartite vertex/edge incidence graph is a tree, so a
+rooted-tree canonical code (computed at the tree center) yields an exact
+canonical labeling, and the same pass yields the vertex automorphism
+orbits.  The leaf peeling that finds the center is also the supertree
+test: any other hypergraph raises NotATree.
 
 A canonical form is the relabeled edge list: a sorted tuple of sorted
-vertex tuples.  Two hypergraphs are isomorphic iff their canonical forms
+vertex tuples.  Two supertrees are isomorphic iff their canonical forms
 are equal.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Sequence
 
-from .errors import NotATree, TooLarge
-from .hypergraph import Hypergraph, is_supertree
+from .errors import NotATree
+from .hypergraph import Hypergraph
 
 CanonicalForm = tuple[tuple[int, ...], ...]
 
-_BRUTE_FORCE_CAP = 2_000_000  # permutations examined in the fallback
-
 
 def canonical_form(g: Hypergraph) -> CanonicalForm:
-    if g.m == 0:
-        return ()
-    if is_supertree(g):
-        return _supertree_canonical(g.edges, g.n)[0]
-    return _brute_force_canonical(g)
+    """Canonical form of a supertree; NotATree for any other hypergraph."""
+    return _supertree_canonical(g.edges, g.n)[0]
 
-
-def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
-    if (a.k, a.n, a.m) != (b.k, b.n, b.m):
-        return False
-    if sorted(a.degrees) != sorted(b.degrees):
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
-# -- supertree canonicalization via the bipartite incidence tree -------------
 
 def automorphism_orbits(g: Hypergraph) -> list[set[int]]:
     """Vertex orbits of the automorphism group of a supertree, in order of
-    their smallest vertex."""
-    if not is_supertree(g):
-        raise NotATree("automorphism orbits are computed for supertrees only")
+    their smallest vertex; NotATree for any other hypergraph."""
     orbit = _supertree_canonical(g.edges, g.n)[1]
     return [{v for v, o in enumerate(orbit, 1) if o == rep} for rep in sorted(set(orbit))]
 
@@ -57,7 +37,11 @@ def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> tuple[Canoni
     """Canonical form of the supertree on vertices 1..n with these edges,
     and its vertex orbits: orbit[v-1] is the smallest vertex that an
     automorphism maps v to.  Incidence-tree nodes are ints: vertex v is
-    v-1, edge j is n+j."""
+    v-1, edge j is n+j.  NotATree unless the edges form a supertree."""
+    # with sum(|e| - 1) = n - 1 the incidence graph has one link fewer than
+    # nodes, so it is a tree iff it has no cycle, iff peeling removes it all
+    if sum(len(e) - 1 for e in edges) != n - 1:
+        raise NotATree(f"{len(edges)} edges on {n} vertices cannot form a supertree")
     adj: list[list[int]] = [[] for _ in range(n + len(edges))]
     for j, e in enumerate(edges):
         for v in e:
@@ -70,6 +54,8 @@ def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> tuple[Canoni
     leaves = [x for x, d in enumerate(degree) if d <= 1]
     remaining = len(adj)
     while remaining > 1:
+        if not leaves:
+            raise NotATree("the edges contain a cycle")
         remaining -= len(leaves)
         nxt = []
         for leaf in leaves:
@@ -114,44 +100,4 @@ def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> tuple[Canoni
             label[x + 1] = nxt_label
             nxt_label += 1
         stack.extend(reversed(kids[x]))
-    return _apply_labeling(edges, label), orbit
-
-
-def _apply_labeling(edges: Sequence[Sequence[int]], label) -> CanonicalForm:
-    """The edge list with each vertex v renamed label[v], sorted."""
-    return tuple(sorted(tuple(sorted(label[v] for v in e)) for e in edges))
-
-
-# -- brute-force fallback ----------------------------------------------------
-
-def _brute_force_canonical(g: Hypergraph) -> CanonicalForm:
-    # permute only within degree classes; a canonical labeling must map
-    # equal-degree vertices among themselves
-    by_degree: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        by_degree.setdefault(g.degree(v), []).append(v)
-    classes = [by_degree[d] for d in sorted(by_degree)]
-    count = math.prod(math.factorial(len(c)) for c in classes)
-    if count > _BRUTE_FORCE_CAP:
-        raise TooLarge(
-            f"brute-force canonicalization would examine {count} relabelings"
-        )
-    # new labels for each class: consecutive ranges in degree order
-    ranges = []
-    start = 1
-    for c in classes:
-        ranges.append(list(range(start, start + len(c))))
-        start += len(c)
-    best: CanonicalForm | None = None
-    for perms in itertools.product(
-        *(itertools.permutations(rng) for rng in ranges)
-    ):
-        labeling = {}
-        for cls, new_labels in zip(classes, perms):
-            for old, new in zip(cls, new_labels):
-                labeling[old] = new
-        form = _apply_labeling(g.edges, labeling)
-        if best is None or form < best:
-            best = form
-    assert best is not None
-    return best
+    return tuple(sorted(tuple(sorted(label[v] for v in e)) for e in edges)), orbit

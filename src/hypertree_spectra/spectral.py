@@ -16,6 +16,9 @@ edge's block a diagonal plus a rank-one term, in O(m k) time and memory,
 and converges quadratically, in about ten steps where the power iteration
 needs thousands on long paths and nearly degenerate shapes.  spectral_radii
 runs the iteration on a batch of graphs sharing (n, m, k), one row per graph.
+A disconnected graph raises Disconnected.  In a batch with m (k-1) = n-1
+such a graph has a cycle, which the leaf peeling that orders the
+elimination finds; any other batch is searched graph by graph.
 """
 
 from __future__ import annotations
@@ -109,11 +112,12 @@ def _solve(
         return []
     if len({(g.n, g.m, g.k) for g in graphs}) > 1:
         raise DimensionMismatch("a batch of graphs must share (n, m, k)")
-    if not all(is_connected(g) for g in graphs):
-        raise Disconnected("spectral_radius requires a connected hypergraph")
     n, m, k = graphs[0].n, graphs[0].m, graphs[0].k
-    # connected with m (k-1) = n-1 is a supertree, which Newton-Noda needs
+    # with m (k-1) = n-1 a graph is a supertree, which Newton-Noda needs,
+    # iff it is connected, and _elimination_order's leaf peeling decides it
     newton = m * (k - 1) == n - 1
+    if not newton and not all(is_connected(g) for g in graphs):
+        raise Disconnected("spectral_radius requires a connected hypergraph")
     idx = _edge_index(graphs)
     idx, height = _elimination_order(idx, n) if newton else (idx, None)
     scheduled = schedule = None  # the Newton rows that schedule was built for
@@ -189,7 +193,8 @@ def _solve(
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The order in which a Newton-Noda step eliminates a batch of
-    supertrees, from their (B, m, k) 0-based edge index.
+    supertrees, from their (B, m, k) 0-based edge index; Disconnected
+    unless every row is a supertree.
 
     Rounds of leaf peeling remove, in every row at once, each edge with at
     most one vertex in another remaining edge; an edge's height is its
@@ -198,6 +203,10 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     per row is a child of exactly one edge, and is the parent only of
     edges of smaller height.  Returns idx with each parent moved to
     position 0, and the (B, m) heights.
+
+    With m (k-1) = n-1 a row is a supertree iff it has no cycle.  The
+    edges of a cycle never peel and acyclic rows empty first, so a round
+    that finds no leaf means a cycle.
     """
     rows, m, k = idx.shape
     flat = _row_offset(idx, n)
@@ -208,6 +217,8 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     while live.any():
         deg = np.bincount(flat[live].ravel(), minlength=rows * n)[flat]
         leaf = live & ((deg > 1).sum(axis=2) <= 1)
+        if not leaf.any():
+            raise Disconnected("spectral_radius requires a connected hypergraph")
         height[leaf] = h
         parent[leaf] = deg.argmax(axis=2)[leaf]
         live &= ~leaf

@@ -131,11 +131,6 @@ def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
     return _contract(kind, flat, x[None, :], _degrees(flat, 1, g.n))[0]
 
 
-def rayleigh(kind: TensorKind, g: Hypergraph, x) -> float:
-    """x^T (T x^{k-1})."""
-    return float(x @ apply(kind, g, x))
-
-
 def dense_build(kind: TensorKind, g: Hypergraph, cap: int = DEFAULT_DENSE_CAP) -> DenseTensor:
     """Fully materialized symmetric tensor; oracle for apply()."""
     n, k = g.n, g.k

@@ -1,12 +1,23 @@
 """Independent oracles used only by the tests."""
 
 import itertools
+import math
 
 import numpy as np
 
-from hypertree_spectra import TensorKind, canonical_form, is_linear, is_supertree, validate
+from hypertree_spectra import (
+    Hypergraph,
+    TensorKind,
+    apply,
+    canonical_form,
+    is_linear,
+    is_supertree,
+    validate,
+)
 from hypertree_spectra.canon import CanonicalForm
-from hypertree_spectra.errors import BadDimensions
+from hypertree_spectra.errors import BadDimensions, TooLarge
+
+_BRUTE_FORCE_CAP = 2_000_000  # permutations examined by brute_force_canonical
 
 
 def relabel(g, perm: dict[int, int]):
@@ -37,6 +48,56 @@ def orbit_constancy_check(g, orbits: list[set[int]], result, rel_tol: float = 1e
         if hi - lo > rel_tol * max(hi, 1e-300):
             return False
     return True
+
+
+def rayleigh(kind: TensorKind, g: Hypergraph, x) -> float:
+    """x^T (T x^{k-1})."""
+    return float(x @ apply(kind, g, x))
+
+
+def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
+    """Isomorphism of two supertrees, by their canonical forms."""
+    if (a.k, a.n, a.m) != (b.k, b.n, b.m):
+        return False
+    if sorted(a.degrees) != sorted(b.degrees):
+        return False
+    return canonical_form(a) == canonical_form(b)
+
+
+def brute_force_canonical(g: Hypergraph) -> CanonicalForm:
+    """Canonical form of any hypergraph: the smallest relabeled edge list
+    over every relabeling within degree classes.  TooLarge beyond
+    _BRUTE_FORCE_CAP relabelings."""
+    # permute only within degree classes; a canonical labeling must map
+    # equal-degree vertices among themselves
+    by_degree: dict[int, list[int]] = {}
+    for v in range(1, g.n + 1):
+        by_degree.setdefault(g.degree(v), []).append(v)
+    classes = [by_degree[d] for d in sorted(by_degree)]
+    count = math.prod(math.factorial(len(c)) for c in classes)
+    if count > _BRUTE_FORCE_CAP:
+        raise TooLarge(
+            f"brute-force canonicalization would examine {count} relabelings"
+        )
+    # new labels for each class: consecutive ranges in degree order
+    ranges = []
+    start = 1
+    for c in classes:
+        ranges.append(list(range(start, start + len(c))))
+        start += len(c)
+    best: CanonicalForm | None = None
+    for perms in itertools.product(
+        *(itertools.permutations(rng) for rng in ranges)
+    ):
+        labeling = {}
+        for cls, new_labels in zip(classes, perms):
+            for old, new in zip(cls, new_labels):
+                labeling[old] = new
+        form = tuple(sorted(tuple(sorted(labeling[v] for v in e)) for e in g.edges))
+        if best is None or form < best:
+            best = form
+    assert best is not None
+    return best
 
 
 def dense_power_iteration(dense, tol=1e-12, max_iter=200000, shift=1.0):

@@ -24,7 +24,6 @@ from hypertree_spectra import (
     loose_path,
     matrix_spectral_radius,
     pendent_edges,
-    rayleigh,
     s_cycle,
     single_edge,
     spectral_radius,
@@ -36,7 +35,7 @@ from hypertree_spectra.transforms import (
     find_pendent_paths,
     total_graft,
 )
-from oracles import dense_power_iteration, orbit_constancy_check, relabel
+from oracles import dense_power_iteration, orbit_constancy_check, rayleigh, relabel
 
 from conftest import CORPUS, SMALL
 

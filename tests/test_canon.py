@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -10,17 +11,25 @@ from hypertree_spectra import (
     canonical_form,
     double_star,
     hyperstar,
-    is_isomorphic,
+    is_supertree,
     loose_path,
     s_cycle,
     single_edge,
     tree_power,
     validate,
 )
-from hypertree_spectra.canon import _brute_force_canonical
 from hypertree_spectra.census import _supertree_shapes
-from hypertree_spectra.errors import NotATree, TooLarge
-from oracles import brute_force_orbits, parents_to_edges, relabel, tree_canonical_code
+from hypertree_spectra.errors import Disconnected, NotATree, TooLarge
+from hypertree_spectra.spectral import _elimination_order
+from hypertree_spectra.tensors import _edge_index
+from oracles import (
+    brute_force_canonical,
+    brute_force_orbits,
+    is_isomorphic,
+    parents_to_edges,
+    relabel,
+    tree_canonical_code,
+)
 
 
 def _random_relabel(g, rnd):
@@ -30,14 +39,21 @@ def _random_relabel(g, rnd):
 
 
 def test_canonical_form_is_a_valid_relabeling(corpus_instance):
+    # the library canonicalizes supertrees only; the brute-force oracle
+    # takes the rest of the corpus
     g = corpus_instance
-    form = canonical_form(g)
+    canon = canonical_form
+    if not is_supertree(g):
+        with pytest.raises(NotATree):
+            canonical_form(g)
+        canon = brute_force_canonical
+    form = canon(g)
     assert len(form) == g.m
     # a relabeling preserves the degree multiset (not the vertex ids)
     h = validate([list(e) for e in form], g.n, k=g.k)
     assert sorted(h.degrees) == sorted(g.degrees)
     # and canonicalization is idempotent
-    assert canonical_form(h) == form
+    assert canon(h) == form
 
 
 @given(st.randoms(use_true_random=False))
@@ -53,8 +69,13 @@ def test_canonical_form_relabeling_invariant(rnd):
     ]
     g = pool[rnd.randrange(len(pool))]
     h = _random_relabel(g, rnd)
-    assert canonical_form(h) == canonical_form(g)
-    assert is_isomorphic(g, h)
+    if is_supertree(g):
+        assert canonical_form(h) == canonical_form(g)
+        assert is_isomorphic(g, h)
+    else:
+        with pytest.raises(NotATree):
+            canonical_form(h)
+        assert brute_force_canonical(h) == brute_force_canonical(g)
 
 
 def test_supertree_and_brute_force_consistent():
@@ -72,18 +93,18 @@ def test_supertree_and_brute_force_consistent():
     for a in pool:
         for b in pool:
             fast = canonical_form(a) == canonical_form(b)
-            brute = _brute_force_canonical(a) == _brute_force_canonical(b)
+            brute = brute_force_canonical(a) == brute_force_canonical(b)
             assert fast == brute
 
 
 def test_brute_force_invariant_under_relabeling():
     rnd = np.random.default_rng(3)
     g = loose_path(7, 3)
-    base = _brute_force_canonical(g)
+    base = brute_force_canonical(g)
     for _ in range(10):
         perm_list = [int(x) for x in rnd.permutation(np.arange(1, 8))]
         h = relabel(g, dict(zip(range(1, 8), perm_list)))
-        assert _brute_force_canonical(h) == base
+        assert brute_force_canonical(h) == base
 
 
 def test_non_isomorphic_same_parameters():
@@ -115,7 +136,7 @@ def test_cyclic_fallback_brute_force():
     rnd = np.random.default_rng(7)
     perm_list = [int(x) for x in rnd.permutation(np.arange(1, g.n + 1))]
     h = relabel(g, dict(zip(range(1, g.n + 1), perm_list)))
-    assert canonical_form(h) == canonical_form(g)
+    assert brute_force_canonical(h) == brute_force_canonical(g)
 
 
 def test_brute_force_cap():
@@ -127,12 +148,14 @@ def test_brute_force_cap():
     g = validate(edges, 18)
     assert g.m * (g.k - 1) != g.n - 1
     with pytest.raises(TooLarge):
-        canonical_form(g)
+        brute_force_canonical(g)
 
 
 def test_empty_hypergraph_form():
-    # m = 0 is unreachable via validate, so exercise the degenerate branch
-    # through a single edge instead
+    # m = 0 is a supertree only on one vertex
+    assert canonical_form(validate([], 1, k=3)) == ()
+    with pytest.raises(NotATree):
+        canonical_form(validate([], 3, k=3))
     assert canonical_form(single_edge(3)) == ((1, 2, 3),)
 
 
@@ -187,6 +210,31 @@ def test_automorphism_orbits_pinned():
     # are automorphic
     assert automorphism_orbits(loose_path(7, 3)) == [{1, 2, 6, 7}, {3, 5}, {4}]
     assert automorphism_orbits(validate([], 1, k=3)) == [{1}]
+
+
+def test_leaf_peeling_decides_supertrees():
+    # every set of three 3-edges on 7 vertices has m (k-1) = n-1, so only
+    # the peeling can reject it; is_supertree's breadth-first search is the
+    # oracle
+    triples = list(itertools.combinations(itertools.combinations(range(1, 8), 3), 3))
+    assert len(triples) == 6545
+    supertrees = 0
+    for edges in triples:
+        g = validate(edges, 7)
+        peels = [
+            lambda: canonical_form(g),
+            lambda: automorphism_orbits(g),
+            lambda: _elimination_order(_edge_index([g]), 7),
+        ]
+        if is_supertree(g):
+            supertrees += 1
+            for peel in peels:
+                peel()
+        else:
+            for peel, error in zip(peels, (NotATree, NotATree, Disconnected)):
+                with pytest.raises(error):
+                    peel()
+    assert supertrees == 735
 
 
 def test_automorphism_orbits_need_a_supertree():

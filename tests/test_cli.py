@@ -10,13 +10,13 @@ from hypertree_spectra import (
     TensorKind,
     format_hypergraph,
     hyperstar,
-    is_isomorphic,
     loose_path,
     parse_hypergraph,
     spectral_radius,
     validate,
 )
 from hypertree_spectra.cli import main
+from oracles import is_isomorphic
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ from hypertree_spectra import (
     double_star,
     hyperstar,
     incidence_matrix,
-    is_isomorphic,
     is_linear,
     is_supertree,
     loose_path,
@@ -15,6 +14,7 @@ from hypertree_spectra import (
     tree_power,
 )
 from hypertree_spectra.errors import BadDimensions, BadOverlap, NotATree
+from oracles import is_isomorphic
 
 
 def test_hyperstar_7_3():

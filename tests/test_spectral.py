@@ -14,7 +14,6 @@ from hypertree_spectra import (
     hyperstar,
     loose_path,
     matrix_spectral_radius,
-    rayleigh,
     s_cycle,
     single_edge,
     spectral_radii,
@@ -34,7 +33,7 @@ from hypertree_spectra.errors import (
 )
 from hypertree_spectra.spectral import _elimination_order, _newton_noda_step, _schedule
 from hypertree_spectra.tensors import _edge_index, _row_offset
-from oracles import dense_power_iteration, orbit_constancy_check, relabel
+from oracles import dense_power_iteration, orbit_constancy_check, rayleigh, relabel
 
 KINDS = list(TensorKind)
 KIND_IDS = [k.value for k in KINDS]
@@ -309,6 +308,15 @@ def test_batch_disconnected_member():
     split = validate([[1, 2, 3], [1, 2, 4], [5, 6, 7]], 7)  # same (n, m, k)
     with pytest.raises(Disconnected):
         spectral_radii(TensorKind.Adjacency, [connected, split, connected])
+    # the leaf peeling alone rejects the cycle
+    with pytest.raises(Disconnected):
+        _elimination_order(_edge_index([connected, split, connected]), 7)
+
+
+def test_supertree_batches_skip_the_connectivity_search(monkeypatch):
+    monkeypatch.setattr(spectral, "is_connected", lambda g: pytest.fail("searched a supertree"))
+    graphs = [loose_path(7, 3), hyperstar(7, 3)]
+    assert len(spectral_radii(TensorKind.Adjacency, graphs)) == 2
 
 
 def test_batch_no_convergence_reports_widest_bracket():

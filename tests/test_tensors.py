@@ -11,14 +11,13 @@ from hypertree_spectra import (
     dense_build,
     enumerate_supertrees,
     hyperstar,
-    rayleigh,
     s_cycle,
     single_edge,
     validate,
 )
 from hypertree_spectra.errors import DimensionMismatch, TooLarge
 from hypertree_spectra.tensors import _edge_index, _linearize
-from oracles import edge_loop_apply, relabel
+from oracles import edge_loop_apply, rayleigh, relabel
 
 KINDS = list(TensorKind)
 

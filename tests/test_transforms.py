@@ -10,7 +10,6 @@ from hypertree_spectra import (
     find_pendent_paths,
     graft_to_path,
     hyperstar,
-    is_isomorphic,
     is_supertree,
     loose_path,
     move_edges,
@@ -34,7 +33,7 @@ from hypertree_spectra.transforms import (
     apply_graft_sequence,
     edges_to_parents,
 )
-from oracles import parents_to_edges, tree_canonical_code
+from oracles import is_isomorphic, parents_to_edges, tree_canonical_code
 
 KINDS = list(TensorKind)
 TOL = 1e-10
