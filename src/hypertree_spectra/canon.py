@@ -48,44 +48,35 @@ def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> tuple[Canoni
             adj[v - 1].append(n + j)
             adj[n + j].append(v - 1)
 
-    # the center: every leaf is a vertex and the tree is bipartite, so
-    # leaf-to-leaf paths have even length and peeling leaves ends at one node
+    # one leaf peel: when a node peels its children have peeled, and its one
+    # neighbour left is its parent.  Every leaf is a vertex and the tree is
+    # bipartite, so leaf-to-leaf paths have even length and the last node
+    # peeled is the one center.  AHU codes come at peel time: a node's code
+    # is its children's codes, sorted.  Siblings in a bipartite tree all
+    # have one type, so the codes need no vertex/edge tag.
     degree = [len(nbrs) for nbrs in adj]
-    leaves = [x for x, d in enumerate(degree) if d <= 1]
-    remaining = len(adj)
-    while remaining > 1:
-        if not leaves:
-            raise NotATree("the edges contain a cycle")
-        remaining -= len(leaves)
-        nxt = []
-        for leaf in leaves:
-            for nb in adj[leaf]:
+    order = [x for x, d in enumerate(degree) if d <= 1]
+    parent = [-1] * len(adj)
+    kids: list[list[int]] = [[] for _ in adj]
+    code: list = [()] * len(adj)
+    for x in order:  # order grows while it is walked
+        kids[x].sort(key=code.__getitem__)
+        code[x] = tuple(code[c] for c in kids[x])
+        for nb in adj[x]:
+            if parent[nb] != x:  # the one neighbour left
+                parent[x] = nb
+                kids[nb].append(x)
                 degree[nb] -= 1
                 if degree[nb] == 1:
-                    nxt.append(nb)
-        leaves = nxt
-    (root,) = leaves
-
-    parent = [-1] * len(adj)
-    order = [root]
-    for x in order:  # breadth-first; order grows while it is walked
-        for nb in adj[x]:
-            if nb != parent[x]:
-                parent[nb] = x
-                order.append(nb)
-    # AHU codes bottom-up: a node's code is its children's codes, sorted.
-    # Siblings in a bipartite tree all have one type, so the codes need no
-    # vertex/edge tag.
-    code: list = [()] * len(adj)
-    kids: list[list[int]] = [[]] * len(adj)
-    for x in reversed(order):
-        kids[x] = sorted((c for c in adj[x] if c != parent[x]), key=code.__getitem__)
-        code[x] = tuple(code[c] for c in kids[x])
+                    order.append(nb)
+    if len(order) < len(adj):
+        raise NotATree("the edges contain a cycle")
+    root = order[-1]
     # automorphisms fix the center, so two nodes share an orbit iff their
     # root paths carry equal codes; key[x] numbers x's path, not its code
     key = [0] * len(adj)
     keys: dict[tuple, int] = {}
-    for x in order[1:]:
+    for x in reversed(order[:-1]):  # parents before children
         key[x] = keys.setdefault((key[parent[x]], code[x]), len(keys) + 1)
     smallest: dict[int, int] = {}
     orbit = [smallest.setdefault(key[v - 1], v) for v in range(1, n + 1)]

@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
     try:
         census = enumerate_supertrees(args.n, args.k, tol=args.tol)
         report = verify_extremal(census)
+    except SOLVE_ERRORS as exc:
+        return _solve_failed(exc)
     except HypertreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

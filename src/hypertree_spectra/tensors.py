@@ -70,19 +70,15 @@ def _row_offset(idx: np.ndarray, n: int) -> np.ndarray:
     return idx + n * np.arange(len(idx))[:, None, None]
 
 
-def _degrees(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """(B, n) vertex degrees from row-offset indices."""
-    return np.bincount(flat.ravel(), minlength=rows * n).reshape(rows, n).astype(float)
-
-
-def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray, deg: np.ndarray) -> np.ndarray:
+def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(T x^{k-1}) for every row of x (B, n) at once.
 
-    flat is the (B, m, k) row-offset index array of the batch and deg its
-    (B, n) degrees.  Each vertex of an edge receives the product of the
-    other k-1 entries (prefix times suffix products, so zeros in x are
-    safe), or for IncidenceQ the edge sum raised to k-1; one bincount adds
-    the contributions up per vertex.
+    flat is the (B, m, k) row-offset index array of the batch.  Each vertex
+    of an edge receives the product of the other k-1 entries (prefix times
+    suffix products, so zeros in x are safe), plus for SignlessLaplacian
+    its own entry to the k-1 (the degree tensor is the sum over edges e and
+    v in e of e_v^{(x)k}), or for IncidenceQ the edge sum raised to k-1;
+    one bincount adds the contributions up per vertex.
     """
     rows, n = x.shape
     k = flat.shape[2]
@@ -95,12 +91,11 @@ def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray, deg: np.ndarray
         part = np.ones_like(vals)
         part[..., 1:] = prefix[..., :-1]
         part[..., :-1] *= suffix[..., 1:]
+        if kind is TensorKind.SignlessLaplacian:
+            part += vals ** (k - 1)
     # float even when flat is empty (an edgeless graph), where bincount gives int
     out = np.bincount(flat.ravel(), weights=part.ravel(), minlength=rows * n)
-    out = out.astype(float, copy=False).reshape(rows, n)
-    if kind is TensorKind.SignlessLaplacian:
-        out += deg * x ** (k - 1)
-    return out
+    return out.astype(float, copy=False).reshape(rows, n)
 
 
 def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> tuple:
@@ -127,8 +122,8 @@ def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> tuple:
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
     """(T x^{k-1}) for the selected tensor, computed from the edge list."""
     x = _check_vector(g, x)
-    flat = _edge_index([g])  # a batch of one needs no row offset
-    return _contract(kind, flat, x[None, :], _degrees(flat, 1, g.n))[0]
+    # a batch of one needs no row offset
+    return _contract(kind, _edge_index([g]), x[None, :])[0]
 
 
 def dense_build(kind: TensorKind, g: Hypergraph, cap: int = DEFAULT_DENSE_CAP) -> DenseTensor:

@@ -203,8 +203,11 @@ class GraftStep:
 
 
 def edges_to_parents(edges: Sequence[tuple[int, int]], n_prime: int) -> list[int]:
-    """Root the tree at node 1 and emit the parent of each node 2..n'."""
+    """Root the tree at node 1 and emit the parent of each node 2..n';
+    NotATree unless the edges form a tree on nodes 1..n'."""
     g = validate(edges, n_prime, k=2)
+    if g.m != n_prime - 1:  # with n'-1 edges, connected means acyclic
+        raise NotATree(f"{g.m} edges on {n_prime} nodes cannot form a tree")
     parent = {1: 0}
     stack = [1]
     while stack:

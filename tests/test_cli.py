@@ -15,7 +15,9 @@ from hypertree_spectra import (
     spectral_radius,
     validate,
 )
+from hypertree_spectra import census
 from hypertree_spectra.cli import main
+from hypertree_spectra.errors import NoConvergence
 from oracles import is_isomorphic
 
 
@@ -458,6 +460,18 @@ def test_verify_small_m_records_skip(capsys):
     code, out, _ = run(capsys, "verify", "--n", "5", "--k", "3")
     assert code == 0
     assert "SKIP" in out
+
+
+def test_verify_no_convergence_prints_bracket(capsys, monkeypatch):
+    # a real census solve needs 10**6 power steps to run out of its budget
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("no convergence", lower=1.0, upper=2.0, iterations=7)
+
+    monkeypatch.setattr(census, "spectral_radii", no_convergence)
+    code, out, err = run(capsys, "verify", "--n", "9", "--k", "3")
+    assert code == 4
+    assert out == ""
+    assert "bracket=[1.0, 2.0]" in err
 
 
 def test_verify_bad_dimensions(capsys):

@@ -100,6 +100,26 @@ def test_batch_matches_single_solves_on_census(kind):
     assert max(row.iterations for row in batch) <= 30
 
 
+def test_batch_mixing_newton_and_power_rows_matches_single_solves(monkeypatch):
+    """With a patience of one step, four rows leave Newton-Noda within the
+    first steps and finish with hundreds of power steps, while the others
+    close their brackets on Newton-Noda steps; each row still runs exactly
+    its single iteration."""
+    monkeypatch.setattr(spectral, "NEWTON_PATIENCE", 1)
+    rng = np.random.default_rng(3)
+    trees = [[int(rng.integers(1, i + 2)) for i in range(60)] for _ in range(40)]
+    graphs = [tree_power(parents, 3) for parents in trees]
+    kind = TensorKind.IncidenceQ
+    batch = spectral_radii(kind, graphs)
+    for g, row in zip(graphs, batch):
+        single = spectral_radius(kind, g)
+        assert (row.iterations, row.lower, row.upper) == (
+            single.iterations, single.lower, single.upper
+        )
+    iterations = sorted(row.iterations for row in batch)
+    assert iterations[-5] < 20 and iterations[-4] > 200
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_steps_on_long_path(kind):
     # power iteration needs O(m^2) steps here (5960 for adj, 9890 for q,

@@ -428,6 +428,8 @@ def test_graft_chains_are_pinned(parents, steps, chain):
 def test_edges_to_parents_rejects_non_tree():
     with pytest.raises(NotATree):
         edges_to_parents([(1, 2), (3, 4)], 4)
+    with pytest.raises(NotATree):  # connected, but a cycle leaves node 3 one parent
+        edges_to_parents([(1, 2), (2, 3), (1, 3)], 3)
 
 
 def test_single_edge_has_no_graftable_paths():
