@@ -1,10 +1,9 @@
-"""Canonical forms and vertex automorphism orbits of supertrees.
+"""Canonical forms of supertrees.
 
 A supertree's bipartite vertex/edge incidence graph is a tree, so a
 rooted-tree canonical code (computed at the tree center) yields an exact
-canonical labeling, and the same pass yields the vertex automorphism
-orbits.  The leaf peeling that finds the center is also the supertree
-test: any other hypergraph raises NotATree.
+canonical labeling.  The leaf peeling that finds the center is also the
+supertree test: any other hypergraph raises NotATree.
 
 A canonical form is the relabeled edge list: a sorted tuple of sorted
 vertex tuples.  Two supertrees are isomorphic iff their canonical forms
@@ -23,21 +22,32 @@ CanonicalForm = tuple[tuple[int, ...], ...]
 
 def canonical_form(g: Hypergraph) -> CanonicalForm:
     """Canonical form of a supertree; NotATree for any other hypergraph."""
-    return _supertree_canonical(g.edges, g.n)[0]
+    return _supertree_canonical(g.edges, g.n)
 
 
-def automorphism_orbits(g: Hypergraph) -> list[set[int]]:
-    """Vertex orbits of the automorphism group of a supertree, in order of
-    their smallest vertex; NotATree for any other hypergraph."""
-    orbit = _supertree_canonical(g.edges, g.n)[1]
-    return [{v for v, o in enumerate(orbit, 1) if o == rep} for rep in sorted(set(orbit))]
+def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> CanonicalForm:
+    """Canonical form of the supertree on vertices 1..n with these edges;
+    NotATree unless the edges form a supertree."""
+    order, _, kids, _ = _center_peel(edges, n)
+    # label vertices in pre-order, smallest child code first (equal codes
+    # are automorphic subtrees, so their order is immaterial)
+    label = [0] * (n + 1)
+    nxt_label = 1
+    stack = [order[-1]]
+    while stack:
+        x = stack.pop()
+        if x < n:
+            label[x + 1] = nxt_label
+            nxt_label += 1
+        stack.extend(reversed(kids[x]))
+    return tuple(sorted(tuple(sorted(label[v] for v in e)) for e in edges))
 
 
-def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> tuple[CanonicalForm, list[int]]:
-    """Canonical form of the supertree on vertices 1..n with these edges,
-    and its vertex orbits: orbit[v-1] is the smallest vertex that an
-    automorphism maps v to.  Incidence-tree nodes are ints: vertex v is
-    v-1, edge j is n+j.  NotATree unless the edges form a supertree."""
+def _center_peel(edges: Sequence[Sequence[int]], n: int) -> tuple[list, list, list, list]:
+    """Leaf peel of the incidence tree, whose nodes are ints (vertex v is
+    v-1, edge j is n+j): the peel order, center last, and each node's
+    parent, children sorted by code, and AHU code.  NotATree unless the
+    edges form a supertree."""
     # with sum(|e| - 1) = n - 1 the incidence graph has one link fewer than
     # nodes, so it is a tree iff it has no cycle, iff peeling removes it all
     if sum(len(e) - 1 for e in edges) != n - 1:
@@ -71,24 +81,4 @@ def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> tuple[Canoni
                     order.append(nb)
     if len(order) < len(adj):
         raise NotATree("the edges contain a cycle")
-    root = order[-1]
-    # automorphisms fix the center, so two nodes share an orbit iff their
-    # root paths carry equal codes; key[x] numbers x's path, not its code
-    key = [0] * len(adj)
-    keys: dict[tuple, int] = {}
-    for x in reversed(order[:-1]):  # parents before children
-        key[x] = keys.setdefault((key[parent[x]], code[x]), len(keys) + 1)
-    smallest: dict[int, int] = {}
-    orbit = [smallest.setdefault(key[v - 1], v) for v in range(1, n + 1)]
-    # label vertices in pre-order, smallest child code first (equal codes
-    # are automorphic subtrees, so their order is immaterial)
-    label = [0] * (n + 1)
-    nxt_label = 1
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        if x < n:
-            label[x + 1] = nxt_label
-            nxt_label += 1
-        stack.extend(reversed(kids[x]))
-    return tuple(sorted(tuple(sorted(label[v] for v in e)) for e in edges)), orbit
+    return order, parent, kids, code

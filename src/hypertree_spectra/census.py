@@ -1,20 +1,20 @@
 """Exhaustive enumeration of small supertrees up to isomorphism, and
 verification of the extremal theorems over the census.
 
-Supertrees are generated by growing a pendent edge at a time: every
-supertree with m >= 2 edges has a pendent edge whose removal leaves a
-smaller supertree, so attaching a fresh edge sharing exactly one vertex
-reaches every isomorphism class, and automorphic vertices give isomorphic
-children, so one vertex per orbit suffices.  Deduplication is by canonical form.
-Free trees on n' nodes are the k=2 census with n'-1 edges.
+A supertree's incidence tree has exactly one center, and rooted there it
+is built once from smaller rooted pieces, so the census is isomorph-free
+by construction: no candidate is canonicalized and no set of forms is
+kept.  Free trees on n' nodes are the k=2 census with n'-1 edges.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, combinations_with_replacement, groupby, product
+from typing import Iterator
 
-from .canon import CanonicalForm, _supertree_canonical, canonical_form
+from .canon import canonical_form
 from .errors import BadDimensions, IncompleteCensus, TooLarge
 from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
@@ -105,20 +105,67 @@ def enumerate_trees(n_prime: int) -> list[list[int]]:
 
 
 def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
-    """All k-uniform supertrees with m edges, one per isomorphism class,
-    each labeled by its own canonical form, in order of the form.  Growth
-    hangs a fresh edge at the smallest vertex of each orbit of each kept
-    canonical edge list; only the kept shapes are validated."""
-    level: set[CanonicalForm] = {(tuple(range(1, k + 1)),)}
-    for size in range(1, m):
-        n = size * (k - 1) + 1
-        fresh = tuple(range(n + 1, n + k))
-        level = {
-            _supertree_canonical(form + ((v, *fresh),), n + k - 1)[0]
-            for form in level
-            for v in set(_supertree_canonical(form, n)[1])
-        }
-    return [validate(form, m * (k - 1) + 1, k=k) for form in sorted(level)]
+    """All k-uniform supertrees with m >= 1 edges, one per isomorphism
+    class, each labeled by its own canonical form, in order of the form.
+    Each is built once, rooted at its incidence tree's one center (Otter
+    1948; Wright, Richmond, Odlyzko & McKay 1986): a vertex with two or
+    more edge branches, or an edge with k vertex subtrees, whose two
+    deepest children are equally deep.  Children are ordered by AHU code
+    and vertices numbered in pre-order, as in canon; only the output is
+    validated."""
+    # pieces by edge count: (code, depth), the code as in canon and the
+    # depth in edges.  A vertex subtree is a multiset of edge branches, an
+    # edge branch one of k-1 vertex subtrees.  A piece of s edges and depth
+    # d has a rival as deep beside it at the center, so needs s + d <= m
+    below: list[list[tuple]] = [[((), 0)]]  # vertex subtrees
+    branches: list[list[tuple]] = [[]]  # edge branches
+    for s in range(1, m):
+        kids = _multisets(below, s - 1, k - 1)
+        branches.append([(c, d[-1] + 1) for c, d in kids if s + d[-1] < m])
+        below.append([(c, d[-1]) for c, d in _multisets(branches, s) if s + d[-1] <= m])
+    vertex_centers = (([1], c, d) for c, d in _multisets(branches, m) if len(c) > 1)
+    edge_centers = (([], (c,), d) for c, d in _multisets(below, m - 1, k))
+    shapes = []
+    for top, code, depths in chain(vertex_centers, edge_centers):
+        if depths[-1] == depths[-2]:
+            edges: list[tuple[int, ...]] = []
+            _label(code, top, len(top) + 1, edges)
+            shapes.append(validate(edges, m * (k - 1) + 1, k=k))
+    return sorted(shapes, key=lambda g: g.edges)
+
+
+def _multisets(table: list[list[tuple]], total: int, count: int | None = None) -> Iterator[tuple]:
+    """Each multiset of table pieces whose sizes (table indices) sum to
+    total, once, as its sorted codes and sorted depths: of exactly count
+    pieces, the rest of size 0, or of any number if count is None."""
+    for parts in _partitions(total, total if count is None else count, len(table) - 1):
+        parts += (0,) * ((count or 0) - len(parts))
+        runs = [(p, len(list(run))) for p, run in groupby(parts)]
+        for pick in product(*(combinations_with_replacement(table[p], c) for p, c in runs)):
+            pieces = sorted(sum(pick, ()))
+            yield tuple(c for c, _ in pieces), sorted(d for _, d in pieces)
+
+
+def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing tuples of at most `most` parts in 1..largest summing to total."""
+    if total == 0:
+        yield ()
+    for p in range(min(total, largest), 0, -1) if most else ():
+        for rest in _partitions(total - p, most - 1, p):
+            yield (p, *rest)
+
+
+def _label(branches: tuple, top: list[int], nxt: int, edges: list) -> int:
+    """Append the edge of each edge branch (by code) -- the vertices in top
+    and its children -- and the edges below it, numbering vertices in
+    pre-order from nxt; return the next free number."""
+    for branch in branches:
+        edge = list(top)
+        for child in branch:
+            edge.append(nxt)
+            nxt = _label(child, [nxt], nxt + 1, edges)
+        edges.append(tuple(edge))
+    return nxt
 
 
 def _is_tree_power(g: Hypergraph) -> bool:

@@ -14,7 +14,7 @@ from hypertree_spectra import (
     is_supertree,
     validate,
 )
-from hypertree_spectra.canon import CanonicalForm
+from hypertree_spectra.canon import CanonicalForm, _center_peel, _supertree_canonical
 from hypertree_spectra.errors import BadDimensions, TooLarge
 
 _BRUTE_FORCE_CAP = 2_000_000  # permutations examined by brute_force_canonical
@@ -62,6 +62,45 @@ def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     if sorted(a.degrees) != sorted(b.degrees):
         return False
     return canonical_form(a) == canonical_form(b)
+
+
+def supertree_orbits(edges, n: int) -> list[int]:
+    """orbit[v-1] is the smallest vertex that an automorphism of the
+    supertree maps v to.  Automorphisms fix the center, so two nodes share
+    an orbit iff their paths from the center carry equal codes, level by
+    level.  NotATree unless the edges form a supertree."""
+    order, parent, _, code = _center_peel(edges, n)
+    key = [0] * len(order)  # key[x] numbers x's path from the center
+    keys: dict[tuple, int] = {}
+    for x in reversed(order[:-1]):  # parents before children
+        key[x] = keys.setdefault((key[parent[x]], code[x]), len(keys) + 1)
+    smallest: dict[int, int] = {}
+    return [smallest.setdefault(key[v - 1], v) for v in range(1, n + 1)]
+
+
+def automorphism_orbits(g) -> list[set[int]]:
+    """Vertex orbits of the automorphism group of a supertree, in order of
+    their smallest vertex; NotATree for any other hypergraph."""
+    orbit = supertree_orbits(g.edges, g.n)
+    return [{v for v, o in enumerate(orbit, 1) if o == rep} for rep in sorted(set(orbit))]
+
+
+def grow_and_dedup(m: int, k: int) -> list[CanonicalForm]:
+    """Reference census, sorted: grow a pendent edge at the smallest vertex
+    of each orbit of each kept form, and keep the set of canonical forms.
+    Every supertree with m >= 2 edges has a pendent edge whose removal
+    leaves a smaller one, and automorphic vertices give isomorphic
+    children, so this reaches every class."""
+    level: set[CanonicalForm] = {(tuple(range(1, k + 1)),)}
+    for size in range(1, m):
+        n = size * (k - 1) + 1
+        fresh = tuple(range(n + 1, n + k))
+        level = {
+            _supertree_canonical(form + ((v, *fresh),), n + k - 1)
+            for form in level
+            for v in set(supertree_orbits(form, n))
+        }
+    return sorted(level)
 
 
 def brute_force_canonical(g: Hypergraph) -> CanonicalForm:

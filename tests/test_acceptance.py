@@ -11,7 +11,6 @@ from hypertree_spectra import (
     TensorKind,
     alpha_star,
     apply,
-    automorphism_orbits,
     bounds_report,
     canonical_form,
     closed_form_hyperstar,
@@ -35,7 +34,13 @@ from hypertree_spectra.transforms import (
     find_pendent_paths,
     total_graft,
 )
-from oracles import dense_power_iteration, orbit_constancy_check, rayleigh, relabel
+from oracles import (
+    automorphism_orbits,
+    dense_power_iteration,
+    orbit_constancy_check,
+    rayleigh,
+    relabel,
+)
 
 from conftest import CORPUS, SMALL
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree_spectra import (
-    automorphism_orbits,
     canonical_form,
     double_star,
     hyperstar,
@@ -23,6 +22,7 @@ from hypertree_spectra.errors import Disconnected, NotATree, TooLarge
 from hypertree_spectra.spectral import _elimination_order
 from hypertree_spectra.tensors import _edge_index
 from oracles import (
+    automorphism_orbits,
     brute_force_canonical,
     brute_force_orbits,
     is_isomorphic,

@@ -20,12 +20,21 @@ from hypertree_spectra import (
 )
 from hypertree_spectra.census import Census, _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
-from oracles import brute_force_supertrees, parents_to_edges, tree_canonical_code
+from oracles import (
+    brute_force_supertrees,
+    grow_and_dedup,
+    parents_to_edges,
+    tree_canonical_code,
+)
 
 KINDS = list(TensorKind)
 
 # number of free trees on 2..10 nodes
 FREE_TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# and on up to 14 nodes, beyond enumerate_trees' cap
+FREE_TREES_UP_TO_14 = {**FREE_TREE_COUNTS, 11: 235, 12: 551, 13: 1301, 14: 3159}
+# number of 3-uniform supertrees with 1..10 edges
+SUPERTREE_COUNTS_K3 = [1, 1, 2, 4, 8, 19, 48, 126, 355, 1037]
 
 
 def _prufer_decode(seq, n_prime):
@@ -119,7 +128,7 @@ def test_census_completeness_against_brute_force(n, k):
 
 def test_census_sizes_frozen():
     # frozen from the exhaustive filtration oracle at small sizes and the
-    # growth generator beyond
+    # grow-and-dedup oracle beyond
     sizes_k3 = {3: 1, 5: 1, 7: 2, 9: 4, 11: 8, 13: 19}
     for n, size in sizes_k3.items():
         assert len(enumerate_supertrees(n, 3).records) == size
@@ -155,6 +164,44 @@ def test_census_forms_are_pinned(k, top):
         forms = [[list(e) for e in g.edges] for g in _supertree_shapes(m, k)]
         digest.update(json.dumps(forms).encode())
     assert digest.hexdigest() == PINNED_FORMS[k, top]
+
+
+@pytest.mark.parametrize("k,top", [(2, 10), (3, 9), (4, 7), (5, 5)])
+def test_generator_matches_grow_and_dedup(k, top):
+    for m in range(1, top + 1):
+        assert [g.edges for g in _supertree_shapes(m, k)] == grow_and_dedup(m, k)
+
+
+def test_growth_calls_no_canonical_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("growth called a canonical form")
+
+    for target in [
+        "hypertree_spectra.canon.canonical_form",
+        "hypertree_spectra.canon._supertree_canonical",
+        "hypertree_spectra.canon._center_peel",
+        "hypertree_spectra.census.canonical_form",
+    ]:
+        monkeypatch.setattr(target, refuse)
+    assert len(_supertree_shapes(8, 3)) == 126
+    assert len(_supertree_shapes(7, 4)) == 56
+
+
+@pytest.mark.parametrize(
+    "k,counts",
+    [
+        (2, [FREE_TREES_UP_TO_14[m + 1] for m in range(1, 14)]),
+        (3, SUPERTREE_COUNTS_K3),
+    ],
+)
+def test_census_counts_beyond_the_oracle(k, counts):
+    # k=2 with m edges is the free trees on m+1 nodes
+    for m, count in enumerate(counts, 1):
+        shapes = _supertree_shapes(m, k)
+        assert len(shapes) == count
+        assert len({g.edges for g in shapes}) == count
+        for g in shapes:
+            assert canonical_form(g) == g.edges
 
 
 def test_census_flags():

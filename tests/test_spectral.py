@@ -5,7 +5,6 @@ from hypertree_spectra import (
     TensorKind,
     alpha_star,
     apply,
-    automorphism_orbits,
     bounds_report,
     closed_form_hyperstar,
     dense_build,
@@ -33,7 +32,13 @@ from hypertree_spectra.errors import (
 )
 from hypertree_spectra.spectral import _elimination_order, _newton_noda_step, _schedule
 from hypertree_spectra.tensors import _edge_index, _row_offset
-from oracles import dense_power_iteration, orbit_constancy_check, rayleigh, relabel
+from oracles import (
+    automorphism_orbits,
+    dense_power_iteration,
+    orbit_constancy_check,
+    rayleigh,
+    relabel,
+)
 
 KINDS = list(TensorKind)
 KIND_IDS = [k.value for k in KINDS]
