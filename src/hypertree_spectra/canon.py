@@ -2,8 +2,9 @@
 
 A supertree's bipartite vertex/edge incidence graph is a tree, so a
 rooted-tree canonical code (computed at the tree center) yields an exact
-canonical labeling.  The leaf peeling that finds the center is also the
-supertree test: any other hypergraph raises NotATree.
+canonical labeling, ``_label``, which also numbers the census shapes.  The
+leaf peeling that finds the center is also the supertree test: any other
+hypergraph raises NotATree.
 
 A canonical form is the relabeled edge list: a sorted tuple of sorted
 vertex tuples.  Two supertrees are isomorphic iff their canonical forms
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import NotATree
+from .errors import NotATree, TooLarge
 from .hypergraph import Hypergraph
 
 CanonicalForm = tuple[tuple[int, ...], ...]
@@ -27,27 +28,38 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
 
 def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> CanonicalForm:
     """Canonical form of the supertree on vertices 1..n with these edges;
-    NotATree unless the edges form a supertree."""
-    order, _, kids, _ = _center_peel(edges, n)
-    # label vertices in pre-order, smallest child code first (equal codes
-    # are automorphic subtrees, so their order is immaterial)
-    label = [0] * (n + 1)
-    nxt_label = 1
-    stack = [order[-1]]
-    while stack:
-        x = stack.pop()
-        if x < n:
-            label[x + 1] = nxt_label
-            nxt_label += 1
-        stack.extend(reversed(kids[x]))
-    return tuple(sorted(tuple(sorted(label[v] for v in e)) for e in edges))
+    NotATree unless the edges form a supertree, TooLarge when its codes
+    nest too deep to compare."""
+    try:
+        order, _, code = _center_peel(edges, n)
+        c = order[-1]
+        form: list[tuple[int, ...]] = []
+        if c < n:
+            _label(code[c], [1], 2, form)
+        else:
+            _label((code[c],), [], 1, form)
+    except RecursionError:
+        raise TooLarge(f"{len(edges)} edges nest too deep for a canonical form") from None
+    return tuple(sorted(form))
 
 
-def _center_peel(edges: Sequence[Sequence[int]], n: int) -> tuple[list, list, list, list]:
+def _label(branches: tuple, top: list[int], nxt: int, edges: list) -> int:
+    """Append the edge of each edge branch (by code) -- the vertices in top
+    and its children -- and the edges below it, numbering vertices in
+    pre-order from nxt; return the next free number."""
+    for branch in branches:
+        edge = list(top)
+        for child in branch:
+            edge.append(nxt)
+            nxt = _label(child, [nxt], nxt + 1, edges)
+        edges.append(tuple(edge))
+    return nxt
+
+
+def _center_peel(edges: Sequence[Sequence[int]], n: int) -> tuple[list, list, list]:
     """Leaf peel of the incidence tree, whose nodes are ints (vertex v is
     v-1, edge j is n+j): the peel order, center last, and each node's
-    parent, children sorted by code, and AHU code.  NotATree unless the
-    edges form a supertree."""
+    parent and AHU code.  NotATree unless the edges form a supertree."""
     # with sum(|e| - 1) = n - 1 the incidence graph has one link fewer than
     # nodes, so it is a tree iff it has no cycle, iff peeling removes it all
     if sum(len(e) - 1 for e in edges) != n - 1:
@@ -67,18 +79,16 @@ def _center_peel(edges: Sequence[Sequence[int]], n: int) -> tuple[list, list, li
     degree = [len(nbrs) for nbrs in adj]
     order = [x for x, d in enumerate(degree) if d <= 1]
     parent = [-1] * len(adj)
-    kids: list[list[int]] = [[] for _ in adj]
-    code: list = [()] * len(adj)
+    code: list = [[] for _ in adj]  # children's codes until the node peels
     for x in order:  # order grows while it is walked
-        kids[x].sort(key=code.__getitem__)
-        code[x] = tuple(code[c] for c in kids[x])
+        code[x] = tuple(sorted(code[x]))
         for nb in adj[x]:
             if parent[nb] != x:  # the one neighbour left
                 parent[x] = nb
-                kids[nb].append(x)
+                code[nb].append(code[x])
                 degree[nb] -= 1
                 if degree[nb] == 1:
                     order.append(nb)
     if len(order) < len(adj):
         raise NotATree("the edges contain a cycle")
-    return order, parent, kids, code
+    return order, parent, code

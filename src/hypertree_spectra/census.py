@@ -3,8 +3,9 @@ verification of the extremal theorems over the census.
 
 A supertree's incidence tree has exactly one center, and rooted there it
 is built once from smaller rooted pieces, so the census is isomorph-free
-by construction: no candidate is canonicalized and no set of forms is
-kept.  Free trees on n' nodes are the k=2 census with n'-1 edges.
+by construction: no candidate is canonicalized, no set of forms is kept,
+and canon's labeler numbers each shape.  Free trees on n' nodes are the
+k=2 census with n'-1 edges.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Iterator
 
-from .canon import canonical_form
+from .canon import _label, canonical_form
 from .errors import BadDimensions, IncompleteCensus, TooLarge
 from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
@@ -111,8 +112,8 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     1948; Wright, Richmond, Odlyzko & McKay 1986): a vertex with two or
     more edge branches, or an edge with k vertex subtrees, whose two
     deepest children are equally deep.  Children are ordered by AHU code
-    and vertices numbered in pre-order, as in canon; only the output is
-    validated."""
+    and vertices numbered in pre-order, through ``canon._label``; only the
+    output is validated."""
     # pieces by edge count: (code, depth), the code as in canon and the
     # depth in edges.  A vertex subtree is a multiset of edge branches, an
     # edge branch one of k-1 vertex subtrees.  A piece of s edges and depth
@@ -153,19 +154,6 @@ def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]
     for p in range(min(total, largest), 0, -1) if most else ():
         for rest in _partitions(total - p, most - 1, p):
             yield (p, *rest)
-
-
-def _label(branches: tuple, top: list[int], nxt: int, edges: list) -> int:
-    """Append the edge of each edge branch (by code) -- the vertices in top
-    and its children -- and the edges below it, numbering vertices in
-    pre-order from nxt; return the next free number."""
-    for branch in branches:
-        edge = list(top)
-        for child in branch:
-            edge.append(nxt)
-            nxt = _label(child, [nxt], nxt + 1, edges)
-        edges.append(tuple(edge))
-    return nxt
 
 
 def _is_tree_power(g: Hypergraph) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BadDimensions, BadOverlap, NotATree
-from .hypergraph import Hypergraph, validate
+from .hypergraph import Hypergraph, is_connected, validate
 
 
 def hyperstar(n: int, k: int) -> Hypergraph:
@@ -53,30 +53,18 @@ def tree_power(parents: Sequence[int], k: int) -> Hypergraph:
     if n_prime < 2:
         raise NotATree("tree must have at least 2 nodes")
     for i, p in enumerate(parents):
-        if not (1 <= p <= n_prime) or p == i + 2:
+        # a 2-cycle is the one way to repeat an edge at k=2
+        if not (1 <= p <= n_prime) or p == i + 2 or (p > 1 and parents[p - 2] == i + 2):
             raise NotATree(f"bad parent {p} for node {i + 2}")
-    # parent arrays of this shape are cycle-free iff every node reaches
-    # the root; check reachability
-    if not _parents_form_tree(parents):
-        raise NotATree("parent array contains a cycle or unreachable node")
     edges = []
     for i, p in enumerate(parents):
         pad = n_prime + 1 + i * (k - 2)
         edges.append([p, i + 2, *range(pad, pad + k - 2)])
-    return validate(edges, n_prime + len(parents) * (k - 2), k=k)
-
-
-def _parents_form_tree(parents: Sequence[int]) -> bool:
-    n_prime = len(parents) + 1
-    for node in range(2, n_prime + 1):
-        seen = set()
-        cur = node
-        while cur != 1:
-            if cur in seen or not (2 <= cur <= n_prime):
-                return False
-            seen.add(cur)
-            cur = parents[cur - 2]
-    return True
+    g = validate(edges, n_prime + len(parents) * (k - 2), k=k)
+    # with n'-1 edges, connected means acyclic
+    if not is_connected(g):
+        raise NotATree("parent array contains a cycle or unreachable node")
+    return g
 
 
 def s_path(m: int, s: int, k: int) -> Hypergraph:

@@ -9,6 +9,7 @@ indices into ``edges``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,19 +91,25 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
     )
 
 
-def is_connected(g: Hypergraph) -> bool:
-    """True iff every pair of vertices is joined by an alternating
-    vertex/edge path."""
-    seen = {1}
+def _reach(g: Hypergraph) -> dict[int, int]:
+    """Depth-first walk from vertex 1 along alternating vertex/edge paths:
+    each reached vertex's parent, 0 for vertex 1."""
+    parent = {1: 0}
     stack = [1]
     while stack:
         v = stack.pop()
         for j in g.incident_edges(v):
             for w in g.edges[j]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in parent:
+                    parent[w] = v
                     stack.append(w)
-    return len(seen) == g.n
+    return parent
+
+
+def is_connected(g: Hypergraph) -> bool:
+    """True iff every pair of vertices is joined by an alternating
+    vertex/edge path."""
+    return len(_reach(g)) == g.n
 
 
 def is_supertree(g: Hypergraph) -> bool:
@@ -112,13 +119,10 @@ def is_supertree(g: Hypergraph) -> bool:
 
 
 def is_linear(g: Hypergraph) -> bool:
-    """True iff every pair of distinct edges shares at most one vertex."""
-    for i in range(g.m):
-        ei = set(g.edges[i])
-        for j in range(i + 1, g.m):
-            if len(ei.intersection(g.edges[j])) > 1:
-                return False
-    return True
+    """True iff every pair of distinct edges shares at most one vertex,
+    i.e. no vertex pair lies in two edges."""
+    pairs = [pair for e in g.edges for pair in combinations(e, 2)]
+    return len(pairs) == len(set(pairs))
 
 
 def incidence_matrix(g: Hypergraph) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     PendentEdge,
 )
 from .families import tree_power
-from .hypergraph import Hypergraph, is_linear, pendent_edges, validate
+from .hypergraph import Hypergraph, _reach, is_linear, pendent_edges, validate
 from .spectral import DEFAULT_TOL, spectral_radius
 from .tensors import TensorKind
 
@@ -208,15 +208,7 @@ def edges_to_parents(edges: Sequence[tuple[int, int]], n_prime: int) -> list[int
     g = validate(edges, n_prime, k=2)
     if g.m != n_prime - 1:  # with n'-1 edges, connected means acyclic
         raise NotATree(f"{g.m} edges on {n_prime} nodes cannot form a tree")
-    parent = {1: 0}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for j in g.incident_edges(u):
-            for w in g.edges[j]:
-                if w not in parent:
-                    parent[w] = u
-                    stack.append(w)
+    parent = _reach(g)
     if len(parent) != n_prime:
         raise NotATree("edge list is not a connected tree")
     return [parent[i] for i in range(2, n_prime + 1)]
@@ -235,7 +227,7 @@ def graft_to_path(parents: Sequence[int]) -> list[GraftStep]:
         heavy = [u for u in range(1, g.n + 1) if g.degree(u) >= 3]
         if not heavy:
             return steps
-        parent = [0, 0] + edges_to_parents(g.edges, g.n)
+        parent = _reach(g)
 
         def depth(x: int) -> int:
             d = 0

@@ -69,7 +69,7 @@ def supertree_orbits(edges, n: int) -> list[int]:
     supertree maps v to.  Automorphisms fix the center, so two nodes share
     an orbit iff their paths from the center carry equal codes, level by
     level.  NotATree unless the edges form a supertree."""
-    order, parent, _, code = _center_peel(edges, n)
+    order, parent, code = _center_peel(edges, n)
     key = [0] * len(order)  # key[x] numbers x's path from the center
     keys: dict[tuple, int] = {}
     for x in reversed(order[:-1]):  # parents before children
@@ -226,6 +226,23 @@ def has_berge_cycle(g) -> bool:
                 visited.add(nb)
                 stack.append((nb, cur))
     return False
+
+
+def union_find_connected(g) -> bool:
+    """Connectivity by union-find over each edge's vertices; oracle for
+    the depth-first walk behind is_connected."""
+    root = list(range(g.n + 1))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for e in g.edges:
+        for v in e[1:]:
+            root[find(v)] = find(e[0])
+    return len({find(v) for v in range(1, g.n + 1)}) == 1
 
 
 def edge_loop_apply(kind, g, x):

@@ -242,3 +242,14 @@ def test_automorphism_orbits_need_a_supertree():
         automorphism_orbits(s_cycle(4, 1, 3))
     with pytest.raises(NotATree):
         automorphism_orbits(validate([[1, 2, 3], [4, 5, 6]], 6))
+
+
+def test_canonical_form_of_a_too_deep_tree_is_too_large():
+    # nested AHU codes past the recursion limit raise a typed error
+    with pytest.raises(TooLarge, match="1500 edges"):
+        canonical_form(loose_path(3001, 3))
+
+
+def test_canonical_form_of_a_deep_path_is_relabeling_invariant():
+    g = loose_path(601, 3)
+    assert canonical_form(_random_relabel(g, random.Random(0))) == canonical_form(g)

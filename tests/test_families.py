@@ -101,8 +101,11 @@ def test_tree_power_vertex_count():
 
 
 def test_tree_power_rejects_cycle():
-    with pytest.raises(NotATree):
-        tree_power([3, 4, 2], 3)  # 2->3->2 cycle, unreachable from root
+    # cycles unreachable from the root; at k=2 the 2-cycle [3, 2] repeats
+    # an edge, which must still read as NotATree
+    for parents, k in [([3, 4, 2], 3), ([3, 4, 2], 2), ([3, 2], 2), ([3, 2], 3)]:
+        with pytest.raises(NotATree):
+            tree_power(parents, k)
 
 
 def test_s_path_is_loose_path_at_s1():

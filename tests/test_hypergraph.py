@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from hypertree_spectra.errors import (
     RepeatedVertexInEdge,
     VertexOutOfRange,
 )
-from oracles import has_berge_cycle
+from oracles import has_berge_cycle, union_find_connected
 
 
 def test_validate_basic():
@@ -189,6 +191,20 @@ def test_counting_criterion_matches_cycle_search(g):
     # for connected g: acyclic (no Berge cycle) iff m*(k-1) == n-1
     if is_connected(g):
         assert is_supertree(g) == (not has_berge_cycle(g))
+
+
+@given(random_hypergraphs())
+@settings(max_examples=60, deadline=None)
+def test_is_linear_matches_pairwise_definition(g):
+    # linear: no two edges share two or more vertices
+    pairwise = all(len(set(a) & set(b)) < 2 for a, b in itertools.combinations(g.edges, 2))
+    assert is_linear(g) == pairwise
+
+
+@given(random_hypergraphs())
+@settings(max_examples=60, deadline=None)
+def test_is_connected_matches_union_find(g):
+    assert is_connected(g) == union_find_connected(g)
 
 
 def test_cycle_search_on_corpus(corpus_instance):
