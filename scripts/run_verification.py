@@ -6,6 +6,11 @@ Usage:
     python scripts/run_verification.py                 # default sweep
     python scripts/run_verification.py --k 3 --max-m 6
     python scripts/run_verification.py --export-dir out/
+
+Exit codes: 0 every verification passed; 1 some verification failed;
+otherwise those of the hypertree-spectra command (hypertree_spectra.cli):
+2 bad parameter or unwritable export, 3 disconnected input, 4 no
+convergence.
 """
 
 import argparse
@@ -21,6 +26,7 @@ from hypertree_spectra import (  # noqa: E402
     enumerate_supertrees,
     verify_extremal,
 )
+from hypertree_spectra.cli import REPORTED, report_error  # noqa: E402
 from hypertree_spectra.spectral import DEFAULT_TOL  # noqa: E402
 
 
@@ -94,13 +100,16 @@ def main(argv=None):
 
     ks = [args.k] if args.k is not None else [3, 4]
     all_passed = True
-    for k in ks:
-        for m in range(1, args.max_m + 1):
-            n = m * (k - 1) + 1
-            census, passed = run_census(n, k, args.tol, args.export_dir, args.max_m)
-            all_passed &= passed
-            if args.bounds:
-                print_bounds_table(census)
+    try:
+        for k in ks:
+            for m in range(1, args.max_m + 1):
+                n = m * (k - 1) + 1
+                census, passed = run_census(n, k, args.tol, args.export_dir, args.max_m)
+                all_passed &= passed
+                if args.bounds:
+                    print_bounds_table(census)
+    except REPORTED as exc:
+        return report_error(exc)
     print("\nall verifications passed" if all_passed else "\nFAILURES present")
     return 0 if all_passed else 1
 

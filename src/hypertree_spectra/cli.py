@@ -1,8 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success; 2 parse/parameter error; 3 disconnected input;
-4 no convergence (bracket still printed); 5 transform precondition
-violated; 6 a theorem assertion failed during verify.
+Exit codes, from the table EXIT_CODES (6 is returned by verify itself):
+  0  success
+  2  parse or parameter error, or a file that cannot be read or written
+  3  disconnected input
+  4  no convergence (the bracket is still printed)
+  5  transform precondition violated
+  6  a theorem assertion failed during verify
 
 Vertex ids and edge ids are 1-based on the command line; an id outside
 1..n (vertices) or 1..m (edges) is a parameter error.
@@ -11,13 +15,13 @@ Vertex ids and edge ids are 1-based on the command line; an id outside
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
 from . import families
 from .census import bracket_verdict, enumerate_supertrees, verify_extremal
-from .errors import BadParameter, Disconnected, HypertreeError, NoConvergence
+from .errors import (BadParameter, Disconnected, HypertreeError, InvalidSpec, MultipleEdge,
+                     NoConvergence, NotLinear, NotPendentPaths, PendentEdge)
 from .hypergraph import format_hypergraph, read_hypergraph
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_radius
 from .tensors import TensorKind
@@ -57,17 +61,32 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-SOLVE_ERRORS = (BadParameter, Disconnected, NoConvergence)
+# the errors main reports; anything else is a bug and keeps its traceback
+REPORTED = (HypertreeError, OSError)
+# (error types, exit code): the first match wins
+EXIT_CODES = (
+    (NoConvergence, 4),
+    (Disconnected, 3),
+    ((InvalidSpec, MultipleEdge, NotLinear, NotPendentPaths, PendentEdge), 5),
+    (REPORTED, 2),
+)
 
 
-def _solve_failed(exc: HypertreeError) -> int:
-    """Report a failed solve; exit 2 (bad parameter), 3 (disconnected)
-    or 4 (no convergence, with the bracket)."""
-    if isinstance(exc, NoConvergence):
-        print(f"error: {exc} bracket=[{exc.lower}, {exc.upper}]", file=sys.stderr)
-        return 4
-    print(f"error: {exc}", file=sys.stderr)
-    return 3 if isinstance(exc, Disconnected) else 2
+def report_error(exc: BaseException) -> int:
+    """Print exc as an `error:` line on stderr (with the bracket of a
+    NoConvergence) and return its exit code from EXIT_CODES."""
+    code = next(code for types, code in EXIT_CODES if isinstance(exc, types))
+    bracket = f" bracket=[{exc.lower}, {exc.upper}]" if isinstance(exc, NoConvergence) else ""
+    print(f"error: {exc}{bracket}", file=sys.stderr)
+    return code
+
+
+def _ints(tokens: list[str]) -> list[int]:
+    """Integers from command-line tokens; any other token is a parameter error."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise BadParameter(f"expected integers, got {' '.join(tokens)!r}") from None
 
 
 def _monotone_line(kind: TensorKind, before, after) -> str:
@@ -86,16 +105,9 @@ def _monotone_line(kind: TensorKind, before, after) -> str:
 
 
 def cmd_compute(args) -> int:
-    try:
-        g = read_hypergraph(args.file)
-    except (OSError, ValueError, HypertreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_hypergraph(args.file)
     kind = KIND_BY_FLAG[args.kind]
-    try:
-        result = spectral_radius(kind, g, tol=args.tol, max_iter=args.max_iter)
-    except SOLVE_ERRORS as exc:
-        return _solve_failed(exc)
+    result = spectral_radius(kind, g, tol=args.tol, max_iter=args.max_iter)
     _emit(_compute_payload(g, kind, result, args.eigvec), args.format)
     return 0
 
@@ -116,19 +128,14 @@ FAMILIES = {
 def cmd_construct(args) -> int:
     build, names = FAMILIES[args.family]
     params = list(args.params)
-    try:
-        if len(params) != len(names):
-            got = " ".join(map(str, params)) or "none"
-            raise ValueError(f"{args.family} expects {' '.join(names)}, got {got}")
-        if args.family == "treepower":
-            if args.tree is None:
-                raise ValueError("treepower requires --tree \"p2 p3 ...\"")
-            params.insert(0, [int(tok) for tok in args.tree.split()])
-        g = build(*params)
-    except (ValueError, HypertreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(format_hypergraph(g))
+    if len(params) != len(names):
+        got = " ".join(map(str, params)) or "none"
+        raise BadParameter(f"{args.family} expects {' '.join(names)}, got {got}")
+    if args.family == "treepower":
+        if args.tree is None:
+            raise BadParameter("treepower requires --tree \"p2 p3 ...\"")
+        params.insert(0, _ints(args.tree.split()))
+    sys.stdout.write(format_hypergraph(build(*params)))
     return 0
 
 
@@ -136,68 +143,49 @@ def _check_ids(g, edge_ids, vertices) -> None:
     """Reject 1-based edge ids outside 1..m and vertex ids outside 1..n."""
     for eid in edge_ids:
         if not 1 <= eid <= g.m:
-            raise ValueError(f"edge id {eid} outside 1..{g.m}")
+            raise BadParameter(f"edge id {eid} outside 1..{g.m}")
     for v in vertices:
         if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside 1..{g.n}")
+            raise BadParameter(f"vertex {v} outside 1..{g.n}")
 
 
 def cmd_transform(args) -> int:
     """Ids out of range and malformed counts or lengths exit 2, before the
     transform runs; a violated structural precondition of the transform
     exits 5."""
-    try:
-        g = read_hypergraph(args.file)
-        if args.release is not None:
-            eid, u = args.release
-            _check_ids(g, [eid], [u])
-            transform = functools.partial(edge_release, g, eid - 1, u)
-        elif args.graft is not None:
-            v, p, q = args.graft
-            if p < 1 or q < 1:
-                raise ValueError(f"graft path lengths must be >= 1, got p={p} q={q}")
-            _check_ids(g, [], [v])
-            transform = functools.partial(total_graft, g, v, p, q)
-        else:
-            eids, sources = ([int(t) for t in arg.split(",")] for arg in args.move[:2])
-            target = int(args.move[2])
-            if len(eids) != len(sources):
-                raise ValueError(
-                    f"{len(eids)} edge ids but {len(sources)} source vertices; "
-                    "give one source per edge"
-                )
-            _check_ids(g, eids, [*sources, target])
-            spec = EdgeMoveSpec(tuple(e - 1 for e in eids), tuple(sources), target)
-            transform = functools.partial(move_edges, g, spec)
-    except (OSError, ValueError, HypertreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        out = transform()
-    except HypertreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    g = read_hypergraph(args.file)
+    if args.release is not None:
+        eid, u = args.release
+        _check_ids(g, [eid], [u])
+        out = edge_release(g, eid - 1, u)
+    elif args.graft is not None:
+        v, p, q = args.graft
+        if p < 1 or q < 1:
+            raise BadParameter(f"graft path lengths must be >= 1, got p={p} q={q}")
+        _check_ids(g, [], [v])
+        out = total_graft(g, v, p, q)
+    else:
+        eids, sources = (_ints(arg.split(",")) for arg in args.move[:2])
+        (target,) = _ints(args.move[2:])
+        if len(eids) != len(sources):
+            raise BadParameter(
+                f"{len(eids)} edge ids but {len(sources)} source vertices; "
+                "give one source per edge"
+            )
+        _check_ids(g, eids, [*sources, target])
+        out = move_edges(g, EdgeMoveSpec(tuple(e - 1 for e in eids), tuple(sources), target))
     if args.check_monotone:
         for kind in TensorKind:
-            try:
-                before = spectral_radius(kind, g, tol=args.tol)
-                after = spectral_radius(kind, out, tol=args.tol)
-            except SOLVE_ERRORS as exc:
-                return _solve_failed(exc)
+            before = spectral_radius(kind, g, tol=args.tol)
+            after = spectral_radius(kind, out, tol=args.tol)
             print(_monotone_line(kind, before, after))
     sys.stdout.write(format_hypergraph(out))
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        census = enumerate_supertrees(args.n, args.k, tol=args.tol)
-        report = verify_extremal(census)
-    except SOLVE_ERRORS as exc:
-        return _solve_failed(exc)
-    except HypertreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    census = enumerate_supertrees(args.n, args.k, tol=args.tol)
+    report = verify_extremal(census)
     for a in report.assertions:
         print(a.line())
     for note in report.skipped:
@@ -260,18 +248,14 @@ def main(argv=None) -> int:
     # (e.g. "construct treepower --tree '1 1 2' 3"), so collect trailing
     # numeric parameters ourselves for the construct command
     args, extra = parser.parse_known_args(argv)
-    if extra:
-        if args.command == "construct" and all(
-            not tok.startswith("-") for tok in extra
-        ):
-            try:
-                args.params = list(args.params) + [int(tok) for tok in extra]
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.func(args)
+    if extra and (args.command != "construct" or any(tok.startswith("-") for tok in extra)):
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        if extra:
+            args.params = list(args.params) + _ints(extra)
+        return args.func(args)
+    except REPORTED as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

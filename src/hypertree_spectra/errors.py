@@ -35,6 +35,10 @@ class BadOverlap(HypertreeError):
     """s-path / s-cycle overlap s outside 1..k/2."""
 
 
+class BadFormat(HypertreeError, ValueError):
+    """A hypergraph file is not UTF-8 text in the 'k n m' format."""
+
+
 class NotLinear(HypertreeError):
     """Operation requires a linear hypergraph (pairwise edge overlap <= 1)."""
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     BadDimensions,
+    BadFormat,
     DuplicateEdge,
     NonUniform,
     NotLinear,
@@ -166,22 +167,29 @@ def parse_hypergraph(text: str) -> Hypergraph:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(tok) for tok in line.split()])
+        try:
+            rows.append([int(tok) for tok in line.split()])
+        except ValueError:
+            raise BadFormat(f"non-integer token in line {line!r}") from None
     if not rows:
-        raise ValueError("empty hypergraph file")
+        raise BadFormat("empty hypergraph file")
     header = rows[0]
     if len(header) != 3:
-        raise ValueError(f"header must be 'k n m', got {header}")
+        raise BadFormat(f"header must be 'k n m', got {header}")
     k, n, m = header
     body = rows[1:]
     if len(body) != m:
-        raise ValueError(f"expected {m} edge lines, found {len(body)}")
+        raise BadFormat(f"expected {m} edge lines, found {len(body)}")
     return validate(body, n, k=k)
 
 
 def read_hypergraph(path) -> Hypergraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise BadFormat(f"{path} is not UTF-8 text") from None
+    return parse_hypergraph(text)
 
 
 def write_hypergraph(g: Hypergraph, path) -> None:

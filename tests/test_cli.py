@@ -15,9 +15,9 @@ from hypertree_spectra import (
     spectral_radius,
     validate,
 )
-from hypertree_spectra import census
+from hypertree_spectra import census, cli
 from hypertree_spectra.cli import main
-from hypertree_spectra.errors import NoConvergence
+from hypertree_spectra.errors import HypertreeError, NoConvergence
 from oracles import is_isomorphic
 
 
@@ -127,6 +127,18 @@ def test_compute_bad_dimensions(capsys, tmp_path, text):
 def test_compute_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "compute", str(tmp_path / "nope.hg"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe\x00", b"3 7 3\n1 2 x\n"], ids=["not-utf8", "non-integer-token"]
+)
+def test_compute_unreadable_file(capsys, tmp_path, data):
+    f = tmp_path / "bad.hg"
+    f.write_bytes(data)
+    code, out, err = run(capsys, "compute", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_compute_disconnected(capsys, tmp_path):
@@ -479,8 +491,71 @@ def test_verify_bad_dimensions(capsys):
     assert code == 2
 
 
+def test_verify_failed_assertion_exits_6(capsys):
+    # at tol=10 the brackets are too wide to certify the strict claims
+    code, out, _ = run(capsys, "verify", "--n", "7", "--k", "3", "--tol", "10")
+    assert code == 6
+    assert "FAIL hyperstar-maximal" in out and "undecided" in out
+    assert not out.strip().endswith("PASS")
+
+
+def test_verify_export_to_missing_directory(capsys, tmp_path):
+    export = tmp_path / "missing" / "x.jsonl"
+    code, _, err = run(capsys, "verify", "--n", "9", "--k", "3", "--export", str(export))
+    assert code == 2
+    assert err.startswith("error: ") and "x.jsonl" in err
+
+
+# -- exit-code table ---------------------------------------------------------
+
+
+def _subclasses(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _subclasses(sub)
+
+
+EXIT_CODE_OF = {
+    "HypertreeError": 2, "NonUniform": 2, "DuplicateEdge": 2, "VertexOutOfRange": 2,
+    "RepeatedVertexInEdge": 2, "BadDimensions": 2, "NotATree": 2, "BadOverlap": 2,
+    "BadFormat": 2, "DimensionMismatch": 2, "BadParameter": 2, "TooLarge": 2,
+    "NotSquare": 2, "IncompleteCensus": 2, "OSError": 2, "BrokenPipeError": 2,
+    "Disconnected": 3,
+    "NoConvergence": 4,
+    "NotLinear": 5, "InvalidSpec": 5, "MultipleEdge": 5, "PendentEdge": 5,
+    "NotPendentPaths": 5,
+}
+
+
 @pytest.mark.parametrize(
-    "flags", [("--max-m", "0"), ("--k", "1")], ids=["max-m-zero", "k-one"]
+    "error", [*_subclasses(HypertreeError), OSError, BrokenPipeError], ids=lambda c: c.__name__
+)
+def test_exit_code_table_covers_every_error(capsys, monkeypatch, star_file, error):
+    # a new error class fails here until it is given a code on purpose
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_compute", fail)
+    code, out, err = run(capsys, "compute", star_file)
+    assert code == EXIT_CODE_OF[error.__name__]
+    assert out == ""
+    assert err.startswith("error: boom")
+
+
+def test_unexpected_error_keeps_its_traceback(monkeypatch, star_file):
+    # a bare ValueError is a bug, not a parameter error
+    def fail(args):
+        raise ValueError("shapes do not align")
+
+    monkeypatch.setattr(cli, "cmd_compute", fail)
+    with pytest.raises(ValueError, match="shapes do not align"):
+        main(["compute", star_file])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--max-m", "0"), ("--k", "1"), ("--tol", "0")],
+    ids=["max-m-zero", "k-one", "tol-zero"],
 )
 def test_run_verification_rejects_bad_ranges(flags):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"

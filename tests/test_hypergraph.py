@@ -13,6 +13,7 @@ from hypertree_spectra import (
     is_supertree,
     loose_path,
     parse_hypergraph,
+    read_hypergraph,
     pendent_edges,
     s_cycle,
     single_edge,
@@ -20,6 +21,7 @@ from hypertree_spectra import (
 )
 from hypertree_spectra.errors import (
     BadDimensions,
+    BadFormat,
     DuplicateEdge,
     NonUniform,
     NotLinear,
@@ -164,6 +166,18 @@ def test_parse_rejects_bad_header():
         parse_hypergraph("3 5\n1 2 3\n")
     with pytest.raises(ValueError):
         parse_hypergraph("3 5 2\n1 2 3\n")
+
+
+def test_parse_rejects_non_integer_token():
+    with pytest.raises(BadFormat, match="non-integer token in line '1 2 x'"):
+        parse_hypergraph("3 7 3\n1 2 x\n")
+
+
+def test_read_rejects_non_utf8(tmp_path):
+    f = tmp_path / "binary.hg"
+    f.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(BadFormat, match="not UTF-8"):
+        read_hypergraph(f)
 
 
 @st.composite

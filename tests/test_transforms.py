@@ -14,6 +14,7 @@ from hypertree_spectra import (
     loose_path,
     move_edges,
     pendent_edges,
+    s_cycle,
     single_edge,
     spectral_radius,
     total_graft,
@@ -217,6 +218,12 @@ def test_find_pendent_paths_spider():
         assert len(p.vertices) == p.length + 1
 
 
+def test_find_pendent_paths_on_a_cycle_is_empty():
+    # a walk from a degree-2 vertex of a 1-cycle comes back to its first edge
+    g = s_cycle(4, 1, 3)
+    assert all(find_pendent_paths(g, v) == [] for v in range(1, g.n + 1))
+
+
 def test_graft_hyperstar_to_path():
     g = hyperstar(7, 3)
     h = total_graft(g, 1, 1, 1)
@@ -373,6 +380,12 @@ def test_tree_graft_roundtrip_parents():
     edges = parents_to_edges([1, 1, 2, 2])
     assert edges == [(1, 2), (1, 3), (2, 4), (2, 5)]
     assert edges_to_parents(edges, 5) == [1, 1, 2, 2]
+
+
+def test_edges_to_parents_rejects_a_cycle_with_a_tree_edge_count():
+    # n'-1 edges, but the triangle on 1..3 leaves node 4 unreached
+    with pytest.raises(NotATree):
+        edges_to_parents([(1, 2), (2, 3), (1, 3)], 4)
 
 
 def test_tree_graft_rejects_bad_lengths():
