@@ -21,10 +21,8 @@ from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
 from .spectral import DEFAULT_TOL, ROUNDING_PAD, closed_form_hyperstar, spectral_radii
 from .tensors import TensorKind
-from .transforms import edges_to_parents
 
 MAX_CENSUS_EDGES = 6
-MAX_TREE_NODES = 10
 
 
 @dataclass(frozen=True)
@@ -96,14 +94,6 @@ class VerificationReport:
 
 
 # -- enumeration -------------------------------------------------------------
-
-def enumerate_trees(n_prime: int) -> list[list[int]]:
-    """All free trees on n' nodes, one parent array per isomorphism class:
-    the 2-uniform supertree census with n'-1 edges."""
-    if not (2 <= n_prime <= MAX_TREE_NODES):
-        raise TooLarge(f"enumerate_trees supports 2 <= n' <= {MAX_TREE_NODES}")
-    return [edges_to_parents(g.edges, n_prime) for g in _supertree_shapes(n_prime - 1, 2)]
-
 
 def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     """All k-uniform supertrees with m >= 1 edges, one per isomorphism

@@ -1,4 +1,6 @@
-"""Command-line interface.
+"""Command-line interface.  verify is the one census sweep, over one census
+(--n) or every census with 1..M edges (--max-m M), and
+scripts/run_verification.py passes its arguments to it.
 
 Exit codes, from the table EXIT_CODES (6 is returned by verify itself):
   0  success
@@ -6,7 +8,7 @@ Exit codes, from the table EXIT_CODES (6 is returned by verify itself):
   3  disconnected input
   4  no convergence (the bracket is still printed)
   5  transform precondition violated
-  6  a theorem assertion failed during verify
+  6  a theorem assertion failed during verify (the sweep still finishes)
 
 Vertex ids and edge ids are 1-based on the command line; an id outside
 1..n (vertices) or 1..m (edges) is a parameter error.
@@ -19,11 +21,11 @@ import json
 import sys
 
 from . import families
-from .census import bracket_verdict, enumerate_supertrees, verify_extremal
+from .census import MAX_CENSUS_EDGES, bracket_verdict, enumerate_supertrees, verify_extremal
 from .errors import (BadParameter, Disconnected, HypertreeError, InvalidSpec, MultipleEdge,
                      NoConvergence, NotLinear, NotPendentPaths, PendentEdge)
 from .hypergraph import format_hypergraph, read_hypergraph
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, bounds_report, spectral_radius
 from .tensors import TensorKind
 from .transforms import EdgeMoveSpec, edge_release, move_edges, total_graft
 
@@ -183,18 +185,43 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _print_bounds(census) -> None:
+    """Degree and incidence-Gram bounds beside rho(Q*), one row per shape."""
+    print(f"\n== incidence-Q bounds over census n={census.n} k={census.k} ==")
+    print(f"{'shape':>8} {'k^(k-1)d':>12} {'rho_qstar':>12} {'k^(k-1)D':>12} "
+          f"{'rho_rrt':>10} {'sandwich':>12}")
+    for i, rec in enumerate(census.records):
+        rep = bounds_report(rec.hypergraph)
+        rho = rec.radii[TensorKind.IncidenceQ]
+        print(f"{i:>8} {rep.lower_deg:>12.6f} {rho:>12.6f} {rep.upper_deg:>12.6f} "
+              f"{rep.rho_rrt:>10.6f} {rep.sandwich_upper:>12.6f}")
+
+
 def cmd_verify(args) -> int:
-    census = enumerate_supertrees(args.n, args.k, tol=args.tol)
-    report = verify_extremal(census)
-    for a in report.assertions:
-        print(a.line())
-    for note in report.skipped:
-        print(f"SKIP {note}")
-    print(f"census size {report.census_size}")
+    """One census (--n), or the censuses m = 1..M in order, M also their
+    cap (--max-m M).  An error ends the run at once; a failed claim lets
+    the sweep finish and the run exit 6."""
+    max_m = args.max_m
+    if max_m is not None and max_m < 1:
+        raise BadParameter(f"--max-m must be at least 1, got {max_m}")
+    sizes = [args.n] if max_m is None else [m * (args.k - 1) + 1 for m in range(1, max_m + 1)]
+    passed, censuses = True, []
+    for n in sizes:
+        census = enumerate_supertrees(n, args.k, tol=args.tol, max_edges=max_m or MAX_CENSUS_EDGES)
+        report = verify_extremal(census)
+        for a in report.assertions:
+            print(a.line())
+        for note in report.skipped:
+            print(f"SKIP {note}")
+        print(f"census size {report.census_size} (n={n}, k={args.k}, m={census.m})")
+        if args.bounds:
+            _print_bounds(census)
+        passed &= report.passed
+        censuses.append(census)
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(census.export_jsonl())
-    if not report.passed:
+            fh.write("".join(c.export_jsonl() for c in censuses))
+    if not passed:
         return 6
     print("PASS")
     return 0
@@ -234,10 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_transform.set_defaults(func=cmd_transform)
 
     p_verify = sub.add_parser("verify", help="census + extremal theorem checks")
-    p_verify.add_argument("--n", type=int, required=True)
+    size = p_verify.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int, help="one census on N vertices")
+    size.add_argument("--max-m", type=int, help="the censuses with 1..M edges")
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_verify.add_argument("--export", help="write census JSON-lines here")
+    p_verify.add_argument("--bounds", action="store_true",
+                          help="also print the degree and incidence-Gram bounds")
+    p_verify.add_argument("--export", help="write every census record as JSON lines here")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -74,10 +74,6 @@ class NoConvergence(HypertreeError):
         self.iterations = iterations
 
 
-class NotSquare(HypertreeError):
-    """Matrix argument is not square."""
-
-
 # -- transforms --------------------------------------------------------------
 
 class InvalidSpec(HypertreeError):

@@ -113,12 +113,6 @@ def is_connected(g: Hypergraph) -> bool:
     return len(_reach(g)) == g.n
 
 
-def is_supertree(g: Hypergraph) -> bool:
-    """Connected and acyclic, via the edge-count criterion
-    m*(k-1) == n-1 for the connected case."""
-    return is_connected(g) and g.m * (g.k - 1) == g.n - 1
-
-
 def is_linear(g: Hypergraph) -> bool:
     """True iff every pair of distinct edges shares at most one vertex,
     i.e. no vertex pair lies in two edges."""

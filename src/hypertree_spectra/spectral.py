@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     NoConvergence,
-    NotSquare,
 )
 from .hypergraph import Hypergraph, incidence_matrix, is_connected
 from .tensors import TensorKind, _contract, _edge_index, _linearize, _row_offset
@@ -291,14 +290,6 @@ def _newton_noda_step(
         return (k - 2) * x + t[:, None] * w
 
 
-def matrix_spectral_radius(mat) -> float:
-    """Largest eigenvalue of a symmetric matrix (here a Gram matrix)."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise NotSquare(f"matrix has shape {mat.shape}")
-    return float(np.linalg.eigvalsh(mat)[-1])
-
-
 def alpha_star(m: int, k: int) -> float:
     """Largest real root of x^k - (m-1) x^{k-1} - m = 0, located in
     (m-1, m] and found by bisection to the relative tolerance ALPHA_STAR_TOL.
@@ -352,7 +343,7 @@ def bounds_report(g: Hypergraph) -> BoundsReport:
     r = incidence_matrix(g)
     # R^T R (m x m) shares the nonzero spectrum of R R^T (n x n), if m > 0
     gram = r.T @ r if 0 < g.m < g.n else r @ r.T
-    rho_rrt = matrix_spectral_radius(gram)
+    rho_rrt = float(np.linalg.eigvalsh(gram)[-1])
     return BoundsReport(
         avg_degree=d,
         max_degree=delta,

@@ -10,14 +10,17 @@ from hypertree_spectra import (
     TensorKind,
     apply,
     canonical_form,
+    is_connected,
     is_linear,
-    is_supertree,
     validate,
 )
 from hypertree_spectra.canon import CanonicalForm, _center_peel, _supertree_canonical
+from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, TooLarge
+from hypertree_spectra.transforms import edges_to_parents
 
 _BRUTE_FORCE_CAP = 2_000_000  # permutations examined by brute_force_canonical
+MAX_TREE_NODES = 10  # enumerate_trees' cap
 
 
 def relabel(g, perm: dict[int, int]):
@@ -28,6 +31,20 @@ def relabel(g, perm: dict[int, int]):
 def parents_to_edges(parents) -> list[tuple[int, int]]:
     """Edge list of the tree whose node i+2 has parent parents[i]."""
     return [(p, i + 2) for i, p in enumerate(parents)]
+
+
+def enumerate_trees(n_prime: int) -> list[list[int]]:
+    """All free trees on n' nodes, one parent array per isomorphism class:
+    the 2-uniform supertree census with n'-1 edges."""
+    if not (2 <= n_prime <= MAX_TREE_NODES):
+        raise TooLarge(f"enumerate_trees supports 2 <= n' <= {MAX_TREE_NODES}")
+    return [edges_to_parents(g.edges, n_prime) for g in _supertree_shapes(n_prime - 1, 2)]
+
+
+def is_supertree(g: Hypergraph) -> bool:
+    """Connected and acyclic, via the edge-count criterion
+    m*(k-1) == n-1 for the connected case; oracle for canon's leaf peel."""
+    return is_connected(g) and g.m * (g.k - 1) == g.n - 1
 
 
 def orbit_constancy_check(g, orbits: list[set[int]], result, rel_tol: float = 1e-7) -> bool:

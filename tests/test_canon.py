@@ -10,7 +10,6 @@ from hypertree_spectra import (
     canonical_form,
     double_star,
     hyperstar,
-    is_supertree,
     loose_path,
     s_cycle,
     single_edge,
@@ -25,7 +24,9 @@ from oracles import (
     automorphism_orbits,
     brute_force_canonical,
     brute_force_orbits,
+    enumerate_trees,
     is_isomorphic,
+    is_supertree,
     parents_to_edges,
     relabel,
     tree_canonical_code,
@@ -178,8 +179,6 @@ def test_tree_code_relabeling_invariant():
 
 
 def test_tree_code_distinguishes_all_six_node_trees():
-    from hypertree_spectra import enumerate_trees
-
     codes = {
         tree_canonical_code(parents_to_edges(p), 6)
         for p in enumerate_trees(6)
@@ -214,8 +213,8 @@ def test_automorphism_orbits_pinned():
 
 def test_leaf_peeling_decides_supertrees():
     # every set of three 3-edges on 7 vertices has m (k-1) = n-1, so only
-    # the peeling can reject it; is_supertree's breadth-first search is the
-    # oracle
+    # the peeling can reject it; the is_supertree oracle's walk and edge
+    # count decide
     triples = list(itertools.combinations(itertools.combinations(range(1, 8), 3), 3))
     assert len(triples) == 6545
     supertrees = 0

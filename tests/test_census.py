@@ -10,10 +10,8 @@ from hypertree_spectra import (
     canonical_form,
     double_star,
     enumerate_supertrees,
-    enumerate_trees,
     hyperstar,
     is_linear,
-    is_supertree,
     loose_path,
     spectral_radius,
     verify_extremal,
@@ -22,7 +20,9 @@ from hypertree_spectra.census import Census, _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
 from oracles import (
     brute_force_supertrees,
+    enumerate_trees,
     grow_and_dedup,
+    is_supertree,
     parents_to_edges,
     tree_canonical_code,
 )

@@ -8,6 +8,7 @@ import pytest
 
 from hypertree_spectra import (
     TensorKind,
+    bounds_report,
     format_hypergraph,
     hyperstar,
     loose_path,
@@ -499,6 +500,16 @@ def test_verify_failed_assertion_exits_6(capsys):
     assert not out.strip().endswith("PASS")
 
 
+@pytest.mark.parametrize(
+    "sizes", [(), ("--n", "7", "--max-m", "3")], ids=["neither", "both"]
+)
+def test_verify_needs_exactly_one_of_n_and_max_m(capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--k", "3", *sizes])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_verify_export_to_missing_directory(capsys, tmp_path):
     export = tmp_path / "missing" / "x.jsonl"
     code, _, err = run(capsys, "verify", "--n", "9", "--k", "3", "--export", str(export))
@@ -519,7 +530,7 @@ EXIT_CODE_OF = {
     "HypertreeError": 2, "NonUniform": 2, "DuplicateEdge": 2, "VertexOutOfRange": 2,
     "RepeatedVertexInEdge": 2, "BadDimensions": 2, "NotATree": 2, "BadOverlap": 2,
     "BadFormat": 2, "DimensionMismatch": 2, "BadParameter": 2, "TooLarge": 2,
-    "NotSquare": 2, "IncompleteCensus": 2, "OSError": 2, "BrokenPipeError": 2,
+    "IncompleteCensus": 2, "OSError": 2, "BrokenPipeError": 2,
     "Disconnected": 3,
     "NoConvergence": 4,
     "NotLinear": 5, "InvalidSpec": 5, "MultipleEdge": 5, "PendentEdge": 5,
@@ -552,32 +563,71 @@ def test_unexpected_error_keeps_its_traceback(monkeypatch, star_file):
         main(["compute", star_file])
 
 
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+
+
+def _run_script(*argv):
+    return subprocess.run([sys.executable, str(SCRIPT), *argv], capture_output=True, text=True)
+
+
 @pytest.mark.parametrize(
-    "flags",
-    [("--max-m", "0"), ("--k", "1"), ("--tol", "0")],
+    "flags, reason",
+    [
+        (("--k", "3", "--max-m", "0"), "--max-m must be at least 1, got 0"),
+        (("--k", "1", "--max-m", "3"), "no supertree with n=1, k=1"),
+        (("--k", "3", "--max-m", "3", "--tol", "0"), "tol must be positive"),
+    ],
     ids=["max-m-zero", "k-one", "tol-zero"],
 )
-def test_run_verification_rejects_bad_ranges(flags):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), *flags], capture_output=True, text=True
-    )
+def test_run_verification_rejects_bad_ranges(flags, reason):
+    proc = _run_script(*flags)
     assert proc.returncode == 2
-    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
-    assert "passed" not in proc.stdout
+    assert proc.stderr.startswith(f"error: {reason}") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_run_verification_prints_verdicts():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--k", "3", "--max-m", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_script("--k", "3", "--max-m", "3")
     assert proc.returncode == 0
-    claims = [line for line in proc.stdout.splitlines() if line.startswith("  PASS")]
+    claims = [line for line in proc.stdout.splitlines() if line.startswith("PASS ")]
     assert len(claims) == 3 * 3 * 2 + 3  # second-largest only at m = 3
     assert all(" certified rho=" in line for line in claims)
+
+
+@pytest.mark.parametrize("flags, code", [((), 0), (("--tol", "10"), 6)], ids=["pass", "fail"])
+def test_run_verification_is_verify(capsys, flags, code):
+    # the script passes its arguments to verify: same exit code, same output
+    argv = ("--k", "3", "--max-m", "3", *flags)
+    proc = _run_script(*argv)
+    assert (proc.returncode, proc.stdout) == run(capsys, "verify", *argv)[:2]
+    assert proc.returncode == code
+    assert proc.stdout.count("census size") == 3  # a failed claim ends no census early
+
+
+def _claims(out):
+    return [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL ", "SKIP "))]
+
+
+@pytest.mark.parametrize("k, max_m", [(3, 4), (4, 3)])
+def test_verify_sweep_is_the_single_censuses_in_order(capsys, tmp_path, k, max_m):
+    export = tmp_path / "sweep.jsonl"
+    code, out, _ = run(
+        capsys, "verify", "--k", str(k), "--max-m", str(max_m), "--bounds", "--export", str(export)
+    )
+    assert code == 0 and out.endswith("\nPASS\n")
+    claims, shapes = [], []
+    for m in range(1, max_m + 1):
+        n = m * (k - 1) + 1
+        single_code, single_out, _ = run(capsys, "verify", "--n", str(n), "--k", str(k))
+        assert single_code == 0
+        claims += _claims(single_out)
+        shapes += [rec.hypergraph for rec in census.enumerate_supertrees(n, k).records]
+    assert _claims(out) == claims
+    exported = [json.loads(line)["edges"] for line in export.read_text().splitlines()]
+    assert exported == [list(map(list, g.edges)) for g in shapes]
+    row = re.compile(r"\s*\d+( +\d+\.\d{6}){5}")
+    rho_rrt = [line.split()[4] for line in out.splitlines() if row.fullmatch(line)]
+    assert rho_rrt == [f"{bounds_report(g).rho_rrt:.6f}" for g in shapes]
 
 
 def test_console_script_installed():

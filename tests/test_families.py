@@ -6,7 +6,6 @@ from hypertree_spectra import (
     hyperstar,
     incidence_matrix,
     is_linear,
-    is_supertree,
     loose_path,
     s_cycle,
     s_path,
@@ -14,7 +13,7 @@ from hypertree_spectra import (
     tree_power,
 )
 from hypertree_spectra.errors import BadDimensions, BadOverlap, NotATree
-from oracles import is_isomorphic
+from oracles import is_isomorphic, is_supertree
 
 
 def test_hyperstar_7_3():

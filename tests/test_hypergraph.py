@@ -10,7 +10,6 @@ from hypertree_spectra import (
     incidence_matrix,
     is_connected,
     is_linear,
-    is_supertree,
     loose_path,
     parse_hypergraph,
     read_hypergraph,
@@ -28,7 +27,7 @@ from hypertree_spectra.errors import (
     RepeatedVertexInEdge,
     VertexOutOfRange,
 )
-from oracles import has_berge_cycle, union_find_connected
+from oracles import has_berge_cycle, is_supertree, union_find_connected
 
 
 def test_validate_basic():

@@ -9,10 +9,8 @@ from hypertree_spectra import (
     closed_form_hyperstar,
     dense_build,
     double_star,
-    enumerate_trees,
     hyperstar,
     loose_path,
-    matrix_spectral_radius,
     s_cycle,
     single_edge,
     spectral_radii,
@@ -28,13 +26,13 @@ from hypertree_spectra.errors import (
     DimensionMismatch,
     Disconnected,
     NoConvergence,
-    NotSquare,
 )
 from hypertree_spectra.spectral import _elimination_order, _newton_noda_step, _schedule
 from hypertree_spectra.tensors import _edge_index, _row_offset
 from oracles import (
     automorphism_orbits,
     dense_power_iteration,
+    enumerate_trees,
     orbit_constancy_check,
     rayleigh,
     relabel,
@@ -425,24 +423,11 @@ def test_dense_oracle_agreement(small_instance):
 def test_matrix_spectral_radius_hyperstar_gram():
     # R^T R of S_{7,3}: diagonal 3, off-diagonal 1; char. polynomial
     # (x-2)^2 (x-5) so rho = 5 = (k-1) + m
-    gram = np.full((3, 3), 1.0) + 2 * np.eye(3)
-    assert matrix_spectral_radius(gram) == pytest.approx(5.0, abs=1e-10)
+    assert bounds_report(hyperstar(7, 3)).rho_rrt == pytest.approx(5.0, abs=1e-10)
 
 
 def test_matrix_spectral_radius_s_cycle():
-    from hypertree_spectra import incidence_matrix
-
-    r = incidence_matrix(s_cycle(4, 2, 4))
-    assert matrix_spectral_radius(r.T @ r) == pytest.approx(8.0, abs=1e-10)
-
-
-def test_matrix_spectral_radius_identity():
-    assert matrix_spectral_radius(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_matrix_spectral_radius_not_square():
-    with pytest.raises(NotSquare):
-        matrix_spectral_radius(np.ones((2, 3)))
+    assert bounds_report(s_cycle(4, 2, 4)).rho_rrt == pytest.approx(8.0, abs=1e-10)
 
 
 def test_alpha_star_m1():

@@ -10,7 +10,6 @@ from hypertree_spectra import (
     find_pendent_paths,
     graft_to_path,
     hyperstar,
-    is_supertree,
     loose_path,
     move_edges,
     pendent_edges,
@@ -34,7 +33,13 @@ from hypertree_spectra.transforms import (
     apply_graft_sequence,
     edges_to_parents,
 )
-from oracles import is_isomorphic, parents_to_edges, tree_canonical_code
+from oracles import (
+    enumerate_trees,
+    is_isomorphic,
+    is_supertree,
+    parents_to_edges,
+    tree_canonical_code,
+)
 
 KINDS = list(TensorKind)
 TOL = 1e-10
@@ -344,8 +349,6 @@ def test_graft_to_path_spider():
 
 
 def test_graft_to_path_reaches_path_on_all_small_trees():
-    from hypertree_spectra import enumerate_trees
-
     for n_prime in range(2, 9):
         for parents in enumerate_trees(n_prime):
             steps = graft_to_path(parents)
@@ -359,8 +362,6 @@ def test_graft_to_path_reaches_path_on_all_small_trees():
 
 
 def test_graft_sequence_radii_strictly_decreasing():
-    from hypertree_spectra import enumerate_trees
-
     k = 3
     for parents in enumerate_trees(6):
         steps = graft_to_path(parents)
