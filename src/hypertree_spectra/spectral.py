@@ -10,15 +10,17 @@ iterations keep the iterate strictly positive, and each step brackets rho
 between min_i y_i / x_i^{k-1} - 1 and max_i y_i / x_i^{k-1} - 1, with
 y = T x^{k-1} + x^{[k-1]} (Collatz-Wielandt); the shift by 1 keeps the
 power iterate positive, since the adjacency tensor has zero diagonal, and
-makes it converge.  A Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017)
-solves one linear system per row by eliminating along the supertree, each
-edge's block a diagonal plus a rank-one term, in O(m k) time and memory,
-and converges quadratically, in about ten steps where the power iteration
-needs thousands on long paths and nearly degenerate shapes.  spectral_radii
-runs the iteration on a batch of graphs sharing (n, m, k), one row per graph.
-A disconnected graph raises Disconnected.  In a batch with m (k-1) = n-1
-such a graph has a cycle, which the leaf peeling that orders the
-elimination finds; any other batch is searched graph by graph.
+makes it converge.  A Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017),
+taken on the degree-one map (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM
+J. Matrix Anal. Appl. 2009), solves one linear system per row by
+eliminating along the supertree, each edge's block a diagonal plus a
+rank-one term, in O(m k) time and memory, and converges quadratically, in
+about ten steps where the power iteration needs thousands on long paths
+and nearly degenerate shapes.  spectral_radii runs the iteration on a batch
+of graphs sharing (n, m, k), one row per graph.  A disconnected graph
+raises Disconnected.  In a batch with m (k-1) = n-1 such a graph has a
+cycle, which the leaf peeling that orders the elimination finds; any other
+batch is searched graph by graph.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ DEFAULT_MAX_ITER = 10**6
 # n = 80001, k = 5), so brackets count as apart, and a closed form as
 # inside, only beyond this relative pad.
 ROUNDING_PAD = 1e-12
-# Far from rho a Newton-Noda step can widen the bracket; on random trees
-# of up to 79 edges, up to 9 steps ran without a narrower one.  A row that
-# takes this many is taken to be stuck at its rounding floor.
+# Far from rho a Newton-Noda step can widen the bracket; on 60 random tree
+# powers per k = 2, 3, 4 of up to 79 edges, pure Newton-Noda steps needed up
+# to 24 steps (q, k = 4), with up to 6 in a row without a narrower bracket.
+# A row that takes this many is taken to be stuck at its rounding floor.
 NEWTON_PATIENCE = 30
 ALPHA_STAR_TOL = 1e-13  # relative, for alpha_star's bisection
 
@@ -153,7 +156,7 @@ def _solve(
             if done.all():
                 return results
             keep = ~done
-            active, x, xk1, y = active[keep], x[keep], xk1[keep], y[keep]
+            active, x, ax, y = active[keep], x[keep], ax[keep], y[keep]
             lower, upper = lower[keep], upper[keep]
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
             flat, schedule = _row_offset(idx[active], n), None
@@ -174,7 +177,7 @@ def _solve(
                 # all active rows step on one schedule; rows on Newton take the step
                 if schedule is None:
                     schedule = _schedule(idx[active], height[active], n)
-                step = _newton_noda_step(kind, schedule, x, xk1, upper)
+                step = _newton_noda_step(kind, schedule, x, ax, upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
                 x_next[on_newton] = step[on_newton]
         x = x_next
@@ -241,18 +244,22 @@ def _schedule(idx: np.ndarray, height: np.ndarray, n: int) -> tuple:
 
 
 def _newton_noda_step(
-    kind: TensorKind, schedule: tuple, x: np.ndarray, xk1: np.ndarray, top: np.ndarray
+    kind: TensorKind, schedule: tuple, x: np.ndarray, ax: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
-    """One Newton-Noda step from the positive rows of x, before
-    normalization; a row whose step fails is not finite and positive.
+    """One Newton-Noda step from the positive rows of x, with ax = T x^{k-1},
+    before normalization; a row whose step fails is not finite and positive.
 
-    schedule comes from _schedule, and top is each row's bracket top, so
-    Z = top D - M, with D = diag(x^{[k-2]}) and M = T x^{k-2}, is a
-    nonsingular M-matrix while the row's bracket is open, and
-    w = Z^{-1} x^{[k-1]} > 0.  The step y = (k-2) x + t w,
-    t = <x^{[k-1]}, x> / <x^{[k-1]}, w>, is Newton's on T x^{k-1} = lambda
-    x^{[k-1]} with <x^{[k-1]}, x> held fixed; at k = 2 it is Noda's
-    iteration.
+    The step is Noda's iteration on the degree-one map
+    F(x) = (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM J. Matrix Anal.
+    Appl. 2009), whose Jacobian is diag(q)^{-1} M with M = T x^{k-2} and
+    q = ax^{[(k-2)/(k-1)]}.  schedule comes from _schedule, and top is each
+    row's bracket top, mu = top^{1/(k-1)}.  Then Z = mu diag(q) - M has
+    Z x = ax ((top / r)^{1/(k-1)} - 1) >= 0, r the Collatz-Wielandt
+    ratios, so it is a nonsingular M-matrix while the row's bracket is
+    open, and w = Z^{-1} (q x) > 0.  The step is t w with
+    t = <x^{[k-1]}, x> / <x^{[k-1]}, w>; at k = 2 it is Noda's iteration
+    on the matrix.  Newton's method on T x^{k-1} itself, of degree k-1,
+    shrinks a component that is too large only by (k-2)/(k-1) per step.
 
     Off the diagonal, Z of a supertree is nonzero only inside the edges'
     blocks, -c u u^T there (_linearize), so eliminating each edge's children
@@ -268,8 +275,10 @@ def _newton_noda_step(
     verts, levels, root = schedule
     k = verts.shape[1]
     c, u, diag = _linearize(kind, verts, x)
-    pivot = (top[:, None] * x ** (k - 2)).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
-    b = xk1.ravel().copy()
+    q = ax ** ((k - 2) / (k - 1))
+    mu = top ** (1.0 / (k - 1))
+    pivot = (mu[:, None] * q).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
+    b = (q * x).ravel()
     folds = []
     with np.errstate(all="ignore"):
         for e, parent, child in levels:
@@ -286,8 +295,9 @@ def _newton_noda_step(
         for (_, parent, child), (bd, cgud, t, up) in zip(reversed(levels), reversed(folds)):
             w[child] = bd + (t + up * w[parent])[:, None] * cgud
         w = w.reshape(x.shape)
+        xk1 = x ** (k - 1)
         t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
-        return (k - 2) * x + t[:, None] * w
+        return t[:, None] * w
 
 
 def alpha_star(m: int, k: int) -> float:

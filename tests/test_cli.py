@@ -168,7 +168,7 @@ def test_compute_adj_long_path_with_1000_edges(capsys, tmp_path):
 
 def test_compute_below_rounding_floor_prints_finite_bracket(capsys, tmp_path):
     # tol below the rounding floor: the q solve runs out of its budget with
-    # a finite, certified bracket
+    # a finite, certified bracket around a tol=1e-13 radius
     f = tmp_path / "path_121_3.hg"
     f.write_text(format_hypergraph(loose_path(121, 3)))
     code, out, err = run(
@@ -177,7 +177,7 @@ def test_compute_below_rounding_floor_prints_finite_bracket(capsys, tmp_path):
     assert code == 4
     assert out == ""
     lo, hi = map(float, re.search(r"bracket=\[(.*), (.*)\]", err).groups())
-    rho = spectral_radius(TensorKind.SignlessLaplacian, loose_path(121, 3)).rho
+    rho = spectral_radius(TensorKind.SignlessLaplacian, loose_path(121, 3), tol=1e-13).rho
     assert lo <= rho <= hi
 
 

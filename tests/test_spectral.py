@@ -103,16 +103,21 @@ def test_batch_matches_single_solves_on_census(kind):
     assert max(row.iterations for row in batch) <= 30
 
 
-def test_batch_mixing_newton_and_power_rows_matches_single_solves(monkeypatch):
-    """With a patience of one step, four rows leave Newton-Noda within the
-    first steps and finish with hundreds of power steps, while the others
-    close their brackets on Newton-Noda steps; each row still runs exactly
-    its single iteration."""
-    monkeypatch.setattr(spectral, "NEWTON_PATIENCE", 1)
+def _random_tree_powers():
+    """40 random 60-edge trees, raised to k = 3."""
     rng = np.random.default_rng(3)
     trees = [[int(rng.integers(1, i + 2)) for i in range(60)] for _ in range(40)]
-    graphs = [tree_power(parents, 3) for parents in trees]
-    kind = TensorKind.IncidenceQ
+    return [tree_power(parents, 3) for parents in trees]
+
+
+def test_batch_mixing_newton_and_power_rows_matches_single_solves(monkeypatch):
+    """With a patience of one step, fifteen q rows leave Newton-Noda within
+    the first steps and finish with a hundred or more power steps, while
+    the others close their brackets on Newton-Noda steps; each row still
+    runs exactly its single iteration."""
+    monkeypatch.setattr(spectral, "NEWTON_PATIENCE", 1)
+    graphs = _random_tree_powers()
+    kind = TensorKind.SignlessLaplacian
     batch = spectral_radii(kind, graphs)
     for g, row in zip(graphs, batch):
         single = spectral_radius(kind, g)
@@ -120,23 +125,33 @@ def test_batch_mixing_newton_and_power_rows_matches_single_solves(monkeypatch):
             single.iterations, single.lower, single.upper
         )
     iterations = sorted(row.iterations for row in batch)
-    assert iterations[-5] < 20 and iterations[-4] > 200
+    assert iterations[-16] < 20 and iterations[-15] > 100
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_newton_steps_on_random_tree_powers(kind):
+    # Newton's method on T x^{k-1}, of degree k-1, took up to 15 (adj),
+    # 30 (q) and 18 (qstar) steps here; on its (k-1)-th root up to 9, 14, 11
+    results = spectral_radii(kind, _random_tree_powers())
+    assert max(r.iterations for r in results) <= 15
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_steps_on_long_path(kind):
     # power iteration needs O(m^2) steps here (5960 for adj, 9890 for q,
-    # 5707 for qstar)
+    # 5707 for qstar); Newton-Noda takes 6
     result = spectral_radius(kind, loose_path(121, 3))
-    assert result.iterations <= 30
+    assert result.iterations <= 8
     assert result.upper - result.lower <= 1e-10
 
 
 def test_newton_budget_below_rounding_floor():
     # tol below the rounding floor: the q solve runs out of its budget
-    # with a finite bracket around the default-tol radius
+    # with a finite bracket around the radius.  The reference is a tol=1e-13
+    # solve; a default-tol bracket may be up to 1e-10 wide, and its midpoint
+    # that far from rho
     g = loose_path(121, 3)
-    rho = spectral_radius(TensorKind.SignlessLaplacian, g).rho
+    rho = spectral_radius(TensorKind.SignlessLaplacian, g, tol=1e-13).rho
     with pytest.raises(NoConvergence) as exc:
         spectral_radius(TensorKind.SignlessLaplacian, g, tol=1e-300, max_iter=50)
     err = exc.value
@@ -199,12 +214,14 @@ def test_newton_step_fails_on_singular_system():
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
-@pytest.mark.parametrize("k,m", [(2, 4), (3, 3), (4, 3), (5, 3)])
+@pytest.mark.parametrize("k,m", [(2, 4), (2, 6), (3, 3), (4, 3), (5, 3)])
 def test_newton_step_matches_dense_solve(kind, k, m):
     """The step eliminates by Sherman-Morrison along the supertree; here
-    Z = top diag(x^{[k-2]}) - M(x) is built from the dense tensor contracted
-    k-2 times and solved by LAPACK, for a batch of census shapes and x
-    spread up to 1e-6..1, with top above each row's bracket."""
+    Z = mu diag(q) - M(x), with mu = top^{1/(k-1)}, q = ax^{[(k-2)/(k-1)]}
+    and M(x) built from the dense tensor, is solved by LAPACK against q x,
+    for a batch of census shapes and x spread up to 1e-6..1, with top above
+    each row's bracket.  At k = 2 the step is Noda's iteration, t w with
+    (top I - M) w = x, as Newton's method on T x^{k-1} also is."""
     graphs = _supertree_shapes(m, k)
     assert len(graphs) >= 2
     n = graphs[0].n
@@ -214,16 +231,21 @@ def test_newton_step_matches_dense_solve(kind, k, m):
     draws = [rng.random(shape) + 0.05, rng.random(shape) + 0.05, 10.0 ** rng.uniform(-6, 0, shape)]
     for x in draws:
         xk1 = x ** (k - 1)
-        ratios = np.array([apply(kind, g, row) for g, row in zip(graphs, x)]) / xk1
-        top = ratios.max(axis=1) * (1 + rng.random(len(graphs)))
-        y = _newton_noda_step(kind, schedule, x, xk1, top)
-        for g, row, rhs, lam, got in zip(graphs, x, xk1, top, y):
+        ax = np.array([apply(kind, g, row) for g, row in zip(graphs, x)])
+        top = (ax / xk1).max(axis=1) * (1 + rng.random(len(graphs)))
+        y = _newton_noda_step(kind, schedule, x, ax, top)
+        for g, row, rk1, arow, lam, got in zip(graphs, x, xk1, ax, top, y):
             mx = dense_build(kind, g).values
             for _ in range(k - 2):
                 mx = mx @ row
-            w = np.linalg.solve(lam * np.diag(row ** (k - 2)) - mx, rhs)
-            want = (k - 2) * row + (rhs @ row) / (rhs @ w) * w
+            q = arow ** ((k - 2) / (k - 1))
+            w = np.linalg.solve(lam ** (1 / (k - 1)) * np.diag(q) - mx, q * row)
+            want = (rk1 @ row) / (rk1 @ w) * w
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            if k == 2:
+                w = np.linalg.solve(lam * np.eye(n) - mx, row)
+                noda = (row @ row) / (row @ w) * w
+                assert np.max(np.abs(got - noda)) <= 1e-13 * np.max(np.abs(noda))
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
