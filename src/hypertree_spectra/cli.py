@@ -238,8 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="spectral radius of a hypergraph file")
     p_compute.add_argument("file")
     p_compute.add_argument("--kind", choices=sorted(KIND_BY_FLAG), default="adj")
-    p_compute.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_compute.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p_compute.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="the largest allowed width of the certified bracket [lower, upper] "
+        "around rho, absolute (default %(default)s); a tol below the rounding "
+        "floor, some units in the last place of rho, usually runs the whole "
+        "--max-iter budget",
+    )
+    p_compute.add_argument(
+        "--max-iter", type=int, default=DEFAULT_MAX_ITER,
+        help="the step budget (default %(default)s); once it is spent the "
+        "command exits 4 and prints the last bracket",
+    )
     p_compute.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_compute.add_argument("--eigvec", action="store_true")
     p_compute.set_defaults(func=cmd_compute)

@@ -134,7 +134,7 @@ def pendent_edges(g: Hypergraph) -> set[int]:
     A single isolated edge (all k vertices of degree one) counts as pendent.
     """
     if not is_linear(g):
-        raise NotLinear("pendent_edges requires a linear hypergraph")
+        raise NotLinear("pendent edges are defined on linear hypergraphs")
     degs = g.degrees
     out = set()
     for j, e in enumerate(g.edges):

@@ -84,26 +84,19 @@ def move_edges(g: Hypergraph, spec: EdgeMoveSpec) -> Hypergraph:
 def edge_release(g: Hypergraph, edge_id: int, u: int) -> Hypergraph:
     """Move every edge adjacent to the given non-pendent edge but not
     containing u from its (unique) common vertex to u."""
-    if not is_linear(g):
-        raise NotLinear("edge_release requires a linear hypergraph")
+    pendent = pendent_edges(g)  # raises NotLinear
     if not (0 <= edge_id < g.m):
         raise InvalidSpec(f"edge id {edge_id} out of range")
     e = g.edges[edge_id]
     if u not in e:
         raise InvalidSpec(f"vertex {u} not in edge {list(e)}")
-    if edge_id in pendent_edges(g):
+    if edge_id in pendent:
         raise PendentEdge("cannot release a pendent edge")
-    ids: list[int] = []
-    sources: list[int] = []
-    for j, other in enumerate(g.edges):
-        if j == edge_id or u in other:
-            continue
-        common = set(e).intersection(other)
-        if common:
-            (v,) = common  # unique by linearity
-            ids.append(j)
-            sources.append(v)
-    return move_edges(g, EdgeMoveSpec(tuple(ids), tuple(sources), u))
+    # the other edges at e's vertices v != u; by linearity none contains u
+    ids, sources = zip(
+        *((j, v) for v in e if v != u for j in g.incident_edges(v) if j != edge_id)
+    )
+    return move_edges(g, EdgeMoveSpec(ids, sources, u))
 
 
 def edge_release_best(
@@ -133,34 +126,24 @@ def find_pendent_paths(g: Hypergraph, v: int) -> list[PendentPath]:
         raise NotLinear("pendent paths are defined on linear hypergraphs")
     degs = g.degrees
     paths: list[PendentPath] = []
-    for start_eid in g.incident_edges(v):
-        chain_vertices = [v]
-        chain_edges = []
-        cur_v, cur_e = v, start_eid
-        ok = True
-        visited_edges = set()
+    for first in g.incident_edges(v):
+        chain, edge_ids = [v], [first]
         while True:
-            if cur_e in visited_edges:  # walked around a 1-cycle
-                ok = False
-                break
-            visited_edges.add(cur_e)
-            others = [w for w in g.edges[cur_e] if w != cur_v]
-            continuing = [w for w in others if degs[w - 1] == 2]
-            if any(degs[w - 1] > 2 for w in others) or len(continuing) > 1:
-                ok = False
-                break
-            chain_edges.append(cur_e)
-            if not continuing:
+            others = [w for w in g.edges[edge_ids[-1]] if w != chain[-1]]
+            links = [w for w in others if degs[w - 1] > 1]
+            if len(links) > 1 or (links and degs[links[0] - 1] > 2):
+                break  # the edge branches
+            if not links:
                 # all remaining vertices degree one; pick the smallest as
                 # the designated free end (any choice is automorphic)
-                chain_vertices.append(min(others))
+                chain.append(min(others))
+                paths.append(PendentPath(tuple(chain), tuple(edge_ids)))
                 break
-            w = continuing[0]
-            chain_vertices.append(w)
-            nxt = [j for j in g.incident_edges(w) if j != cur_e]
-            cur_v, cur_e = w, nxt[0]
-        if ok:
-            paths.append(PendentPath(tuple(chain_vertices), tuple(chain_edges)))
+            chain.append(links[0])
+            (nxt,) = (j for j in g.incident_edges(links[0]) if j != edge_ids[-1])
+            if nxt == first:
+                break  # walked around a 1-cycle
+            edge_ids.append(nxt)
     paths.sort(key=lambda p: (-p.length, p.edge_ids))
     return paths
 
@@ -217,30 +200,24 @@ def edges_to_parents(edges: Sequence[tuple[int, int]], n_prime: int) -> list[int
 def graft_to_path(parents: Sequence[int]) -> list[GraftStep]:
     """Sequence of total grafts turning the tree into a path.
 
-    Strategy: repeatedly pick a vertex of degree >= 3 furthest from node 1
-    (the smallest such label on ties) and graft its two shortest pendent
-    paths (the smaller first node on ties), d(u) - 2 grafts per vertex.
+    Strategy: graft each vertex u of degree >= 3, furthest from node 1
+    first (the smallest label on ties), d(u) - 2 times, each time joining
+    its two shortest pendent paths.  The order is fixed once: grafts at the
+    deepest such u move only pendent paths at u, so no other such vertex
+    changes depth or degree (if node 1 lies on a moved path, u is the last).
     """
     g = tree_power(parents, 2)
+    parent = _reach(g)  # each node after its parent
+    depth = {1: 0}
+    for x in list(parent)[1:]:
+        depth[x] = depth[parent[x]] + 1
     steps: list[GraftStep] = []
-    while True:
-        heavy = [u for u in range(1, g.n + 1) if g.degree(u) >= 3]
-        if not heavy:
-            return steps
-        parent = _reach(g)
-
-        def depth(x: int) -> int:
-            d = 0
-            while x != 1:
-                x, d = parent[x], d + 1
-            return d
-
-        u = max(heavy, key=lambda x: (depth(x), -x))
+    for u in sorted((u for u in depth if g.degree(u) >= 3), key=lambda u: (-depth[u], u)):
         while g.degree(u) > 2:
-            paths = sorted(find_pendent_paths(g, u), key=lambda c: (c.length, c.vertices))
-            p, q = paths[0].length, paths[1].length
+            p, q = sorted(c.length for c in find_pendent_paths(g, u))[:2]
             g = total_graft(g, u, p, q)
             steps.append(GraftStep(vertex=u, p=p, q=q))
+    return steps
 
 
 def apply_graft_sequence(

@@ -6,18 +6,31 @@ import math
 import numpy as np
 
 from hypertree_spectra import (
+    EdgeMoveSpec,
     Hypergraph,
     TensorKind,
     apply,
     canonical_form,
+    find_pendent_paths,
     is_connected,
     is_linear,
+    move_edges,
+    pendent_edges,
+    total_graft,
+    tree_power,
     validate,
 )
 from hypertree_spectra.canon import CanonicalForm, _center_peel, _supertree_canonical
 from hypertree_spectra.census import _supertree_shapes
-from hypertree_spectra.errors import BadDimensions, TooLarge
-from hypertree_spectra.transforms import edges_to_parents
+from hypertree_spectra.errors import (
+    BadDimensions,
+    InvalidSpec,
+    NotLinear,
+    PendentEdge,
+    TooLarge,
+)
+from hypertree_spectra.hypergraph import _reach
+from hypertree_spectra.transforms import GraftStep, edges_to_parents
 
 _BRUTE_FORCE_CAP = 2_000_000  # permutations examined by brute_force_canonical
 MAX_TREE_NODES = 10  # enumerate_trees' cap
@@ -31,6 +44,22 @@ def relabel(g, perm: dict[int, int]):
 def parents_to_edges(parents) -> list[tuple[int, int]]:
     """Edge list of the tree whose node i+2 has parent parents[i]."""
     return [(p, i + 2) for i, p in enumerate(parents)]
+
+
+def prufer_decode(seq, n_prime):
+    """Standard Prüfer decoding: bijection with labeled trees on n' nodes."""
+    degree = [1] * (n_prime + 1)
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v in range(1, n_prime + 1) if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u, v = [x for x in range(1, n_prime + 1) if degree[x] == 1]
+    edges.append((u, v))
+    return edges
 
 
 def enumerate_trees(n_prime: int) -> list[list[int]]:
@@ -284,3 +313,56 @@ def edge_loop_apply(kind, g, x):
         for i, d in enumerate(g.degrees):
             out[i] += d * x[i] ** (k - 1)
     return out
+
+
+def graft_to_path_by_rounds(parents) -> list[GraftStep]:
+    """Oracle for transforms.graft_to_path: in rounds, walk the current
+    tree from node 1, pick a vertex of degree >= 3 furthest from node 1
+    (the smallest label on ties) and graft its two shortest pendent paths
+    until it has degree 2."""
+    g = tree_power(parents, 2)
+    steps: list[GraftStep] = []
+    while True:
+        heavy = [u for u in range(1, g.n + 1) if g.degree(u) >= 3]
+        if not heavy:
+            return steps
+        parent = _reach(g)
+
+        def depth(x: int) -> int:
+            d = 0
+            while x != 1:
+                x, d = parent[x], d + 1
+            return d
+
+        u = max(heavy, key=lambda x: (depth(x), -x))
+        while g.degree(u) > 2:
+            paths = sorted(find_pendent_paths(g, u), key=lambda c: (c.length, c.vertices))
+            p, q = paths[0].length, paths[1].length
+            g = total_graft(g, u, p, q)
+            steps.append(GraftStep(vertex=u, p=p, q=q))
+
+
+def release_by_scan(g: Hypergraph, edge_id: int, u: int) -> Hypergraph:
+    """Oracle for transforms.edge_release: scan every other edge for one
+    that meets edge e at a vertex v != u, and move them all to u in one
+    spec."""
+    if not is_linear(g):
+        raise NotLinear("edge_release requires a linear hypergraph")
+    if not (0 <= edge_id < g.m):
+        raise InvalidSpec(f"edge id {edge_id} out of range")
+    e = g.edges[edge_id]
+    if u not in e:
+        raise InvalidSpec(f"vertex {u} not in edge {list(e)}")
+    if edge_id in pendent_edges(g):
+        raise PendentEdge("cannot release a pendent edge")
+    ids: list[int] = []
+    sources: list[int] = []
+    for j, other in enumerate(g.edges):
+        if j == edge_id or u in other:
+            continue
+        common = set(e).intersection(other)
+        if common:
+            (v,) = common  # unique by linearity
+            ids.append(j)
+            sources.append(v)
+    return move_edges(g, EdgeMoveSpec(tuple(ids), tuple(sources), u))

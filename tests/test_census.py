@@ -24,6 +24,7 @@ from oracles import (
     grow_and_dedup,
     is_supertree,
     parents_to_edges,
+    prufer_decode,
     tree_canonical_code,
 )
 
@@ -37,29 +38,13 @@ FREE_TREES_UP_TO_14 = {**FREE_TREE_COUNTS, 11: 235, 12: 551, 13: 1301, 14: 3159}
 SUPERTREE_COUNTS_K3 = [1, 1, 2, 4, 8, 19, 48, 126, 355, 1037]
 
 
-def _prufer_decode(seq, n_prime):
-    """Standard Prüfer decoding: bijection with labeled trees on n' nodes."""
-    degree = [1] * (n_prime + 1)
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    for x in seq:
-        leaf = min(v for v in range(1, n_prime + 1) if degree[v] == 1)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-    u, v = [x for x in range(1, n_prime + 1) if degree[x] == 1]
-    edges.append((u, v))
-    return edges
-
-
 def _labeled_tree_classes(n_prime):
     """Independent oracle: canonical codes of all n'^(n'-2) labeled trees."""
     if n_prime == 2:
         return {tree_canonical_code([(1, 2)], 2)}
     codes = set()
     for seq in itertools.product(range(1, n_prime + 1), repeat=n_prime - 2):
-        edges = _prufer_decode(seq, n_prime)
+        edges = prufer_decode(seq, n_prime)
         codes.add(tree_canonical_code(edges, n_prime))
     return codes
 

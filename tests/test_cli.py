@@ -13,6 +13,7 @@ from hypertree_spectra import (
     hyperstar,
     loose_path,
     parse_hypergraph,
+    s_path,
     spectral_radius,
     validate,
 )
@@ -208,6 +209,16 @@ def test_verify_bad_tol(capsys):
     assert err.startswith("error: ")
 
 
+def test_compute_help_states_the_solver_contract(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "the largest allowed width of the certified bracket" in out
+    assert "below the rounding floor" in out and "runs the whole --max-iter budget" in out
+    assert "once it is spent the command exits 4 and prints the last bracket" in out
+
+
 def test_compute_json_deterministic(capsys, star_file):
     _, out1, _ = run(capsys, "compute", "--kind", "qstar", star_file)
     _, out2, _ = run(capsys, "compute", "--kind", "qstar", star_file)
@@ -395,6 +406,17 @@ def test_transform_precondition_failure(capsys, star_file):
     code, _, err = run(capsys, "transform", star_file, "--release", "1", "4")
     assert code == 5
     assert err.startswith("error: ") and "not in edge" in err
+
+
+def test_transform_release_on_non_linear_input(capsys, tmp_path):
+    # consecutive edges of the 2-path share two vertices: a violated
+    # precondition of the release
+    f = tmp_path / "s_path_3_2_4.hg"
+    f.write_text(format_hypergraph(s_path(3, 2, 4)))
+    code, out, err = run(capsys, "transform", str(f), "--release", "1", "1")
+    assert code == 5
+    assert out == ""
+    assert err == "error: pendent edges are defined on linear hypergraphs\n"
 
 
 @pytest.mark.parametrize(

@@ -173,8 +173,10 @@ def test_newton_below_rounding_floor_finishes_with_power_steps(kind, g):
     """With tol below the rounding floor a Newton step fails (the path:
     the root pivot of the elimination rounds to zero) or the bracket stops
     shrinking (the stars).  The row goes on with power steps, and the
-    budget ends with a finite bracket around the default-tol radius."""
-    rho = spectral_radius(kind, g).rho
+    budget ends with a finite bracket around the radius of a tol=1e-13
+    solve; a default-tol bracket may be 1e-10 wide, and its midpoint that
+    far from rho."""
+    rho = spectral_radius(kind, g, tol=1e-13).rho
     with pytest.raises(NoConvergence) as exc:
         spectral_radius(kind, g, tol=1e-300, max_iter=50)
     err = exc.value

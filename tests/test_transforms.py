@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hypertree_spectra import (
@@ -14,6 +16,7 @@ from hypertree_spectra import (
     move_edges,
     pendent_edges,
     s_cycle,
+    s_path,
     single_edge,
     spectral_radius,
     total_graft,
@@ -25,9 +28,11 @@ from hypertree_spectra.errors import (
     InvalidSpec,
     MultipleEdge,
     NotATree,
+    NotLinear,
     NotPendentPaths,
     PendentEdge,
 )
+from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.transforms import (
     GraftStep,
     apply_graft_sequence,
@@ -35,9 +40,12 @@ from hypertree_spectra.transforms import (
 )
 from oracles import (
     enumerate_trees,
+    graft_to_path_by_rounds,
     is_isomorphic,
     is_supertree,
     parents_to_edges,
+    prufer_decode,
+    release_by_scan,
     tree_canonical_code,
 )
 
@@ -190,6 +198,38 @@ def test_release_strictly_increases_all_radii():
                 h = edge_release_best(g, eid, kind=kind, tol=TOL)
                 after = spectral_radius(kind, h, tol=TOL).rho
                 assert_strictly_greater(after, before)
+
+
+def _outcome(transform, g, edge_id, u):
+    try:
+        return transform(g, edge_id, u)
+    except PendentEdge as exc:
+        return type(exc)
+
+
+def test_release_matches_scan_oracle():
+    # every edge at each of its vertices over the small censuses and two
+    # linear cycles: the incidence-list release equals the scan of all edges
+    graphs = [
+        g
+        for k, top in ((2, 8), (3, 6), (4, 5))
+        for m in range(1, top + 1)
+        for g in _supertree_shapes(m, k)
+    ] + [s_cycle(4, 1, 3), s_cycle(5, 1, 4)]
+    outcomes = set()
+    for g in graphs:
+        for j, e in enumerate(g.edges):
+            for u in e:
+                fast = _outcome(edge_release, g, j, u)
+                assert fast == _outcome(release_by_scan, g, j, u)
+                outcomes.add(fast is PendentEdge)
+    assert outcomes == {True, False}
+
+
+def test_release_rejects_non_linear():
+    # consecutive edges of the 2-path share two vertices
+    with pytest.raises(NotLinear):
+        edge_release(s_path(3, 2, 4), 0, 1)
 
 
 def test_release_best_out_of_range():
@@ -359,6 +399,25 @@ def test_graft_to_path_reaches_path_on_all_small_trees():
                 assert len(inter) == n_prime - 1
             final = intermediates[-1] if intermediates else parents
             assert _is_path_code(parents_to_edges(final), n_prime)
+
+
+def test_graft_to_path_matches_rounds_on_small_trees():
+    # the fixed deepest-first order against grafting round by round, each
+    # round walking the current tree from node 1
+    for n_prime in range(2, 11):
+        for parents in enumerate_trees(n_prime):
+            assert graft_to_path(parents) == graft_to_path_by_rounds(parents)
+
+
+def test_graft_to_path_matches_rounds_on_random_trees():
+    # uniform labeled trees, so node 1 lands anywhere: a leaf, on a pendent
+    # path, at a heavy vertex
+    rng = random.Random(19)
+    for _ in range(300):
+        n_prime = rng.randint(3, 40)
+        seq = [rng.randint(1, n_prime) for _ in range(n_prime - 2)]
+        parents = edges_to_parents(prufer_decode(seq, n_prime), n_prime)
+        assert graft_to_path(parents) == graft_to_path_by_rounds(parents)
 
 
 def test_graft_sequence_radii_strictly_decreasing():
