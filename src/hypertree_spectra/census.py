@@ -4,8 +4,8 @@ verification of the extremal theorems over the census.
 A supertree's incidence tree has exactly one center, and rooted there it
 is built once from smaller rooted pieces, so the census is isomorph-free
 by construction: no candidate is canonicalized, no set of forms is kept,
-and canon's labeler numbers each shape.  Free trees on n' nodes are the
-k=2 census with n'-1 edges.
+and each shape is its center's AHU bit string, which canon's labeler
+numbers.  Free trees on n' nodes are the k=2 census with n'-1 edges.
 """
 
 from __future__ import annotations
@@ -101,40 +101,38 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     Each is built once, rooted at its incidence tree's one center (Otter
     1948; Wright, Richmond, Odlyzko & McKay 1986): a vertex with two or
     more edge branches, or an edge with k vertex subtrees, whose two
-    deepest children are equally deep.  Children are ordered by AHU code
-    and vertices numbered in pre-order, through ``canon._label``; only the
-    output is validated."""
+    deepest children are equally deep.  Pieces carry canon's AHU bit
+    strings (a leaf is "10"), sorted among siblings, and ``canon._label``
+    numbers the vertices in pre-order; only the output is validated."""
     # pieces by edge count: (code, depth), the code as in canon and the
     # depth in edges.  A vertex subtree is a multiset of edge branches, an
     # edge branch one of k-1 vertex subtrees.  A piece of s edges and depth
     # d has a rival as deep beside it at the center, so needs s + d <= m
-    below: list[list[tuple]] = [[((), 0)]]  # vertex subtrees
+    below: list[list[tuple]] = [[("10", 0)]]  # vertex subtrees
     branches: list[list[tuple]] = [[]]  # edge branches
     for s in range(1, m):
         kids = _multisets(below, s - 1, k - 1)
         branches.append([(c, d[-1] + 1) for c, d in kids if s + d[-1] < m])
         below.append([(c, d[-1]) for c, d in _multisets(branches, s) if s + d[-1] <= m])
-    vertex_centers = (([1], c, d) for c, d in _multisets(branches, m) if len(c) > 1)
-    edge_centers = (([], (c,), d) for c, d in _multisets(below, m - 1, k))
+    vertex_centers = ((True, c, d) for c, d in _multisets(branches, m) if len(d) > 1)
+    edge_centers = ((False, c, d) for c, d in _multisets(below, m - 1, k))
     shapes = []
-    for top, code, depths in chain(vertex_centers, edge_centers):
+    for vertex_root, code, depths in chain(vertex_centers, edge_centers):
         if depths[-1] == depths[-2]:
-            edges: list[tuple[int, ...]] = []
-            _label(code, top, len(top) + 1, edges)
-            shapes.append(validate(edges, m * (k - 1) + 1, k=k))
+            shapes.append(validate(_label(code, vertex_root), m * (k - 1) + 1, k=k))
     return sorted(shapes, key=lambda g: g.edges)
 
 
 def _multisets(table: list[list[tuple]], total: int, count: int | None = None) -> Iterator[tuple]:
     """Each multiset of table pieces whose sizes (table indices) sum to
-    total, once, as its sorted codes and sorted depths: of exactly count
-    pieces, the rest of size 0, or of any number if count is None."""
+    total, once, as the code of a node with these children and their sorted
+    depths: of count pieces, the rest of size 0, or of any number if None."""
     for parts in _partitions(total, total if count is None else count, len(table) - 1):
         parts += (0,) * ((count or 0) - len(parts))
         runs = [(p, len(list(run))) for p, run in groupby(parts)]
         for pick in product(*(combinations_with_replacement(table[p], c) for p, c in runs)):
             pieces = sorted(sum(pick, ()))
-            yield tuple(c for c, _ in pieces), sorted(d for _, d in pieces)
+            yield "1" + "".join(c for c, _ in pieces) + "0", sorted(d for _, d in pieces)
 
 
 def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]]:

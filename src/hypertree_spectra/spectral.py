@@ -176,7 +176,7 @@ def _solve(
             if on_newton.any():
                 # all active rows step on one schedule; rows on Newton take the step
                 if schedule is None:
-                    schedule = _schedule(idx[active], height[active], n)
+                    schedule = _schedule(flat, height[active])
                 step = _newton_noda_step(kind, schedule, x, ax, upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
                 x_next[on_newton] = step[on_newton]
@@ -231,12 +231,12 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return np.take_along_axis(idx, order, axis=2), height
 
 
-def _schedule(idx: np.ndarray, height: np.ndarray, n: int) -> tuple:
-    """Schedule of a Newton-Noda step on rows of _elimination_order's idx and
-    height: the (B m, k) row-offset edge index, each height's (edge, parent,
-    child) flat indices, lowest first, and every row's root vertex."""
-    rows, m, k = idx.shape
-    verts = _row_offset(idx, n).reshape(-1, k)
+def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
+    """Schedule of a Newton-Noda step on rows of _elimination_order's idx,
+    row-offset (flat), and height: the (B m, k) edge index, each height's
+    (edge, parent, child) flat indices, lowest first, and every row's root."""
+    rows, m, k = flat.shape
+    verts = flat.reshape(-1, k)
     order = np.argsort(height.ravel(), kind="stable")
     split = np.split(order, np.cumsum(np.bincount(height.ravel()))[:-1])
     root = verts[height.argmax(axis=1) + m * np.arange(rows), 0]

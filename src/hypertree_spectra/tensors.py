@@ -126,11 +126,11 @@ def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
     return _contract(kind, _edge_index([g]), x[None, :])[0]
 
 
-def dense_build(kind: TensorKind, g: Hypergraph, cap: int = DEFAULT_DENSE_CAP) -> DenseTensor:
-    """Fully materialized symmetric tensor; oracle for apply()."""
+def dense_build(kind: TensorKind, g: Hypergraph) -> DenseTensor:
+    """Dense symmetric tensor, n^k <= DEFAULT_DENSE_CAP; oracle for apply()."""
     n, k = g.n, g.k
-    if n**k > cap:
-        raise TooLarge(f"n^k = {n**k} exceeds cap {cap}")
+    if n**k > DEFAULT_DENSE_CAP:
+        raise TooLarge(f"n^k = {n**k} exceeds cap {DEFAULT_DENSE_CAP}")
     t = np.zeros((n,) * k)
     if kind is TensorKind.IncidenceQ:
         for e in g.edges:

@@ -114,8 +114,15 @@ def supertree_orbits(edges, n: int) -> list[int]:
     """orbit[v-1] is the smallest vertex that an automorphism of the
     supertree maps v to.  Automorphisms fix the center, so two nodes share
     an orbit iff their paths from the center carry equal codes, level by
-    level.  NotATree unless the edges form a supertree."""
-    order, parent, code = _center_peel(edges, n)
+    level.  The codes are nested tuples of the children's codes, sorted,
+    built here from the peel's order and parents rather than taken from
+    canon's bit strings.  NotATree unless the edges form a supertree."""
+    order, parent, _ = _center_peel(edges, n)
+    code: list = [[] for _ in order]  # children's codes until the node's turn
+    for x in order:  # children before parents
+        code[x] = tuple(sorted(code[x]))
+        if parent[x] >= 0:
+            code[parent[x]].append(code[x])
     key = [0] * len(order)  # key[x] numbers x's path from the center
     keys: dict[tuple, int] = {}
     for x in reversed(order[:-1]):  # parents before children

@@ -243,10 +243,14 @@ def test_automorphism_orbits_need_a_supertree():
         automorphism_orbits(validate([[1, 2, 3], [4, 5, 6]], 6))
 
 
-def test_canonical_form_of_a_too_deep_tree_is_too_large():
-    # nested AHU codes past the recursion limit raise a typed error
-    with pytest.raises(TooLarge, match="1500 edges"):
-        canonical_form(loose_path(3001, 3))
+@pytest.mark.parametrize("family", [loose_path, hyperstar])
+def test_canonical_form_of_a_deep_or_wide_tree(family):
+    # bit-string codes neither recurse nor nest: a path 10000 edges long
+    # and a star of 10000 edges both canonicalize, relabeled or not
+    g = family(20001, 3)
+    form = canonical_form(g)
+    assert len(form) == 10000
+    assert canonical_form(_random_relabel(g, random.Random(20001))) == form
 
 
 def test_canonical_form_of_a_deep_path_is_relabeling_invariant():

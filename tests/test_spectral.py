@@ -200,7 +200,8 @@ def test_newton_closes_bracket_exactly():
 
 def _step_schedule(graphs):
     n = graphs[0].n
-    return _schedule(*_elimination_order(_edge_index(graphs), n), n)
+    idx, height = _elimination_order(_edge_index(graphs), n)
+    return _schedule(_row_offset(idx, n), height)
 
 
 def test_newton_step_fails_on_singular_system():
@@ -271,7 +272,7 @@ def test_elimination_order_on_census(k, m):
     graphs = _supertree_shapes(m, k)
     n = graphs[0].n
     idx, height = _elimination_order(_edge_index(graphs), n)
-    roots = _schedule(idx, height, n)[2] - n * np.arange(len(graphs))
+    roots = _schedule(_row_offset(idx, n), height)[2] - n * np.arange(len(graphs))
     for g, edges, heights, root in zip(graphs, idx, height, roots):
         assert sorted(tuple(sorted(e + 1)) for e in edges) == list(g.edges)
         children = edges[:, 1:].ravel()

@@ -77,8 +77,9 @@ def test_dense_entries_disjoint_edges():
 
 
 def test_dense_cap():
+    # 217^3 > 10^7: the cap raises before anything is allocated
     with pytest.raises(TooLarge):
-        dense_build(TensorKind.Adjacency, single_edge(3), cap=10)
+        dense_build(TensorKind.Adjacency, hyperstar(217, 3))
 
 
 def test_dense_symmetry_and_nonnegativity(small_instance):
