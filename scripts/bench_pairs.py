@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Alternating before/after runs of perfbench/run.py in two checkouts.
+
+    python3 scripts/bench_pairs.py BASE CHANGE --label NAME \\
+        [--workload census_sweep --workload graft_descent ...] \\
+        [--pairs 10] [--seconds 8] [--out DIR]
+
+For each workload and each pair i = 1..N, runs
+
+    python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
+
+in the BASE checkout and in the CHANGE checkout, one right after the other:
+BASE first in odd pairs, CHANGE first in even ones, so that a drift in the
+host's speed falls on both sides alike.  Writes BENCH_<label>.json into
+--out (the root of this checkout by default), holding per workload every
+run's end-to-end metrics and check counts, each side's median and quartiles
+of every metric, and the number of pairs in which CHANGE read lower.  Uses
+the standard library only.  The exit code is 0 only if every run was
+correct.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("census_sweep", "long_path", "graft_descent")
+SIDES = ("base", "change")
+
+
+def revision(checkout: Path) -> str:
+    """The checkout's git commit, or its directory name outside git."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else checkout.name
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its result line and the host fields of its record."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=4 * seconds + 300)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{checkout}: no output from {' '.join(cmd)}\n{done.stderr}")
+    result = json.loads(lines[-1])
+    record = next((json.loads(line[len("run-record "):]) for line in lines
+                   if line.startswith("run-record ")), {})
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "host": {key: record.get(key) for key in ("nproc", "cpu_model", "python",
+                                                   "numpy", "threads")},
+    }
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of values."""
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(runs: dict) -> dict:
+    """Per metric: each side's spread, and in how many pairs change < base."""
+    summary = {}
+    for name in runs["base"][0]["metrics"]:
+        sides = {side: [run["metrics"][name] for run in runs[side]] for side in SIDES}
+        pairs = list(zip(sides["base"], sides["change"]))
+        summary[name] = {
+            **{side: spread(values) for side, values in sides.items()},
+            "change_lower_in": sum(after < before for before, after in pairs),
+            "pairs": len(pairs),
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout measured as before")
+    parser.add_argument("change", type=Path, help="checkout measured as after")
+    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="repeatable; all workloads by default")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--out", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
+    bench = {
+        "label": args.label,
+        "command": "python3 perfbench/run.py --workload W --seed I --seconds S --trace 0",
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "revisions": {side: revision(path) for side, path in checkouts.items()},
+        "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "workloads": {},
+    }
+    correct = True
+    for workload in args.workload or WORKLOADS:
+        runs = {side: [] for side in SIDES}
+        for seed in range(1, args.pairs + 1):
+            first = SIDES if seed % 2 else SIDES[::-1]
+            for side in first:
+                run = run_once(checkouts[side], workload, seed, args.seconds)
+                run["first"] = side == first[0]
+                runs[side].append(run)
+                correct &= run["correct"] and run["failed"] == 0
+                print(f"{workload} pair {seed} {side}: wall_s "
+                      f"{run['metrics'].get('wall_s')} correct {run['correct']}", flush=True)
+        bench["workloads"][workload] = {"summary": summarize(runs), "runs": runs}
+    bench["correct"] = correct
+    path = args.out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,14 +17,19 @@ eliminating along the supertree, each edge's block a diagonal plus a
 rank-one term, in O(m k) time and memory, and converges quadratically, in
 about ten steps where the power iteration needs thousands on long paths
 and nearly degenerate shapes.  spectral_radii runs the iteration on a batch
-of graphs sharing (n, m, k), one row per graph.  A disconnected graph
-raises Disconnected.  In a batch with m (k-1) = n-1 such a graph has a
-cycle, which the leaf peeling that orders the elimination finds; any other
-batch is searched graph by graph.
+of graphs sharing (n, m, k), one row per graph, under one tensor kind or
+one kind per row.  The rows are grouped by kind into blocks: each block
+evaluates its own tensor, and the bracket bookkeeping, the elimination
+order and each Newton-Noda step's elimination run once for all rows.  A
+graph listed more than once, as a census is under each kind, is indexed
+and peeled once.  A disconnected graph raises Disconnected.  In a batch
+with m (k-1) = n-1 such a graph has a cycle, which the leaf peeling that
+orders the elimination finds; any other batch is searched graph by graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,49 +97,67 @@ def spectral_radius(
 
 
 def spectral_radii(
-    kind: TensorKind,
+    kind: TensorKind | Sequence[TensorKind],
     graphs: list[Hypergraph],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[SpectralResult]:
-    """spectral_radius of every graph, iterated together as one batch.
+    """spectral_radius of every graph, iterated together as one batch, in
+    the order of graphs.
 
-    The graphs must share (n, m, k).  Each row runs exactly the iteration
-    spectral_radius runs on it alone, and is frozen into its own result
-    when its own bracket closes.
+    kind is one TensorKind for all graphs, or a sequence of one per graph,
+    in any order (DimensionMismatch if its length differs, BadParameter if
+    an entry is not a TensorKind).  The graphs must share (n, m, k).  Each
+    row runs exactly the iteration spectral_radius runs on it alone, and is
+    frozen into its own result when its own bracket closes.
     """
     return _solve(kind, graphs, tol, max_iter)
 
 
 def _solve(
-    kind: TensorKind, graphs: list[Hypergraph], tol: float, max_iter: int
+    kind: TensorKind | Sequence[TensorKind],
+    graphs: list[Hypergraph],
+    tol: float,
+    max_iter: int,
 ) -> list[SpectralResult]:
     if not tol > 0:
         raise BadParameter(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise BadParameter(f"max_iter must be at least 1, got {max_iter}")
+    order, blocks = _blocks(kind, len(graphs))
     if not graphs:
         return []
     if len({(g.n, g.m, g.k) for g in graphs}) > 1:
         raise DimensionMismatch("a batch of graphs must share (n, m, k)")
     n, m, k = graphs[0].n, graphs[0].m, graphs[0].k
+    # rows follow order; a graph listed more than once (a census under
+    # every kind) is indexed and peeled once, as row src[r] of distinct
+    first: dict[int, tuple[int, Hypergraph]] = {}
+    for i in order:
+        first.setdefault(id(graphs[i]), (len(first), graphs[i]))
+    distinct = [g for _, g in first.values()]
     # with m (k-1) = n-1 a graph is a supertree, which Newton-Noda needs,
     # iff it is connected, and _elimination_order's leaf peeling decides it
     newton = m * (k - 1) == n - 1
-    if not newton and not all(is_connected(g) for g in graphs):
+    if not newton and not all(is_connected(g) for g in distinct):
         raise Disconnected("spectral_radius requires a connected hypergraph")
-    idx = _edge_index(graphs)
+    idx = _edge_index(distinct)
     idx, height = _elimination_order(idx, n) if newton else (idx, None)
+    if len(distinct) < len(graphs):
+        src = np.array([first[id(graphs[i])][0] for i in order])
+        idx = idx[src]
+        height = height[src] if newton else None
     schedule = None  # built for the active rows when a Newton step needs it
     results: list[SpectralResult | None] = [None] * len(graphs)
-    active = np.arange(len(graphs))  # batch row -> position in graphs
+    active = np.arange(len(graphs))  # batch row -> its place in order
     on_newton = np.full(len(graphs), newton)  # rows still taking Newton-Noda steps
     best = np.full(len(graphs), np.inf)  # each row's narrowest bracket so far
     stalls = np.zeros(len(graphs), dtype=np.intp)  # steps since it narrowed
     flat = _row_offset(idx, n)
+    flats = _block_flats(blocks, flat, n)
     x = np.full((len(active), n), n ** (-1.0 / k))
     for it in range(1, max_iter + 1):
-        ax = _contract(kind, flat, x)
+        ax = _stack([_contract(kd, f, x[s:e]) for (kd, s, e), f in zip(blocks, flats)])
         xk1 = x ** (k - 1)
         y = ax + xk1
         ratios = y / xk1 - 1
@@ -142,16 +165,16 @@ def _solve(
         upper = ratios.max(axis=1)
         done = upper - lower <= tol
         if done.any():
-            for r in np.flatnonzero(done):
-                lo, hi = float(lower[r]), float(upper[r])
-                rho = 0.5 * (lo + hi)
-                results[active[r]] = SpectralResult(
-                    rho=rho,
-                    eigvec=x[r].copy(),
-                    residual=float(np.max(np.abs(ax[r] - rho * xk1[r]))),
-                    iterations=it,
-                    lower=lo,
-                    upper=hi,
+            rows = np.flatnonzero(done)
+            lo, hi = lower[rows], upper[rows]
+            rho = 0.5 * (lo + hi)
+            residual = np.abs(ax[rows] - rho[:, None] * xk1[rows]).max(axis=1)
+            for r, vec, mid, res, a, b in zip(
+                active[rows].tolist(), x[rows], rho.tolist(), residual.tolist(),
+                lo.tolist(), hi.tolist(),
+            ):
+                results[order[r]] = SpectralResult(
+                    rho=mid, eigvec=vec, residual=res, iterations=it, lower=a, upper=b
                 )
             if done.all():
                 return results
@@ -159,7 +182,9 @@ def _solve(
             active, x, ax, y = active[keep], x[keep], ax[keep], y[keep]
             lower, upper = lower[keep], upper[keep]
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
+            blocks = _kept(blocks, keep) if len(blocks) > 1 else [(blocks[0][0], 0, len(active))]
             flat, schedule = _row_offset(idx[active], n), None
+            flats = _block_flats(blocks, flat, n)
         x_next = y ** (1.0 / (k - 1))
         tiny = x_next.min(axis=1) < 1e-300
         if tiny.any():
@@ -177,20 +202,68 @@ def _solve(
                 # all active rows step on one schedule; rows on Newton take the step
                 if schedule is None:
                     schedule = _schedule(flat, height[active])
-                step = _newton_noda_step(kind, schedule, x, ax, upper)
+                step = _newton_noda_step(blocks, schedule, x, ax, upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
                 x_next[on_newton] = step[on_newton]
         x = x_next
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
     widest = int(np.argmax(upper - lower))
     lo, hi = float(lower[widest]), float(upper[widest])
+    kd = next(kd for kd, s, e in blocks if s <= widest < e)
     raise NoConvergence(
         f"no convergence after {max_iter} iterations for {len(active)} of "
-        f"{len(graphs)} graphs (widest bracket [{lo}, {hi}])",
+        f"{len(graphs)} graphs (widest bracket [{lo}, {hi}], {kd.name})",
         lower=lo,
         upper=hi,
         iterations=max_iter,
     )
+
+
+def _blocks(kind: TensorKind | Sequence[TensorKind], count: int) -> tuple[Sequence[int], list]:
+    """The batch order of count graphs under kind, as positions in the
+    input, grouped by kind, and its blocks of one kind each: (kind, start,
+    stop), a range of rows in that order."""
+    if isinstance(kind, TensorKind):
+        return range(count), [(kind, 0, count)]
+    try:
+        kinds = list(kind)
+    except TypeError:
+        raise BadParameter(f"kind must be a TensorKind or a sequence of them, got {kind!r}")
+    if not all(isinstance(kd, TensorKind) for kd in kinds):
+        raise BadParameter(f"every kind must be a TensorKind, got {kind!r}")
+    if len(kinds) != count:
+        raise DimensionMismatch(f"{len(kinds)} kinds for {count} graphs")
+    rank = list(TensorKind).index
+    order = sorted(range(count), key=lambda i: rank(kinds[i]))
+    blocks, start = [], 0
+    for kd in TensorKind:
+        stop = start + kinds.count(kd)
+        if stop > start:
+            blocks.append((kd, start, stop))
+        start = stop
+    return order, blocks
+
+
+def _kept(blocks: list, keep: np.ndarray) -> list:
+    """blocks over the rows where keep holds, once the others are dropped."""
+    left = np.cumsum(keep)
+    kept, start = [], 0
+    for kd, _, stop in blocks:
+        end = int(left[stop - 1])
+        if end > start:
+            kept.append((kd, start, end))
+        start = end
+    return kept
+
+
+def _block_flats(blocks: list, flat: np.ndarray, n: int) -> list:
+    """Each block's rows of the row-offset index flat, offset from its start."""
+    return [flat[s:e] - n * s if s else flat[:e] for _, s, e in blocks]
+
+
+def _stack(parts) -> np.ndarray:
+    """The blocks' arrays, stacked along their first axis."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,10 +317,11 @@ def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
 
 
 def _newton_noda_step(
-    kind: TensorKind, schedule: tuple, x: np.ndarray, ax: np.ndarray, top: np.ndarray
+    blocks: list, schedule: tuple, x: np.ndarray, ax: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
     """One Newton-Noda step from the positive rows of x, with ax = T x^{k-1},
     before normalization; a row whose step fails is not finite and positive.
+    blocks, (kind, start, stop), give each range of rows its tensor.
 
     The step is Noda's iteration on the degree-one map
     F(x) = (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM J. Matrix Anal.
@@ -274,7 +348,9 @@ def _newton_noda_step(
     """
     verts, levels, root = schedule
     k = verts.shape[1]
-    c, u, diag = _linearize(kind, verts, x)
+    m = len(verts) // len(x)
+    parts = [_linearize(kd, verts[s * m : e * m], x) for kd, s, e in blocks]
+    c, u, diag = map(_stack, zip(*parts))
     q = ax ** ((k - 2) / (k - 1))
     mu = top ** (1.0 / (k - 1))
     pivot = (mu[:, None] * q).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)

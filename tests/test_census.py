@@ -13,9 +13,12 @@ from hypertree_spectra import (
     hyperstar,
     is_linear,
     loose_path,
+    spectral_radii,
     spectral_radius,
     verify_extremal,
 )
+from hypertree_spectra import census as census_module
+from hypertree_spectra import spectral
 from hypertree_spectra.census import Census, _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
 from oracles import (
@@ -287,6 +290,43 @@ def test_census_deterministic_export():
             assert stats["iterations"] >= 1
             assert stats["lower"] <= rec[f"rho_{kind}"] <= stats["upper"]
             assert stats["upper"] - stats["lower"] <= 1e-10
+
+
+@pytest.mark.parametrize("k,top", [(2, 10), (3, 8), (4, 7), (5, 5)])
+def test_census_solves_equal_per_kind_batches(k, top):
+    """The census solves its shapes under all three kinds in one batch, and
+    every record is == to that shape's row of a batch of one kind."""
+    for m in range(1, top + 1):
+        census = enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m)
+        shapes = [rec.hypergraph for rec in census.records]
+        for kind in KINDS:
+            for rec, res in zip(census.records, spectral_radii(kind, shapes)):
+                assert rec.radii[kind] == res.rho
+                assert rec.solves[kind] == {
+                    "iterations": res.iterations,
+                    "lower": res.lower,
+                    "upper": res.upper,
+                    "residual": res.residual,
+                }
+
+
+def test_census_indexes_and_peels_each_shape_once(monkeypatch):
+    """One edge index and one elimination order serve all three kinds, in
+    each batch of CENSUS_BATCH shapes, and the batches change no record."""
+    calls = []
+    peel = spectral._elimination_order
+
+    def counted(idx, n):
+        calls.append(len(idx))
+        return peel(idx, n)
+
+    monkeypatch.setattr(spectral, "_elimination_order", counted)
+    census = enumerate_supertrees(15, 3, max_edges=7)
+    assert calls == [len(census.records)] == [48]
+    calls.clear()
+    monkeypatch.setattr(census_module, "CENSUS_BATCH", 10)
+    assert enumerate_supertrees(15, 3, max_edges=7) == census
+    assert calls == [10, 10, 10, 10, 8]
 
 
 # -- extremal verification ----------------------------------------------------

@@ -128,6 +128,64 @@ def test_batch_mixing_newton_and_power_rows_matches_single_solves(monkeypatch):
     assert iterations[-16] < 20 and iterations[-15] > 100
 
 
+@pytest.mark.parametrize("patience", [spectral.NEWTON_PATIENCE, 1])
+def test_mixed_kind_batch_equals_per_kind_batches(patience, monkeypatch):
+    """Rows of all three kinds, interleaved in one batch, come back in
+    input order, each == to its row of a batch of one kind: also with a
+    patience of one step, where rows leave Newton-Noda at different steps."""
+    monkeypatch.setattr(spectral, "NEWTON_PATIENCE", patience)
+    graphs = _random_tree_powers()
+    rows = [(kind, i) for i in range(len(graphs)) for kind in KINDS]
+    mixed = spectral_radii([kind for kind, _ in rows], [graphs[i] for _, i in rows])
+    per_kind = {kind: spectral_radii(kind, graphs) for kind in KINDS}
+    for (kind, i), got in zip(rows, mixed):
+        want = per_kind[kind][i]
+        assert (got.rho, got.lower, got.upper, got.iterations, got.residual) == (
+            want.rho, want.lower, want.upper, want.iterations, want.residual
+        )
+        assert np.array_equal(got.eigvec, want.eigvec)
+
+
+def test_single_kind_batch_keeps_one_block(monkeypatch):
+    """A batch of one kind never regroups rows by kind as they freeze."""
+    monkeypatch.setattr(spectral, "_kept", lambda *a: pytest.fail("regrouped blocks"))
+    graphs = _supertree_shapes(8, 3)
+    for kind in KINDS:
+        assert len({r.iterations for r in spectral_radii(kind, graphs)}) > 1
+
+
+def test_mixed_kinds_bad_input():
+    graphs = [loose_path(7, 3), hyperstar(7, 3)]
+    with pytest.raises(DimensionMismatch):
+        spectral_radii([TensorKind.Adjacency], graphs)
+    with pytest.raises(DimensionMismatch):
+        spectral_radii(KINDS, graphs)
+    with pytest.raises(BadParameter):
+        spectral_radii([TensorKind.Adjacency, "q"], graphs)
+    with pytest.raises(BadParameter):
+        spectral_radii("adj", graphs)
+    with pytest.raises(BadParameter):
+        spectral_radius(None, graphs[0])
+    assert spectral_radii([], []) == []
+
+
+def test_mixed_batch_no_convergence_names_the_widest_kind():
+    graphs = [hyperstar(9, 3), loose_path(9, 3), double_star(1, 2, 3)]
+    kinds = [TensorKind.Adjacency, TensorKind.IncidenceQ, TensorKind.SignlessLaplacian]
+    with pytest.raises(NoConvergence) as exc:
+        spectral_radii(kinds, graphs, max_iter=2)
+    widths = {}
+    for kind, g in zip(kinds, graphs):
+        with pytest.raises(NoConvergence) as single:
+            spectral_radius(kind, g, max_iter=2)
+        widths[kind] = single.value.upper - single.value.lower
+    widest = max(widths, key=widths.get)
+    err = exc.value
+    assert err.upper - err.lower == widths[widest]
+    assert str(err).endswith(f", {widest.name})")
+    assert sum(kind.name in str(err) for kind in KINDS) == 1
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_steps_on_random_tree_powers(kind):
     # Newton's method on T x^{k-1}, of degree k-1, took up to 15 (adj),
@@ -211,7 +269,7 @@ def test_newton_step_fails_on_singular_system():
     schedule = _step_schedule([single_edge(2)] * 2)
     x = np.array([[2**-0.5, 2**-0.5], [0.6, 0.8]])
     top = np.array([2.0, 1.4 / 0.6])
-    y = _newton_noda_step(TensorKind.IncidenceQ, schedule, x, x, top)
+    y = _newton_noda_step([(TensorKind.IncidenceQ, 0, 2)], schedule, x, x, top)
     assert not np.isfinite(y[0]).any()
     assert np.isfinite(y[1]).all() and (y[1] > 0).all()
 
@@ -236,7 +294,7 @@ def test_newton_step_matches_dense_solve(kind, k, m):
         xk1 = x ** (k - 1)
         ax = np.array([apply(kind, g, row) for g, row in zip(graphs, x)])
         top = (ax / xk1).max(axis=1) * (1 + rng.random(len(graphs)))
-        y = _newton_noda_step(kind, schedule, x, ax, top)
+        y = _newton_noda_step([(kind, 0, len(x))], schedule, x, ax, top)
         for g, row, rk1, arow, lam, got in zip(graphs, x, xk1, ax, top, y):
             mx = dense_build(kind, g).values
             for _ in range(k - 2):
