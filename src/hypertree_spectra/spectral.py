@@ -154,10 +154,9 @@ def _solve(
     best = np.full(len(graphs), np.inf)  # each row's narrowest bracket so far
     stalls = np.zeros(len(graphs), dtype=np.intp)  # steps since it narrowed
     flat = _row_offset(idx, n)
-    flats = _block_flats(blocks, flat, n)
     x = np.full((len(active), n), n ** (-1.0 / k))
     for it in range(1, max_iter + 1):
-        ax = _stack([_contract(kd, f, x[s:e]) for (kd, s, e), f in zip(blocks, flats)])
+        ax = _contract_blocks(blocks, flat, x)
         xk1 = x ** (k - 1)
         y = ax + xk1
         ratios = y / xk1 - 1
@@ -184,7 +183,6 @@ def _solve(
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
             blocks = _kept(blocks, keep) if len(blocks) > 1 else [(blocks[0][0], 0, len(active))]
             flat, schedule = _row_offset(idx[active], n), None
-            flats = _block_flats(blocks, flat, n)
         x_next = y ** (1.0 / (k - 1))
         tiny = x_next.min(axis=1) < 1e-300
         if tiny.any():
@@ -256,14 +254,23 @@ def _kept(blocks: list, keep: np.ndarray) -> list:
     return kept
 
 
-def _block_flats(blocks: list, flat: np.ndarray, n: int) -> list:
-    """Each block's rows of the row-offset index flat, offset from its start."""
-    return [flat[s:e] - n * s if s else flat[:e] for _, s, e in blocks]
+def _contract_blocks(blocks: list, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x^{k-1} for every row of x, each block of rows under its own kind,
+    from the batch's row-offset edge index flat."""
+    if len(blocks) == 1:
+        return _contract(blocks[0][0], flat, x)
+    n = x.shape[1]
+    return np.concatenate([_contract(kd, flat[s:e] - n * s, x[s:e]) for kd, s, e in blocks])
 
 
-def _stack(parts) -> np.ndarray:
-    """The blocks' arrays, stacked along their first axis."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _linearize_blocks(blocks: list, verts: np.ndarray, x: np.ndarray) -> tuple:
+    """_linearize over the (B m, k) row-offset edge index verts of the rows
+    of x, each block of rows under its own kind."""
+    if len(blocks) == 1:
+        return _linearize(blocks[0][0], verts, x)
+    m = len(verts) // len(x)
+    parts = [_linearize(kd, verts[s * m : e * m], x) for kd, s, e in blocks]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,9 +355,7 @@ def _newton_noda_step(
     """
     verts, levels, root = schedule
     k = verts.shape[1]
-    m = len(verts) // len(x)
-    parts = [_linearize(kd, verts[s * m : e * m], x) for kd, s, e in blocks]
-    c, u, diag = map(_stack, zip(*parts))
+    c, u, diag = _linearize_blocks(blocks, verts, x)
     q = ax ** ((k - 2) / (k - 1))
     mu = top ** (1.0 / (k - 1))
     pivot = (mu[:, None] * q).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
