@@ -168,12 +168,12 @@ def _solve(
             lo, hi = lower[rows], upper[rows]
             rho = 0.5 * (lo + hi)
             residual = np.abs(ax[rows] - rho[:, None] * xk1[rows]).max(axis=1)
-            for r, vec, mid, res, a, b in zip(
-                active[rows].tolist(), x[rows], rho.tolist(), residual.tolist(),
+            for r, at, mid, res, a, b in zip(
+                rows.tolist(), active[rows].tolist(), rho.tolist(), residual.tolist(),
                 lo.tolist(), hi.tolist(),
             ):
-                results[order[r]] = SpectralResult(
-                    rho=mid, eigvec=vec, residual=res, iterations=it, lower=a, upper=b
+                results[order[at]] = SpectralResult(
+                    rho=mid, eigvec=x[r].copy(), residual=res, iterations=it, lower=a, upper=b
                 )
             if done.all():
                 return results
