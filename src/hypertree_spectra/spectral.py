@@ -226,9 +226,9 @@ def _blocks(kind: TensorKind | Sequence[TensorKind], count: int) -> tuple[Sequen
     try:
         kinds = list(kind)
     except TypeError:
-        raise BadParameter(f"kind must be a TensorKind or a sequence of them, got {kind!r}")
+        kinds = [kind]
     if not all(isinstance(kd, TensorKind) for kd in kinds):
-        raise BadParameter(f"every kind must be a TensorKind, got {kind!r}")
+        raise BadParameter(f"kind must be a TensorKind or a sequence of them, got {kind!r}")
     if len(kinds) != count:
         raise DimensionMismatch(f"{len(kinds)} kinds for {count} graphs")
     rank = list(TensorKind).index
