@@ -19,11 +19,11 @@ from .canon import _label, canonical_form
 from .errors import BadDimensions, IncompleteCensus, TooLarge
 from .families import double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
-from .spectral import DEFAULT_TOL, ROUNDING_PAD, closed_form_hyperstar, spectral_radii
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ROUNDING_PAD, _solve, closed_form_hyperstar
 from .tensors import TensorKind
 
 MAX_CENSUS_EDGES = 6
-# Shapes per spectral_radii call, each under all three kinds.  The solver's
+# Shapes per solver batch, each solved under all three kinds.  The solver's
 # arrays grow with the batch: at k=2, m=14 (7741 shapes) batches of 1024
 # peak at 13 MB, against 33 MB for all shapes under one kind and 97 MB
 # under all three, and solve no slower.
@@ -178,10 +178,9 @@ def enumerate_supertrees(
     shapes = _supertree_shapes(m, k)
     solved = {kind: [] for kind in TensorKind}
     for start in range(0, len(shapes), CENSUS_BATCH):
-        part = shapes[start : start + CENSUS_BATCH]
-        rows = spectral_radii([kind for kind in solved for _ in part], part * len(solved), tol=tol)
-        for i, solves in enumerate(solved.values()):
-            solves += rows[i * len(part) : (i + 1) * len(part)]
+        batch = _solve(tuple(solved), shapes[start : start + CENSUS_BATCH], tol, DEFAULT_MAX_ITER)
+        for solves, results in zip(solved.values(), batch):
+            solves += results
     records = []
     for i, g in enumerate(shapes):
         results = {kind: solves[i] for kind, solves in solved.items()}

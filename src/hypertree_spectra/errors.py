@@ -51,7 +51,8 @@ class DimensionMismatch(HypertreeError):
 
 
 class BadParameter(HypertreeError):
-    """Solver parameter out of range (tol <= 0 or max_iter < 1)."""
+    """Solver parameter out of range (tol <= 0 or max_iter < 1), or a kind
+    that is not a TensorKind."""
 
 
 class TooLarge(HypertreeError):

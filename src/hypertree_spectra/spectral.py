@@ -17,19 +17,18 @@ eliminating along the supertree, each edge's block a diagonal plus a
 rank-one term, in O(m k) time and memory, and converges quadratically, in
 about ten steps where the power iteration needs thousands on long paths
 and nearly degenerate shapes.  spectral_radii runs the iteration on a batch
-of graphs sharing (n, m, k), one row per graph, under one tensor kind or
-one kind per row.  The rows are grouped by kind into blocks: each block
-evaluates its own tensor, and the bracket bookkeeping, the elimination
-order and each Newton-Noda step's elimination run once for all rows.  A
-graph listed more than once, as a census is under each kind, is indexed
-and peeled once.  A disconnected graph raises Disconnected.  In a batch
-with m (k-1) = n-1 such a graph has a cycle, which the leaf peeling that
-orders the elimination finds; any other batch is searched graph by graph.
+of graphs sharing (n, m, k), one row per graph.  A census runs its graphs
+under all three kinds in one batch, kind-major: each kind's rows form a
+block that evaluates its own tensor, each graph is indexed and peeled
+once for all kinds, and the bracket bookkeeping and each Newton-Noda
+step's elimination run once for all rows.  A disconnected graph raises
+Disconnected.  In a batch with m (k-1) = n-1 such a graph has a cycle,
+which the leaf peeling that orders the elimination finds; any other batch
+is searched graph by graph.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
     NoConvergence,
 )
 from .hypergraph import Hypergraph, incidence_matrix, is_connected
-from .tensors import TensorKind, _contract, _edge_index, _linearize, _row_offset
+from .tensors import TensorKind, _check_kind, _contract, _edge_index, _linearize, _row_offset
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
@@ -93,11 +92,11 @@ def spectral_radius(
     Near the rounding floor a Newton-Noda step can fail or stop shrinking
     the bracket, and the solve then finishes with power steps.
     """
-    return _solve(kind, [g], tol, max_iter)[0]
+    return _solve((kind,), [g], tol, max_iter)[0][0]
 
 
 def spectral_radii(
-    kind: TensorKind | Sequence[TensorKind],
+    kind: TensorKind,
     graphs: list[Hypergraph],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -105,56 +104,56 @@ def spectral_radii(
     """spectral_radius of every graph, iterated together as one batch, in
     the order of graphs.
 
-    kind is one TensorKind for all graphs, or a sequence of one per graph,
-    in any order (DimensionMismatch if its length differs, BadParameter if
-    an entry is not a TensorKind).  The graphs must share (n, m, k).  Each
-    row runs exactly the iteration spectral_radius runs on it alone, and is
-    frozen into its own result when its own bracket closes.
+    The graphs must share (n, m, k).  Each row runs exactly the iteration
+    spectral_radius runs on it alone, and is frozen into its own result
+    when its own bracket closes.
     """
-    return _solve(kind, graphs, tol, max_iter)
+    return _solve((kind,), graphs, tol, max_iter)[0]
 
 
 def _solve(
-    kind: TensorKind | Sequence[TensorKind],
+    kinds: tuple[TensorKind, ...],
     graphs: list[Hypergraph],
     tol: float,
     max_iter: int,
-) -> list[SpectralResult]:
+) -> list[list[SpectralResult]]:
+    """Every graph under every kind, in one batch of kind-major rows: row r
+    is graph r % B under kinds[r // B].  Returns one result list per kind."""
     if not tol > 0:
         raise BadParameter(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise BadParameter(f"max_iter must be at least 1, got {max_iter}")
-    order, blocks = _blocks(kind, len(graphs))
+    for kd in kinds:
+        _check_kind(kd)
+    count = len(graphs)
     if not graphs:
-        return []
+        return [[] for _ in kinds]
     if len({(g.n, g.m, g.k) for g in graphs}) > 1:
         raise DimensionMismatch("a batch of graphs must share (n, m, k)")
     n, m, k = graphs[0].n, graphs[0].m, graphs[0].k
-    # rows follow order; a graph listed more than once (a census under
-    # every kind) is indexed and peeled once, as row src[r] of distinct
-    first: dict[int, tuple[int, Hypergraph]] = {}
-    for i in order:
-        first.setdefault(id(graphs[i]), (len(first), graphs[i]))
-    distinct = [g for _, g in first.values()]
     # with m (k-1) = n-1 a graph is a supertree, which Newton-Noda needs,
     # iff it is connected, and _elimination_order's leaf peeling decides it
     newton = m * (k - 1) == n - 1
-    if not newton and not all(is_connected(g) for g in distinct):
+    if not newton and not all(is_connected(g) for g in graphs):
         raise Disconnected("spectral_radius requires a connected hypergraph")
-    idx = _edge_index(distinct)
-    idx, height = _elimination_order(idx, n) if newton else (idx, None)
-    if len(distinct) < len(graphs):
-        src = np.array([first[id(graphs[i])][0] for i in order])
-        idx = idx[src]
-        height = height[src] if newton else None
+    # each graph is indexed and peeled once, and its rows share the result
+    idx = _edge_index(graphs)
+    if newton:
+        idx, height = _elimination_order(idx, n)
+        height = np.tile(height, (len(kinds), 1))
+    idx = np.tile(idx, (len(kinds), 1, 1))
+    rows = len(idx)
+    # (kind, start, stop): a row keeps its kind-major place as rows freeze,
+    # so each kind's rows stay contiguous
+    blocks = [(kd, i * count, (i + 1) * count) for i, kd in enumerate(kinds)]
     schedule = None  # built for the active rows when a Newton step needs it
-    results: list[SpectralResult | None] = [None] * len(graphs)
-    active = np.arange(len(graphs))  # batch row -> its place in order
-    on_newton = np.full(len(graphs), newton)  # rows still taking Newton-Noda steps
-    best = np.full(len(graphs), np.inf)  # each row's narrowest bracket so far
-    stalls = np.zeros(len(graphs), dtype=np.intp)  # steps since it narrowed
+    results: list[SpectralResult | None] = [None] * rows
+    active = np.arange(rows)  # batch row -> its kind-major row
+    on_newton = np.full(rows, newton)  # rows still taking Newton-Noda steps
+    best = np.full(rows, np.inf)  # each row's narrowest bracket so far
+    stalls = np.zeros(rows, dtype=np.intp)  # steps since it narrowed
     flat = _row_offset(idx, n)
-    x = np.full((len(active), n), n ** (-1.0 / k))
+    x = np.full((rows, n), n ** (-1.0 / k))
     for it in range(1, max_iter + 1):
         ax = _contract_blocks(blocks, flat, x)
         xk1 = x ** (k - 1)
@@ -164,24 +163,25 @@ def _solve(
         upper = ratios.max(axis=1)
         done = upper - lower <= tol
         if done.any():
-            rows = np.flatnonzero(done)
-            lo, hi = lower[rows], upper[rows]
+            closed = np.flatnonzero(done)
+            lo, hi = lower[closed], upper[closed]
             rho = 0.5 * (lo + hi)
-            residual = np.abs(ax[rows] - rho[:, None] * xk1[rows]).max(axis=1)
+            residual = np.abs(ax[closed] - rho[:, None] * xk1[closed]).max(axis=1)
             for r, at, mid, res, a, b in zip(
-                rows.tolist(), active[rows].tolist(), rho.tolist(), residual.tolist(),
+                closed.tolist(), active[closed].tolist(), rho.tolist(), residual.tolist(),
                 lo.tolist(), hi.tolist(),
             ):
-                results[order[at]] = SpectralResult(
+                results[at] = SpectralResult(
                     rho=mid, eigvec=x[r].copy(), residual=res, iterations=it, lower=a, upper=b
                 )
             if done.all():
-                return results
+                return [results[i : i + count] for i in range(0, rows, count)]
             keep = ~done
             active, x, ax, y = active[keep], x[keep], ax[keep], y[keep]
             lower, upper = lower[keep], upper[keep]
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
-            blocks = _kept(blocks, keep) if len(blocks) > 1 else [(blocks[0][0], 0, len(active))]
+            stops = np.searchsorted(active, count * np.arange(1, len(kinds) + 1)).tolist()
+            blocks = [(kd, s, e) for kd, s, e in zip(kinds, [0, *stops], stops) if e > s]
             flat, schedule = _row_offset(idx[active], n), None
         x_next = y ** (1.0 / (k - 1))
         tiny = x_next.min(axis=1) < 1e-300
@@ -207,51 +207,13 @@ def _solve(
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
     widest = int(np.argmax(upper - lower))
     lo, hi = float(lower[widest]), float(upper[widest])
-    kd = next(kd for kd, s, e in blocks if s <= widest < e)
     raise NoConvergence(
-        f"no convergence after {max_iter} iterations for {len(active)} of "
-        f"{len(graphs)} graphs (widest bracket [{lo}, {hi}], {kd.name})",
+        f"no convergence after {max_iter} iterations for {len(active)} of {rows} rows "
+        f"(widest bracket [{lo}, {hi}], {kinds[active[widest] // count].name})",
         lower=lo,
         upper=hi,
         iterations=max_iter,
     )
-
-
-def _blocks(kind: TensorKind | Sequence[TensorKind], count: int) -> tuple[Sequence[int], list]:
-    """The batch order of count graphs under kind, as positions in the
-    input, grouped by kind, and its blocks of one kind each: (kind, start,
-    stop), a range of rows in that order."""
-    if isinstance(kind, TensorKind):
-        return range(count), [(kind, 0, count)]
-    try:
-        kinds = list(kind)
-    except TypeError:
-        kinds = [kind]
-    if not all(isinstance(kd, TensorKind) for kd in kinds):
-        raise BadParameter(f"kind must be a TensorKind or a sequence of them, got {kind!r}")
-    if len(kinds) != count:
-        raise DimensionMismatch(f"{len(kinds)} kinds for {count} graphs")
-    rank = list(TensorKind).index
-    order = sorted(range(count), key=lambda i: rank(kinds[i]))
-    blocks, start = [], 0
-    for kd in TensorKind:
-        stop = start + kinds.count(kd)
-        if stop > start:
-            blocks.append((kd, start, stop))
-        start = stop
-    return order, blocks
-
-
-def _kept(blocks: list, keep: np.ndarray) -> list:
-    """blocks over the rows where keep holds, once the others are dropped."""
-    left = np.cumsum(keep)
-    kept, start = [], 0
-    for kd, _, stop in blocks:
-        end = int(left[stop - 1])
-        if end > start:
-            kept.append((kd, start, end))
-        start = end
-    return kept
 
 
 def _contract_blocks(blocks: list, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -410,6 +372,7 @@ def closed_form_hyperstar(kind: TensorKind, n: int, k: int) -> float:
     """Exact spectral radius of the hyperstar on n vertices."""
     if k < 2 or n < k or (n - 1) % (k - 1) != 0:
         raise BadDimensions(f"no hyperstar with n={n}, k={k}")
+    _check_kind(kind)
     m = (n - 1) // (k - 1)
     if kind is TensorKind.Adjacency:
         return m ** (1.0 / k)

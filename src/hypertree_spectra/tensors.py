@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import BadParameter, DimensionMismatch, TooLarge
 from .hypergraph import Hypergraph
 
 DEFAULT_DENSE_CAP = 10**7
@@ -35,6 +35,11 @@ class TensorKind(Enum):
     Adjacency = "adj"
     SignlessLaplacian = "q"
     IncidenceQ = "qstar"
+
+
+def _check_kind(kind) -> None:
+    if not isinstance(kind, TensorKind):
+        raise BadParameter(f"kind must be a TensorKind, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,7 @@ def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> tuple:
 
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
     """(T x^{k-1}) for the selected tensor, computed from the edge list."""
+    _check_kind(kind)
     x = _check_vector(g, x)
     # a batch of one needs no row offset
     return _contract(kind, _edge_index([g]), x[None, :])[0]
@@ -128,6 +134,7 @@ def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
 
 def dense_build(kind: TensorKind, g: Hypergraph) -> DenseTensor:
     """Dense symmetric tensor, n^k <= DEFAULT_DENSE_CAP; oracle for apply()."""
+    _check_kind(kind)
     n, k = g.n, g.k
     if n**k > DEFAULT_DENSE_CAP:
         raise TooLarge(f"n^k = {n**k} exceeds cap {DEFAULT_DENSE_CAP}")

@@ -27,7 +27,13 @@ from hypertree_spectra.errors import (
     Disconnected,
     NoConvergence,
 )
-from hypertree_spectra.spectral import _elimination_order, _newton_noda_step, _schedule
+from hypertree_spectra.spectral import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    _elimination_order,
+    _newton_noda_step,
+    _schedule,
+)
 from hypertree_spectra.tensors import _edge_index, _row_offset
 from oracles import (
     automorphism_orbits,
@@ -130,58 +136,84 @@ def test_batch_mixing_newton_and_power_rows_matches_single_solves(monkeypatch):
 
 @pytest.mark.parametrize("patience", [spectral.NEWTON_PATIENCE, 1])
 def test_mixed_kind_batch_equals_per_kind_batches(patience, monkeypatch):
-    """Rows of all three kinds, interleaved in one batch, come back in
-    input order, each == to its row of a batch of one kind: also with a
-    patience of one step, where rows leave Newton-Noda at different steps."""
+    """Every graph under several kinds, in one kind-major batch, comes back
+    as one list per kind, each row == to its row of a batch of one kind:
+    also with a patience of one step, where rows leave Newton-Noda at
+    different steps, and with kinds out of order or missing."""
     monkeypatch.setattr(spectral, "NEWTON_PATIENCE", patience)
     graphs = _random_tree_powers()
-    rows = [(kind, i) for i in range(len(graphs)) for kind in KINDS]
-    mixed = spectral_radii([kind for kind, _ in rows], [graphs[i] for _, i in rows])
     per_kind = {kind: spectral_radii(kind, graphs) for kind in KINDS}
-    for (kind, i), got in zip(rows, mixed):
-        want = per_kind[kind][i]
-        assert (got.rho, got.lower, got.upper, got.iterations, got.residual) == (
-            want.rho, want.lower, want.upper, want.iterations, want.residual
-        )
-        assert np.array_equal(got.eigvec, want.eigvec)
+    for kinds in (tuple(KINDS), (TensorKind.IncidenceQ, TensorKind.Adjacency)):
+        solved = spectral._solve(kinds, graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert len(solved) == len(kinds)
+        for kind, results in zip(kinds, solved):
+            assert len(results) == len(graphs)
+            for got, want in zip(results, per_kind[kind]):
+                assert (got.rho, got.lower, got.upper, got.iterations, got.residual) == (
+                    want.rho, want.lower, want.upper, want.iterations, want.residual
+                )
+                assert np.array_equal(got.eigvec, want.eigvec)
 
 
-def test_single_kind_batch_keeps_one_block(monkeypatch):
-    """A batch of one kind never regroups rows by kind as they freeze."""
-    monkeypatch.setattr(spectral, "_kept", lambda *a: pytest.fail("regrouped blocks"))
+def test_single_kind_batch_calls_one_contract_per_iteration(monkeypatch):
+    """A batch of one kind evaluates its tensor with one _contract call on
+    all active rows per iteration, and never joins blocks of rows."""
+    calls = []
+    contract = spectral._contract
+
+    def counted(kind, flat, x):
+        calls.append(kind)
+        return contract(kind, flat, x)
+
+    monkeypatch.setattr(spectral, "_contract", counted)
+    monkeypatch.setattr(np, "concatenate", lambda *a, **kw: pytest.fail("joined blocks"))
     graphs = _supertree_shapes(8, 3)
     for kind in KINDS:
-        assert len({r.iterations for r in spectral_radii(kind, graphs)}) > 1
+        calls.clear()
+        results = spectral_radii(kind, graphs)
+        assert len({r.iterations for r in results}) > 1  # rows freeze apart
+        assert calls == [kind] * max(r.iterations for r in results)
 
 
 def test_mixed_kinds_bad_input():
     graphs = [loose_path(7, 3), hyperstar(7, 3)]
-    with pytest.raises(DimensionMismatch):
-        spectral_radii([TensorKind.Adjacency], graphs)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadParameter):
         spectral_radii(KINDS, graphs)
     with pytest.raises(BadParameter):
         spectral_radii([TensorKind.Adjacency, "q"], graphs)
     with pytest.raises(BadParameter):
         spectral_radii("adj", graphs)
     with pytest.raises(BadParameter):
+        spectral_radii("adj", [])
+    with pytest.raises(BadParameter):
         spectral_radius(None, graphs[0])
-    assert spectral_radii([], []) == []
+    with pytest.raises(BadParameter):
+        spectral._solve((TensorKind.Adjacency, "q"), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    with pytest.raises(BadParameter):
+        apply("q", graphs[0], np.ones(7))
+    with pytest.raises(BadParameter):
+        dense_build("q", graphs[0])
+    with pytest.raises(BadParameter):
+        closed_form_hyperstar("q", 7, 3)
+    assert spectral_radii(TensorKind.Adjacency, []) == []
+    assert spectral._solve(tuple(KINDS), [], DEFAULT_TOL, DEFAULT_MAX_ITER) == [[], [], []]
 
 
 def test_mixed_batch_no_convergence_names_the_widest_kind():
     graphs = [hyperstar(9, 3), loose_path(9, 3), double_star(1, 2, 3)]
-    kinds = [TensorKind.Adjacency, TensorKind.IncidenceQ, TensorKind.SignlessLaplacian]
+    kinds = (TensorKind.SignlessLaplacian, TensorKind.IncidenceQ)
     with pytest.raises(NoConvergence) as exc:
-        spectral_radii(kinds, graphs, max_iter=2)
+        spectral._solve(kinds, graphs, DEFAULT_TOL, 2)
     widths = {}
-    for kind, g in zip(kinds, graphs):
-        with pytest.raises(NoConvergence) as single:
-            spectral_radius(kind, g, max_iter=2)
-        widths[kind] = single.value.upper - single.value.lower
-    widest = max(widths, key=widths.get)
+    for kind in kinds:
+        for g in graphs:
+            with pytest.raises(NoConvergence) as single:
+                spectral_radius(kind, g, max_iter=2)
+            widths[kind, g] = single.value.upper - single.value.lower
+    widest, _ = max(widths, key=widths.get)
     err = exc.value
-    assert err.upper - err.lower == widths[widest]
+    assert err.upper - err.lower == max(widths.values())
+    assert " 6 of 6 rows " in str(err)
     assert str(err).endswith(f", {widest.name})")
     assert sum(kind.name in str(err) for kind in KINDS) == 1
 
