@@ -136,7 +136,7 @@ def _solve(
     newton = m * (k - 1) == n - 1
     if not newton and not all(is_connected(g) for g in graphs):
         raise Disconnected("spectral_radius requires a connected hypergraph")
-    # each graph is indexed and peeled once, and its rows share the result
+    # each graph is indexed and peeled once, for its rows under every kind
     idx = _edge_index(graphs)
     if newton:
         idx, height = _elimination_order(idx, n)
