@@ -14,9 +14,11 @@ BASE first in odd pairs, CHANGE first in even ones, so that a drift in the
 host's speed falls on both sides alike.  Writes BENCH_<label>.json into
 --out (the root of this checkout by default), holding per workload every
 run's end-to-end metrics and check counts, each side's median and quartiles
-of every metric, and the number of pairs in which CHANGE read lower.  Uses
-the standard library only.  The exit code is 0 only if every run was
-correct.
+of every metric, and the number of pairs in which CHANGE read lower.  A run
+that times out or whose last line of output is not a JSON result counts as
+incorrect, and is recorded with its exit code and the tail of its stderr;
+the file is still written.  Uses the standard library only.  The exit code
+is 0 only if every run was correct.
 """
 
 from __future__ import annotations
@@ -41,27 +43,40 @@ def revision(checkout: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else checkout.name
 
 
+def failed_run(seed: int, returncode, error: str, stderr) -> dict:
+    """A run that gave no result: why, its exit code and its stderr's tail."""
+    if isinstance(stderr, bytes):
+        stderr = stderr.decode(errors="replace")
+    return {"seed": seed, "correct": False, "returncode": returncode, "error": error,
+            "stderr_tail": (stderr or "")[-2000:], "metrics": {}}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run: its result line and the host fields of its record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=4 * seconds + 300)
-    lines = done.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit(f"{checkout}: no output from {' '.join(cmd)}\n{done.stderr}")
-    result = json.loads(lines[-1])
-    record = next((json.loads(line[len("run-record "):]) for line in lines
-                   if line.startswith("run-record ")), {})
-    return {
-        "seed": seed,
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "host": {key: record.get(key) for key in ("nproc", "cpu_model", "python",
-                                                   "numpy", "threads")},
-    }
+    try:
+        done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=4 * seconds + 300)
+    except subprocess.TimeoutExpired as exc:
+        return failed_run(seed, None, f"timed out after {exc.timeout} s", exc.stderr)
+    lines = done.stdout.strip().splitlines() or [""]
+    try:
+        result = json.loads(lines[-1])
+        record = next((json.loads(line[len("run-record "):]) for line in lines
+                       if line.startswith("run-record ")), {})
+        return {
+            "seed": seed,
+            "correct": result["correct"],
+            "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "host": {key: record.get(key) for key in ("nproc", "cpu_model", "python",
+                                                       "numpy", "threads")},
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return failed_run(seed, done.returncode,
+                          f"no JSON result on the last line of output ({exc!r})", done.stderr)
 
 
 def spread(values: list[float]) -> dict:
@@ -73,13 +88,18 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: dict) -> dict:
-    """Per metric: each side's spread, and in how many pairs change < base."""
+    """Per metric, over the runs that gave a result: each side's spread, and
+    in how many pairs with both results change < base."""
     summary = {}
-    for name in runs["base"][0]["metrics"]:
-        sides = {side: [run["metrics"][name] for run in runs[side]] for side in SIDES}
-        pairs = list(zip(sides["base"], sides["change"]))
+    names = dict.fromkeys(name for side in SIDES for run in runs[side] for name in run["metrics"])
+    for name in names:
+        sides = {side: [run["metrics"][name] for run in runs[side] if name in run["metrics"]]
+                 for side in SIDES}
+        pairs = [(base["metrics"][name], change["metrics"][name])
+                 for base, change in zip(runs["base"], runs["change"])
+                 if name in base["metrics"] and name in change["metrics"]]
         summary[name] = {
-            **{side: spread(values) for side, values in sides.items()},
+            **{side: spread(values) if values else None for side, values in sides.items()},
             "change_lower_in": sum(after < before for before, after in pairs),
             "pairs": len(pairs),
         }
@@ -118,7 +138,8 @@ def main(argv=None) -> int:
                 runs[side].append(run)
                 correct &= run["correct"] and run["failed"] == 0
                 print(f"{workload} pair {seed} {side}: wall_s "
-                      f"{run['metrics'].get('wall_s')} correct {run['correct']}", flush=True)
+                      f"{run['metrics'].get('wall_s')} correct {run['correct']}"
+                      f"{' (' + run['error'] + ')' if 'error' in run else ''}", flush=True)
         bench["workloads"][workload] = {"summary": summarize(runs), "runs": runs}
     bench["correct"] = correct
     path = args.out / f"BENCH_{args.label}.json"

@@ -16,8 +16,8 @@ from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Iterator
 
 from .canon import _label, canonical_form
-from .errors import BadDimensions, IncompleteCensus, TooLarge
-from .families import double_star, hyperstar, loose_path
+from .errors import IncompleteCensus, TooLarge
+from .families import _supertree_edges, double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph, validate
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ROUNDING_PAD, _solve, closed_form_hyperstar
 from .tensors import TensorKind
@@ -167,9 +167,7 @@ def enumerate_supertrees(
 ) -> Census:
     """Complete census of k-uniform supertrees on n vertices with radii
     and shape flags per member."""
-    if k < 2 or n < k or (n - 1) % (k - 1) != 0:
-        raise BadDimensions(f"no supertree with n={n}, k={k}")
-    m = (n - 1) // (k - 1)
+    m = _supertree_edges(n, k, "supertree")
     if m > max_edges:
         raise TooLarge(f"census capped at m <= {max_edges}, got m={m}")
     star_form = canonical_form(hyperstar(n, k))

@@ -25,7 +25,7 @@ from .census import MAX_CENSUS_EDGES, bracket_verdict, enumerate_supertrees, ver
 from .errors import (BadParameter, Disconnected, HypertreeError, InvalidSpec, MultipleEdge,
                      NoConvergence, NotLinear, NotPendentPaths, PendentEdge)
 from .hypergraph import format_hypergraph, read_hypergraph
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, bounds_report, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve, bounds_report, spectral_radius
 from .tensors import TensorKind
 from .transforms import EdgeMoveSpec, edge_release, move_edges, total_graft
 
@@ -177,9 +177,9 @@ def cmd_transform(args) -> int:
         _check_ids(g, eids, [*sources, target])
         out = move_edges(g, EdgeMoveSpec(tuple(e - 1 for e in eids), tuple(sources), target))
     if args.check_monotone:
-        for kind in TensorKind:
-            before = spectral_radius(kind, g, tol=args.tol)
-            after = spectral_radius(kind, out, tol=args.tol)
+        # a transform keeps (n, m, k), so both graphs solve in one batch
+        solved = _solve(tuple(TensorKind), [g, out], args.tol, DEFAULT_MAX_ITER)
+        for kind, (before, after) in zip(TensorKind, solved):
             print(_monotone_line(kind, before, after))
     sys.stdout.write(format_hypergraph(out))
     return 0

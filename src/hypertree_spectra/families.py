@@ -12,12 +12,18 @@ from .errors import BadDimensions, BadOverlap, NotATree
 from .hypergraph import Hypergraph, is_connected, validate
 
 
+def _supertree_edges(n: int, k: int, what: str) -> int:
+    """m = (n-1)/(k-1), the number of edges of every k-uniform supertree on
+    n vertices; BadDimensions, naming what was asked for, unless one exists."""
+    if k < 2 or n < k or (n - 1) % (k - 1) != 0:
+        raise BadDimensions(f"no {what} with n={n}, k={k}")
+    return (n - 1) // (k - 1)
+
+
 def hyperstar(n: int, k: int) -> Hypergraph:
     """All edges through center vertex 1; leaves partitioned in ascending
     (k-1)-blocks."""
-    if k < 2 or n < k or (n - 1) % (k - 1) != 0:
-        raise BadDimensions(f"no hyperstar with n={n}, k={k}")
-    m = (n - 1) // (k - 1)
+    m = _supertree_edges(n, k, "hyperstar")
     edges = []
     v = 2
     for _ in range(m):
@@ -28,9 +34,7 @@ def hyperstar(n: int, k: int) -> Hypergraph:
 
 def loose_path(n: int, k: int) -> Hypergraph:
     """Consecutive edges share exactly one vertex: the 1-path."""
-    if k < 2 or n < k or (n - 1) % (k - 1) != 0:
-        raise BadDimensions(f"no loose path with n={n}, k={k}")
-    return s_path((n - 1) // (k - 1), 1, k)
+    return s_path(_supertree_edges(n, k, "loose path"), 1, k)
 
 
 def double_star(a: int, b: int, k: int) -> Hypergraph:

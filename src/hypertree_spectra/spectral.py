@@ -19,9 +19,10 @@ about ten steps where the power iteration needs thousands on long paths
 and nearly degenerate shapes.  spectral_radii runs the iteration on a batch
 of graphs sharing (n, m, k), one row per graph.  A census runs its graphs
 under all three kinds in one batch, kind-major: each kind's rows form a
-block that evaluates its own tensor, each graph is indexed and peeled
-once for all kinds, and the bracket bookkeeping and each Newton-Noda
-step's elimination run once for all rows.  A disconnected graph raises
+block (kind, start, stop), each graph is indexed and peeled once for all
+kinds, and each step gathers x once for one tensor evaluation and one set
+of Newton-Noda factors over all blocks; the elimination takes the factors
+and knows no tensor.  A disconnected graph raises
 Disconnected.  In a batch with m (k-1) = n-1 such a graph has a cycle,
 which the leaf peeling that orders the elimination finds; any other batch
 is searched graph by graph.
@@ -30,6 +31,7 @@ is searched graph by graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .errors import (
     Disconnected,
     NoConvergence,
 )
+from .families import _supertree_edges
 from .hypergraph import Hypergraph, incidence_matrix, is_connected
 from .tensors import TensorKind, _check_kind, _contract, _edge_index, _linearize, _row_offset
 
@@ -119,10 +122,10 @@ def _solve(
 ) -> list[list[SpectralResult]]:
     """Every graph under every kind, in one batch of kind-major rows: row r
     is graph r % B under kinds[r // B].  Returns one result list per kind."""
-    if not tol > 0:
-        raise BadParameter(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise BadParameter(f"max_iter must be at least 1, got {max_iter}")
+    if not isinstance(tol, Real) or not tol > 0:
+        raise BadParameter(f"tol must be positive, got {tol!r}")
+    if not isinstance(max_iter, Integral) or max_iter < 1:
+        raise BadParameter(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     for kd in kinds:
         _check_kind(kd)
     count = len(graphs)
@@ -155,7 +158,8 @@ def _solve(
     flat = _row_offset(idx, n)
     x = np.full((rows, n), n ** (-1.0 / k))
     for it in range(1, max_iter + 1):
-        ax = _contract_blocks(blocks, flat, x)
+        vals = x.ravel()[flat]
+        ax = _contract(blocks, flat, vals, n)
         xk1 = x ** (k - 1)
         y = ax + xk1
         ratios = y / xk1 - 1
@@ -177,7 +181,7 @@ def _solve(
             if done.all():
                 return [results[i : i + count] for i in range(0, rows, count)]
             keep = ~done
-            active, x, ax, y = active[keep], x[keep], ax[keep], y[keep]
+            active, x, ax, y, vals = active[keep], x[keep], ax[keep], y[keep], vals[keep]
             lower, upper = lower[keep], upper[keep]
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
             stops = np.searchsorted(active, count * np.arange(1, len(kinds) + 1)).tolist()
@@ -200,7 +204,7 @@ def _solve(
                 # all active rows step on one schedule; rows on Newton take the step
                 if schedule is None:
                     schedule = _schedule(flat, height[active])
-                step = _newton_noda_step(blocks, schedule, x, ax, upper)
+                step = _newton_noda_step(schedule, x, ax, _linearize(blocks, vals), upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
                 x_next[on_newton] = step[on_newton]
         x = x_next
@@ -214,25 +218,6 @@ def _solve(
         upper=hi,
         iterations=max_iter,
     )
-
-
-def _contract_blocks(blocks: list, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x^{k-1} for every row of x, each block of rows under its own kind,
-    from the batch's row-offset edge index flat."""
-    if len(blocks) == 1:
-        return _contract(blocks[0][0], flat, x)
-    n = x.shape[1]
-    return np.concatenate([_contract(kd, flat[s:e] - n * s, x[s:e]) for kd, s, e in blocks])
-
-
-def _linearize_blocks(blocks: list, verts: np.ndarray, x: np.ndarray) -> tuple:
-    """_linearize over the (B m, k) row-offset edge index verts of the rows
-    of x, each block of rows under its own kind."""
-    if len(blocks) == 1:
-        return _linearize(blocks[0][0], verts, x)
-    m = len(verts) // len(x)
-    parts = [_linearize(kd, verts[s * m : e * m], x) for kd, s, e in blocks]
-    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,11 +271,11 @@ def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
 
 
 def _newton_noda_step(
-    blocks: list, schedule: tuple, x: np.ndarray, ax: np.ndarray, top: np.ndarray
+    schedule: tuple, x: np.ndarray, ax: np.ndarray, factors: tuple, top: np.ndarray
 ) -> np.ndarray:
-    """One Newton-Noda step from the positive rows of x, with ax = T x^{k-1},
+    """One Newton-Noda step from the positive rows of x, with ax = T x^{k-1}
+    and factors = (c, u, diag) of M(x) = T x^{k-2} (tensors._linearize),
     before normalization; a row whose step fails is not finite and positive.
-    blocks, (kind, start, stop), give each range of rows its tensor.
 
     The step is Noda's iteration on the degree-one map
     F(x) = (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM J. Matrix Anal.
@@ -317,7 +302,8 @@ def _newton_noda_step(
     """
     verts, levels, root = schedule
     k = verts.shape[1]
-    c, u, diag = _linearize_blocks(blocks, verts, x)
+    c, u, diag = factors
+    c, u = c.ravel(), u.reshape(-1, k)
     q = ax ** ((k - 2) / (k - 1))
     mu = top ** (1.0 / (k - 1))
     pivot = (mu[:, None] * q).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
@@ -370,10 +356,8 @@ def alpha_star(m: int, k: int) -> float:
 
 def closed_form_hyperstar(kind: TensorKind, n: int, k: int) -> float:
     """Exact spectral radius of the hyperstar on n vertices."""
-    if k < 2 or n < k or (n - 1) % (k - 1) != 0:
-        raise BadDimensions(f"no hyperstar with n={n}, k={k}")
+    m = _supertree_edges(n, k, "hyperstar")
     _check_kind(kind)
-    m = (n - 1) // (k - 1)
     if kind is TensorKind.Adjacency:
         return m ** (1.0 / k)
     if kind is TensorKind.SignlessLaplacian:

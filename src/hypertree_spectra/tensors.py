@@ -10,10 +10,12 @@ All three operators act on a k-uniform hypergraph G:
 
 apply() gathers x over the (m, k) edge index array and scatters the edge
 terms back with one bincount (O(m*k) arithmetic), never materializing the
-n^k tensor; the solver runs the same kernel on a batch of graphs that
-share (n, m, k), and gives the Newton-Noda solver's matrices T x^{k-2}
-as O(m*k) factors, each edge's k x k block being a diagonal plus a
-rank-one term.  dense_build() materializes the tensor, as an oracle.
+n^k tensor.  The solver gathers x once per step for a batch of graphs
+sharing (n, m, k), and both kernels take the batch's blocks (kind, start,
+stop) of rows: _contract scatters every block's edge terms with one
+bincount, and _linearize writes each block's slice of the O(m*k) factors
+of T x^{k-2}, each edge's k x k block a diagonal plus a rank-one term.
+dense_build() materializes the tensor, as an oracle.
 """
 
 from __future__ import annotations
@@ -75,38 +77,41 @@ def _row_offset(idx: np.ndarray, n: int) -> np.ndarray:
     return idx + n * np.arange(len(idx))[:, None, None]
 
 
-def _contract(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(T x^{k-1}) for every row of x (B, n) at once.
+def _contract(blocks: list, flat: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """(T x^{k-1}) for every row of x (B, n) at once, each block (kind,
+    start, stop) of rows under its own kind.
 
-    flat is the (B, m, k) row-offset index array of the batch.  Each vertex
-    of an edge receives the product of the other k-1 entries (prefix times
-    suffix products, so zeros in x are safe), plus for SignlessLaplacian
-    its own entry to the k-1 (the degree tensor is the sum over edges e and
-    v in e of e_v^{(x)k}), or for IncidenceQ the edge sum raised to k-1;
-    one bincount adds the contributions up per vertex.
+    flat is the (B, m, k) row-offset index array of the batch and vals is
+    x gathered over it.  Each vertex of an edge receives the product of the
+    other k-1 entries (prefix times suffix products, so zeros in x are
+    safe), plus for SignlessLaplacian its own entry to the k-1 (the degree
+    tensor is the sum over edges e and v in e of e_v^{(x)k}), or for
+    IncidenceQ the edge sum raised to k-1; one bincount adds the
+    contributions of all rows up per vertex.
     """
-    rows, n = x.shape
-    k = flat.shape[2]
-    vals = x.ravel()[flat]
-    if kind is TensorKind.IncidenceQ:
-        part = np.repeat(vals.sum(axis=2, keepdims=True) ** (k - 1), k, axis=2)
-    else:
-        prefix = np.cumprod(vals, axis=2)
-        suffix = np.cumprod(vals[..., ::-1], axis=2)[..., ::-1]
-        part = np.ones_like(vals)
-        part[..., 1:] = prefix[..., :-1]
-        part[..., :-1] *= suffix[..., 1:]
+    rows, _, k = vals.shape
+    part = np.empty_like(vals)
+    for kind, s, e in blocks:
+        v, p = vals[s:e], part[s:e]
+        if kind is TensorKind.IncidenceQ:
+            p[...] = v.sum(axis=2, keepdims=True) ** (k - 1)
+        else:
+            p[..., 0] = 1.0
+            np.cumprod(v[..., :-1], axis=2, out=p[..., 1:])
+            p[..., :-1] *= np.cumprod(v[..., :0:-1], axis=2)[..., ::-1]
         if kind is TensorKind.SignlessLaplacian:
-            part += vals ** (k - 1)
+            p += v ** (k - 1)
     # float even when flat is empty (an edgeless graph), where bincount gives int
     out = np.bincount(flat.ravel(), weights=part.ravel(), minlength=rows * n)
     return out.astype(float, copy=False).reshape(rows, n)
 
 
-def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> tuple:
+def _linearize(blocks: list, vals: np.ndarray) -> tuple:
     """c and u and diag, the factors of the edge blocks of M(x) = T x^{k-2}
-    (so M(x) x = T x^{k-1}) for every row of x (B, n) > 0, from the (..., k)
-    row-offset edge index flat: c has its shape (...), u and diag its own.
+    (so M(x) x = T x^{k-1}) for every row of x (B, n) > 0, each block
+    (kind, start, stop) of rows under its own kind, from vals, x gathered
+    over the (B, m, k) row-offset edge index: c is (B, m), u and diag are
+    (B, m, k).
 
     Block [a, b] of edge e adds c_e u_a u_b to M[e_a, e_b] off the diagonal
     and diag_a on it.  For IncidenceQ, u = 1 and every entry is c_e, the
@@ -115,13 +120,19 @@ def _linearize(kind: TensorKind, flat: np.ndarray, x: np.ndarray) -> tuple:
     edge product over k-1; diag_a is 0 for Adjacency and x_a^{k-2} for
     SignlessLaplacian.
     """
-    k = flat.shape[-1]
-    vals = x.ravel()[flat]
-    if kind is TensorKind.IncidenceQ:
-        c = vals.sum(axis=-1) ** (k - 2)
-        return c, np.ones_like(vals), np.repeat(c[..., None], k, axis=-1)
-    diag = vals ** (k - 2) if kind is TensorKind.SignlessLaplacian else np.zeros_like(vals)
-    return vals.prod(axis=-1) / (k - 1), 1.0 / vals, diag
+    k = vals.shape[2]
+    c, u, diag = np.empty(vals.shape[:2]), np.ones_like(vals), np.zeros_like(vals)
+    for kind, s, e in blocks:
+        v, cb = vals[s:e], c[s:e]
+        if kind is TensorKind.IncidenceQ:
+            cb[...] = v.sum(axis=2) ** (k - 2)
+            diag[s:e] = cb[..., None]
+        else:
+            np.divide(v.prod(axis=2), k - 1, out=cb)
+            np.divide(1.0, v, out=u[s:e])
+        if kind is TensorKind.SignlessLaplacian:
+            diag[s:e] = v ** (k - 2)
+    return c, u, diag
 
 
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
@@ -129,7 +140,8 @@ def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
     _check_kind(kind)
     x = _check_vector(g, x)
     # a batch of one needs no row offset
-    return _contract(kind, _edge_index([g]), x[None, :])[0]
+    flat = _edge_index([g])
+    return _contract([(kind, 0, 1)], flat, x[flat], g.n)[0]
 
 
 def dense_build(kind: TensorKind, g: Hypergraph) -> DenseTensor:

@@ -34,7 +34,7 @@ from hypertree_spectra.spectral import (
     _newton_noda_step,
     _schedule,
 )
-from hypertree_spectra.tensors import _edge_index, _row_offset
+from hypertree_spectra.tensors import _edge_index, _linearize, _row_offset
 from oracles import (
     automorphism_orbits,
     dense_power_iteration,
@@ -79,10 +79,14 @@ def test_spectral_radius_no_convergence():
     with pytest.raises(NoConvergence) as exc:
         spectral_radius(TensorKind.Adjacency, loose_path(9, 3), max_iter=2)
     assert exc.value.lower is not None
+    # numpy scalars are valid parameters
+    with pytest.raises(NoConvergence):
+        spectral_radius(TensorKind.Adjacency, loose_path(9, 3), np.float64(1e-10), np.int64(2))
 
 
 @pytest.mark.parametrize(
-    "tol,max_iter", [(0.0, 100), (-1e-9, 100), (float("nan"), 100), (1e-10, 0)]
+    "tol,max_iter",
+    [(0.0, 100), (-1e-9, 100), (float("nan"), 100), (1e-10, 0), (1e-10, 2.5), ("1e-10", 100)],
 )
 def test_bad_solver_parameters(tol, max_iter):
     g = loose_path(9, 3)
@@ -157,13 +161,14 @@ def test_mixed_kind_batch_equals_per_kind_batches(patience, monkeypatch):
 
 def test_single_kind_batch_calls_one_contract_per_iteration(monkeypatch):
     """A batch of one kind evaluates its tensor with one _contract call on
-    all active rows per iteration, and never joins blocks of rows."""
+    all active rows per iteration, and never joins blocks of rows; so does
+    a batch of three kinds, whose call names the kinds with open rows."""
     calls = []
     contract = spectral._contract
 
-    def counted(kind, flat, x):
-        calls.append(kind)
-        return contract(kind, flat, x)
+    def counted(blocks, flat, vals, n):
+        calls.append([kind for kind, _, _ in blocks])
+        return contract(blocks, flat, vals, n)
 
     monkeypatch.setattr(spectral, "_contract", counted)
     monkeypatch.setattr(np, "concatenate", lambda *a, **kw: pytest.fail("joined blocks"))
@@ -172,7 +177,14 @@ def test_single_kind_batch_calls_one_contract_per_iteration(monkeypatch):
         calls.clear()
         results = spectral_radii(kind, graphs)
         assert len({r.iterations for r in results}) > 1  # rows freeze apart
-        assert calls == [kind] * max(r.iterations for r in results)
+        assert calls == [[kind]] * max(r.iterations for r in results)
+    calls.clear()
+    solved = spectral._solve(tuple(KINDS), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    last = [max(r.iterations for r in results) for results in solved]
+    assert len(set(last)) > 1  # a kind's block goes when its rows all freeze
+    assert calls == [
+        [kind for kind, end in zip(KINDS, last) if it <= end] for it in range(1, max(last) + 1)
+    ]
 
 
 def test_mixed_kinds_bad_input():
@@ -288,20 +300,23 @@ def test_newton_closes_bracket_exactly():
     assert result.lower - pad <= rho <= result.upper + pad
 
 
-def _step_schedule(graphs):
+def _step_inputs(graphs, kind, x):
+    """The schedule of a Newton-Noda step on graphs, and the factors of
+    M(x) under kind for the rows of x."""
     n = graphs[0].n
     idx, height = _elimination_order(_edge_index(graphs), n)
-    return _schedule(_row_offset(idx, n), height)
+    flat = _row_offset(idx, n)
+    return _schedule(flat, height), _linearize([(kind, 0, len(x))], x.ravel()[flat])
 
 
 def test_newton_step_fails_on_singular_system():
     # x is the Perron vector of the k=2 edge and top its exact radius, so
     # the first row's Z is singular and its step is not finite; the second
     # row's bracket is open and it steps to a positive y
-    schedule = _step_schedule([single_edge(2)] * 2)
     x = np.array([[2**-0.5, 2**-0.5], [0.6, 0.8]])
     top = np.array([2.0, 1.4 / 0.6])
-    y = _newton_noda_step([(TensorKind.IncidenceQ, 0, 2)], schedule, x, x, top)
+    schedule, factors = _step_inputs([single_edge(2)] * 2, TensorKind.IncidenceQ, x)
+    y = _newton_noda_step(schedule, x, x, factors, top)
     assert not np.isfinite(y[0]).any()
     assert np.isfinite(y[1]).all() and (y[1] > 0).all()
 
@@ -318,7 +333,6 @@ def test_newton_step_matches_dense_solve(kind, k, m):
     graphs = _supertree_shapes(m, k)
     assert len(graphs) >= 2
     n = graphs[0].n
-    schedule = _step_schedule(graphs)
     rng = np.random.default_rng(100 * k + m)
     shape = (len(graphs), n)
     draws = [rng.random(shape) + 0.05, rng.random(shape) + 0.05, 10.0 ** rng.uniform(-6, 0, shape)]
@@ -326,7 +340,8 @@ def test_newton_step_matches_dense_solve(kind, k, m):
         xk1 = x ** (k - 1)
         ax = np.array([apply(kind, g, row) for g, row in zip(graphs, x)])
         top = (ax / xk1).max(axis=1) * (1 + rng.random(len(graphs)))
-        y = _newton_noda_step([(kind, 0, len(x))], schedule, x, ax, top)
+        schedule, factors = _step_inputs(graphs, kind, x)
+        y = _newton_noda_step(schedule, x, ax, factors, top)
         for g, row, rk1, arow, lam, got in zip(graphs, x, xk1, ax, top, y):
             mx = dense_build(kind, g).values
             for _ in range(k - 2):

@@ -16,7 +16,8 @@ from hypertree_spectra import (
     validate,
 )
 from hypertree_spectra.errors import DimensionMismatch, TooLarge
-from hypertree_spectra.tensors import _edge_index, _linearize
+from hypertree_spectra.census import _supertree_shapes
+from hypertree_spectra.tensors import _contract, _edge_index, _linearize, _row_offset
 from oracles import edge_loop_apply, rayleigh, relabel
 
 KINDS = list(TensorKind)
@@ -135,7 +136,7 @@ def test_linearization_matches_dense_oracle(corpus_instance, kind, rng):
     draws = [rng.random(g.n) + 0.05 for _ in range(20)]
     draws += [10.0 ** rng.uniform(-6, 0, g.n) for _ in range(5)]
     for x in draws:
-        c, u, diag = (f[0] for f in _linearize(kind, flat, x[None, :]))
+        c, u, diag = (f[0] for f in _linearize([(kind, 0, 1)], x[flat]))
         mx = np.zeros((g.n, g.n))
         for e, ce, ue, de in zip(flat[0], c, u, diag):
             block = ce * np.outer(ue, ue)
@@ -146,6 +147,31 @@ def test_linearization_matches_dense_oracle(corpus_instance, kind, rng):
             oracle = oracle @ x
         assert np.allclose(mx, oracle, rtol=1e-12, atol=1e-12)
         assert np.allclose(mx @ x, apply(kind, g, x), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,m", [(2, 7), (3, 5), (4, 4)])
+def test_block_kernels_equal_one_block_calls(k, m, rng):
+    """On a kind-major batch of census shapes, with uneven blocks as after
+    rows freeze, each block of _contract's and _linearize's output is ==
+    to a one-block call on that block's rows alone: a vertex's bincount
+    sum takes only its own row's terms, in the same order."""
+    graphs = _supertree_shapes(m, k)
+    n = graphs[0].n
+    idx = np.tile(_edge_index(graphs), (len(KINDS), 1, 1))
+    cuts = sorted(rng.choice(np.arange(1, len(idx)), 2, replace=False).tolist())
+    bounds = [0, *cuts, len(idx)]
+    blocks = list(zip(KINDS, bounds, bounds[1:]))
+    x = 10.0 ** rng.uniform(-6, 0, (len(idx), n))
+    flat = _row_offset(idx, n)
+    vals = x.ravel()[flat]
+    ax = _contract(blocks, flat, vals, n)
+    factors = _linearize(blocks, vals)
+    for kind, s, e in blocks:
+        one = _row_offset(idx[s:e], n)
+        sub = x[s:e].ravel()[one]
+        assert np.array_equal(ax[s:e], _contract([(kind, 0, e - s)], one, sub, n))
+        for got, want in zip(factors, _linearize([(kind, 0, e - s)], sub)):
+            assert np.array_equal(got[s:e], want)
 
 
 def test_rayleigh_identity_random(small_instance, rng):
