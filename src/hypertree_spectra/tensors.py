@@ -97,8 +97,8 @@ def _contract(blocks: list, flat: np.ndarray, vals: np.ndarray, n: int) -> np.nd
             p[...] = v.sum(axis=2, keepdims=True) ** (k - 1)
         else:
             p[..., 0] = 1.0
-            np.cumprod(v[..., :-1], axis=2, out=p[..., 1:])
-            p[..., :-1] *= np.cumprod(v[..., :0:-1], axis=2)[..., ::-1]
+            v[..., :-1].cumprod(axis=2, out=p[..., 1:])
+            p[..., :-1] *= v[..., :0:-1].cumprod(axis=2)[..., ::-1]
         if kind is TensorKind.SignlessLaplacian:
             p += v ** (k - 1)
     # float even when flat is empty (an edgeless graph), where bincount gives int
@@ -121,17 +121,17 @@ def _linearize(blocks: list, vals: np.ndarray) -> tuple:
     SignlessLaplacian.
     """
     k = vals.shape[2]
-    c, u, diag = np.empty(vals.shape[:2]), np.ones_like(vals), np.zeros_like(vals)
+    c, u, diag = np.empty(vals.shape[:2]), np.empty_like(vals), np.empty_like(vals)
     for kind, s, e in blocks:
-        v, cb = vals[s:e], c[s:e]
+        v = vals[s:e]
         if kind is TensorKind.IncidenceQ:
-            cb[...] = v.sum(axis=2) ** (k - 2)
-            diag[s:e] = cb[..., None]
+            c[s:e] = v.sum(axis=2) ** (k - 2)
+            u[s:e] = 1.0
+            diag[s:e] = c[s:e, :, None]
         else:
-            np.divide(v.prod(axis=2), k - 1, out=cb)
+            np.divide(v.prod(axis=2), k - 1, out=c[s:e])
             np.divide(1.0, v, out=u[s:e])
-        if kind is TensorKind.SignlessLaplacian:
-            diag[s:e] = v ** (k - 2)
+            diag[s:e] = v ** (k - 2) if kind is TensorKind.SignlessLaplacian else 0.0
     return c, u, diag
 
 
