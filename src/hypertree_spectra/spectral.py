@@ -181,16 +181,12 @@ def _solve(
             if done.all():
                 return [results[i : i + count] for i in range(0, rows, count)]
             keep = ~done
-            active, x, ax, y, vals = active[keep], x[keep], ax[keep], y[keep], vals[keep]
-            lower, upper = lower[keep], upper[keep]
+            active, x, xk1, ax, y = active[keep], x[keep], xk1[keep], ax[keep], y[keep]
+            vals, lower, upper = vals[keep], lower[keep], upper[keep]
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
             stops = np.searchsorted(active, count * np.arange(1, len(kinds) + 1)).tolist()
             blocks = [(kd, s, e) for kd, s, e in zip(kinds, [0, *stops], stops) if e > s]
             flat, schedule = _row_offset(idx[active], n), None
-        x_next = y ** (1.0 / (k - 1))
-        tiny = x_next.min(axis=1) < 1e-300
-        if tiny.any():
-            x_next[tiny] /= np.maximum(x_next[tiny].max(axis=1, keepdims=True), 1e-300)
         if newton:
             # A row at its rounding floor (a bracket within ROUNDING_PAD that
             # stopped narrowing), a row that stalls for NEWTON_PATIENCE
@@ -204,10 +200,15 @@ def _solve(
                 # all active rows step on one schedule; rows on Newton take the step
                 if schedule is None:
                     schedule = _schedule(flat, height[active])
-                step = _newton_noda_step(schedule, x, ax, _linearize(blocks, vals), upper)
+                step = _newton_noda_step(schedule, x, xk1, ax, _linearize(blocks, vals), upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
-                x_next[on_newton] = step[on_newton]
-        x = x_next
+        # the other rows, and rows whose step failed, take a power step
+        if on_newton.any():
+            x, power = step, ~on_newton
+            if power.any():
+                x[power] = _power_step(y[power], k)
+        else:
+            x = _power_step(y, k)
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
     widest = int(np.argmax(upper - lower))
     lo, hi = float(lower[widest]), float(upper[widest])
@@ -218,6 +219,17 @@ def _solve(
         upper=hi,
         iterations=max_iter,
     )
+
+
+def _power_step(y: np.ndarray, k: int) -> np.ndarray:
+    """The shifted power step from y = T x^{k-1} + x^{[k-1]}, before
+    normalization: y^{[1/(k-1)]}, each row with an entry below 1e-300
+    divided by its largest entry."""
+    x = y ** (1.0 / (k - 1))
+    tiny = x.min(axis=1) < 1e-300
+    if tiny.any():
+        x[tiny] /= np.maximum(x[tiny].max(axis=1, keepdims=True), 1e-300)
+    return x
 
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,9 +283,11 @@ def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
 
 
 def _newton_noda_step(
-    schedule: tuple, x: np.ndarray, ax: np.ndarray, factors: tuple, top: np.ndarray
+    schedule: tuple, x: np.ndarray, xk1: np.ndarray, ax: np.ndarray, factors: tuple,
+    top: np.ndarray,
 ) -> np.ndarray:
-    """One Newton-Noda step from the positive rows of x, with ax = T x^{k-1}
+    """One Newton-Noda step from the positive rows of x, with xk1 = x^{[k-1]},
+    ax = T x^{k-1}
     and factors = (c, u, diag) of M(x) = T x^{k-2} (tensors._linearize),
     before normalization; a row whose step fails is not finite and positive.
 
@@ -324,7 +338,6 @@ def _newton_noda_step(
         for (_, parent, child), (bd, cgud, t, up) in zip(reversed(levels), reversed(folds)):
             w[child] = bd + (t + up * w[parent])[:, None] * cgud
         w = w.reshape(x.shape)
-        xk1 = x ** (k - 1)
         t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
         return t[:, None] * w
 

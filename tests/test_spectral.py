@@ -316,7 +316,7 @@ def test_newton_step_fails_on_singular_system():
     x = np.array([[2**-0.5, 2**-0.5], [0.6, 0.8]])
     top = np.array([2.0, 1.4 / 0.6])
     schedule, factors = _step_inputs([single_edge(2)] * 2, TensorKind.IncidenceQ, x)
-    y = _newton_noda_step(schedule, x, x, factors, top)
+    y = _newton_noda_step(schedule, x, x, x, factors, top)
     assert not np.isfinite(y[0]).any()
     assert np.isfinite(y[1]).all() and (y[1] > 0).all()
 
@@ -341,7 +341,7 @@ def test_newton_step_matches_dense_solve(kind, k, m):
         ax = np.array([apply(kind, g, row) for g, row in zip(graphs, x)])
         top = (ax / xk1).max(axis=1) * (1 + rng.random(len(graphs)))
         schedule, factors = _step_inputs(graphs, kind, x)
-        y = _newton_noda_step(schedule, x, ax, factors, top)
+        y = _newton_noda_step(schedule, x, xk1, ax, factors, top)
         for g, row, rk1, arow, lam, got in zip(graphs, x, xk1, ax, top, y):
             mx = dense_build(kind, g).values
             for _ in range(k - 2):
