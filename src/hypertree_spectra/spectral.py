@@ -13,8 +13,8 @@ power iterate positive, since the adjacency tensor has zero diagonal, and
 makes it converge.  A Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017),
 taken on the degree-one map (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM
 J. Matrix Anal. Appl. 2009), solves one linear system per row by
-eliminating along the supertree, each edge's block a diagonal plus a
-rank-one term, in O(m k) time and memory, and converges quadratically, in
+eliminating along the supertree, each edge's block scaled to a diagonal
+plus c 11^T, in O(m k) time and memory, and converges quadratically, in
 about ten steps where the power iteration needs thousands on long paths
 and nearly degenerate shapes.  spectral_radii runs the iteration on a batch
 of graphs sharing (n, m, k), one row per graph.  A census runs its graphs
@@ -200,15 +200,15 @@ def _solve(
                 # all active rows step on one schedule; rows on Newton take the step
                 if schedule is None:
                     schedule = _schedule(flat, height[active])
-                step = _newton_noda_step(schedule, x, xk1, ax, _linearize(blocks, vals), upper)
+                step = _newton_noda_step(schedule, x, xk1, ax, _linearize(blocks, x, vals), upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
         # the other rows, and rows whose step failed, take a power step
-        if on_newton.any():
-            x, power = step, ~on_newton
-            if power.any():
-                x[power] = _power_step(y[power], k)
-        else:
-            x = _power_step(y, k)
+        x, power = (step, ~on_newton) if newton and on_newton.any() else (y, slice(None))
+        root = y[power] ** (1.0 / (k - 1))
+        tiny = root.min(axis=1) < 1e-300
+        if tiny.any():
+            root[tiny] /= np.maximum(root[tiny].max(axis=1, keepdims=True), 1e-300)
+        x[power] = root
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
     widest = int(np.argmax(upper - lower))
     lo, hi = float(lower[widest]), float(upper[widest])
@@ -219,17 +219,6 @@ def _solve(
         upper=hi,
         iterations=max_iter,
     )
-
-
-def _power_step(y: np.ndarray, k: int) -> np.ndarray:
-    """The shifted power step from y = T x^{k-1} + x^{[k-1]}, before
-    normalization: y^{[1/(k-1)]}, each row with an entry below 1e-300
-    divided by its largest entry."""
-    x = y ** (1.0 / (k - 1))
-    tiny = x.min(axis=1) < 1e-300
-    if tiny.any():
-        x[tiny] /= np.maximum(x[tiny].max(axis=1, keepdims=True), 1e-300)
-    return x
 
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,12 +272,10 @@ def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
 
 
 def _newton_noda_step(
-    schedule: tuple, x: np.ndarray, xk1: np.ndarray, ax: np.ndarray, factors: tuple,
-    top: np.ndarray,
+    schedule: tuple, x: np.ndarray, xk1: np.ndarray, ax: np.ndarray, factors: tuple, top: np.ndarray
 ) -> np.ndarray:
     """One Newton-Noda step from the positive rows of x, with xk1 = x^{[k-1]},
-    ax = T x^{k-1}
-    and factors = (c, u, diag) of M(x) = T x^{k-2} (tensors._linearize),
+    ax = T x^{k-1} and the factors of M(x) = T x^{k-2} (tensors._linearize),
     before normalization; a row whose step fails is not finite and positive.
 
     The step is Noda's iteration on the degree-one map
@@ -304,40 +291,39 @@ def _newton_noda_step(
     shrinks a component that is too large only by (k-2)/(k-1) per step.
 
     Off the diagonal, Z of a supertree is nonzero only inside the edges'
-    blocks, -c u u^T there (_linearize), so eliminating each edge's children
-    C onto its parent p, one height at a time, makes no fill.  Their block
-    is diag(d) - c u u^T, d being their pivots plus c u^2; by
-    Sherman-Morrison, with s = sum u^2/d, t = sum u b/d and g = 1/(1 - c s),
-    p's pivot loses (c u_p)^2 s g, b_p gains c u_p t g, and
-    w_C = b_C/d + c g (t + u_p w_p) u/d: O(m k) time and memory per row.
+    blocks, so S Z S, S = diag(sigma), is -c there (_linearize); the step
+    solves S Z S w' = S q x, w = S w', eliminating each edge's children C
+    onto its parent p, one height at a time, with no fill.  C's block is
+    diag(d) - c 11^T, d their pivots plus c (held from the start); by
+    Sherman-Morrison, with r = 1/d, s = sum r, t = sum b r, cg = c/(1 - c s),
+    p's pivot loses cg c s, b_p gains cg t, and w_C = b_C r + (t + w_p) cg r.
     The last pivot, at the root, carries the near-singularity; once the
     bracket top is within rounding of rho it may round to the wrong sign,
     which only flips the sign of w and leaves t w unchanged.
     """
     verts, levels, root = schedule
-    k = verts.shape[1]
-    c, u, diag = factors
-    c, u = c.ravel(), u.reshape(-1, k)
-    q = ax ** ((k - 2) / (k - 1))
-    mu = top ** (1.0 / (k - 1))
+    c, diag, sigma = factors
+    c, k = c.ravel(), verts.shape[1]
+    q, mu = ax ** ((k - 2) / (k - 1)), top ** (1.0 / (k - 1))
     pivot = (mu[:, None] * q).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
-    b = (q * x).ravel()
+    pivot *= (sigma**2).ravel()
+    pivot[verts[:, 1:]] += c[:, None]
+    b = (q * x * sigma).ravel()
     folds = []
     with np.errstate(all="ignore"):
         for e, parent, child in levels:
-            ce, up, uc, bc = c[e], u[e, 0], u[e, 1:], b[child]
-            d = pivot[child] + ce[:, None] * uc**2
-            ud = uc / d
-            s, t = (uc * ud).sum(axis=1), (bc * ud).sum(axis=1)
-            cg = ce / (1 - ce * s)
-            np.subtract.at(pivot, parent, cg * ce * up**2 * s)
-            np.add.at(b, parent, cg * up * t)
-            folds.append((bc / d, cg[:, None] * ud, t, up))
+            ce, bc, r = c[e], b[child], 1 / pivot[child]
+            br = bc * r
+            cs, t = ce * np.add.reduce(r, 1), np.add.reduce(br, 1)
+            cg = ce / (1 - cs)
+            np.subtract.at(pivot, parent, cg * cs)
+            np.add.at(b, parent, cg * t)
+            folds.append((br, cg[:, None] * r, t))
         w = np.zeros(x.size)
         w[root] = b[root] / pivot[root]
-        for (_, parent, child), (bd, cgud, t, up) in zip(reversed(levels), reversed(folds)):
-            w[child] = bd + (t + up * w[parent])[:, None] * cgud
-        w = w.reshape(x.shape)
+        for (_, parent, child), (br, cgr, t) in zip(reversed(levels), reversed(folds)):
+            w[child] = br + (t + w[parent])[:, None] * cgr
+        w = w.reshape(x.shape) * sigma
         t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
         return t[:, None] * w
 

@@ -14,7 +14,7 @@ n^k tensor.  The solver gathers x once per step for a batch of graphs
 sharing (n, m, k), and both kernels take the batch's blocks (kind, start,
 stop) of rows: _contract scatters every block's edge terms with one
 bincount, and _linearize writes each block's slice of the O(m*k) factors
-of T x^{k-2}, each edge's k x k block a diagonal plus a rank-one term.
+of T x^{k-2}, each edge's k x k block scaled to a diagonal plus c_e 11^T.
 dense_build() materializes the tensor, as an oracle.
 """
 
@@ -106,33 +106,33 @@ def _contract(blocks: list, flat: np.ndarray, vals: np.ndarray, n: int) -> np.nd
     return out.astype(float, copy=False).reshape(rows, n)
 
 
-def _linearize(blocks: list, vals: np.ndarray) -> tuple:
-    """c and u and diag, the factors of the edge blocks of M(x) = T x^{k-2}
+def _linearize(blocks: list, x: np.ndarray, vals: np.ndarray) -> tuple:
+    """c, diag and sigma, the factors of the edge blocks of M(x) = T x^{k-2}
     (so M(x) x = T x^{k-1}) for every row of x (B, n) > 0, each block
     (kind, start, stop) of rows under its own kind, from vals, x gathered
-    over the (B, m, k) row-offset edge index: c is (B, m), u and diag are
-    (B, m, k).
+    over the (B, m, k) row-offset edge index: c is (B, m), diag is
+    (B, m, k) and sigma is (B, n).
 
-    Block [a, b] of edge e adds c_e u_a u_b to M[e_a, e_b] off the diagonal
-    and diag_a on it.  For IncidenceQ, u = 1 and every entry is c_e, the
-    edge sum to the power k-2.  Otherwise an off-diagonal entry is the
-    product of the other k-2 entries over k-1, so u = 1/x and c_e is the
-    edge product over k-1; diag_a is 0 for Adjacency and x_a^{k-2} for
-    SignlessLaplacian.
+    Block [a, b] of edge e adds c_e / (sigma_a sigma_b) to M[e_a, e_b] off
+    the diagonal and diag_a on it, so with S = diag(sigma) every off-diagonal
+    entry of S M S in the block is c_e.  For IncidenceQ, sigma = 1 and every
+    entry is c_e, the edge sum to the power k-2.  Otherwise an entry off the
+    diagonal is the product of the other k-2 entries over k-1, so sigma = x
+    and c_e is the edge product over k-1; diag_a is 0 for Adjacency and
+    x_a^{k-2} for SignlessLaplacian.
     """
     k = vals.shape[2]
-    c, u, diag = np.empty(vals.shape[:2]), np.empty_like(vals), np.empty_like(vals)
+    c, diag, sigma = np.empty(vals.shape[:2]), np.empty_like(vals), x.copy()
     for kind, s, e in blocks:
         v = vals[s:e]
         if kind is TensorKind.IncidenceQ:
             c[s:e] = v.sum(axis=2) ** (k - 2)
-            u[s:e] = 1.0
             diag[s:e] = c[s:e, :, None]
+            sigma[s:e] = 1.0
         else:
             np.divide(v.prod(axis=2), k - 1, out=c[s:e])
-            np.divide(1.0, v, out=u[s:e])
             diag[s:e] = v ** (k - 2) if kind is TensorKind.SignlessLaplacian else 0.0
-    return c, u, diag
+    return c, diag, sigma
 
 
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:

@@ -306,7 +306,7 @@ def _step_inputs(graphs, kind, x):
     n = graphs[0].n
     idx, height = _elimination_order(_edge_index(graphs), n)
     flat = _row_offset(idx, n)
-    return _schedule(flat, height), _linearize([(kind, 0, len(x))], x.ravel()[flat])
+    return _schedule(flat, height), _linearize([(kind, 0, len(x))], x, x.ravel()[flat])
 
 
 def test_newton_step_fails_on_singular_system():

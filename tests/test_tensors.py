@@ -126,22 +126,25 @@ def test_apply_matches_oracles_on_census(k, m, rng):
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_linearization_matches_dense_oracle(corpus_instance, kind, rng):
-    """The edge blocks rebuilt from the factors, c_e u_a u_b off the diagonal
-    and diag_a on it, sum to M(x), the dense tensor contracted k-2 times,
-    and M(x) x = apply.  The last draws spread x over 1e-6..1, where the
-    1/x of Adjacency and SignlessLaplacian has to cancel the edge product."""
+    """The edge blocks rebuilt from the factors, c_e / (sigma_a sigma_b) off
+    the diagonal and diag_a on it, sum to M(x), the dense tensor contracted
+    k-2 times, and M(x) x = apply.  The last draws spread x over 1e-6..1,
+    where for Adjacency and SignlessLaplacian the edge product over
+    sigma_a sigma_b = x_a x_b has to give the product of the other k-2."""
     g = corpus_instance
     dense = dense_build(kind, g).values
     flat = _edge_index([g])
     draws = [rng.random(g.n) + 0.05 for _ in range(20)]
     draws += [10.0 ** rng.uniform(-6, 0, g.n) for _ in range(5)]
     for x in draws:
-        c, u, diag = (f[0] for f in _linearize([(kind, 0, 1)], x[flat]))
+        c, diag, sigma = (f[0] for f in _linearize([(kind, 0, 1)], x[None], x[flat]))
+        scaled = np.zeros((g.n, g.n))  # S M S off the diagonal, S = diag(sigma)
         mx = np.zeros((g.n, g.n))
-        for e, ce, ue, de in zip(flat[0], c, u, diag):
-            block = ce * np.outer(ue, ue)
-            np.fill_diagonal(block, de)
-            mx[np.ix_(e, e)] += block
+        for e, ce, de in zip(flat[0], c, diag):
+            scaled[np.ix_(e, e)] += ce
+            mx[e, e] += de
+        np.fill_diagonal(scaled, 0.0)
+        mx += scaled / np.outer(sigma, sigma)
         oracle = dense
         for _ in range(g.k - 2):
             oracle = oracle @ x
@@ -165,13 +168,29 @@ def test_block_kernels_equal_one_block_calls(k, m, rng):
     flat = _row_offset(idx, n)
     vals = x.ravel()[flat]
     ax = _contract(blocks, flat, vals, n)
-    factors = _linearize(blocks, vals)
+    factors = _linearize(blocks, x, vals)
     for kind, s, e in blocks:
         one = _row_offset(idx[s:e], n)
         sub = x[s:e].ravel()[one]
         assert np.array_equal(ax[s:e], _contract([(kind, 0, e - s)], one, sub, n))
-        for got, want in zip(factors, _linearize([(kind, 0, e - s)], sub)):
+        for got, want in zip(factors, _linearize([(kind, 0, e - s)], x[s:e], sub)):
             assert np.array_equal(got[s:e], want)
+
+
+def test_linearization_scales_by_x_except_incidence_q(rng):
+    """In a kind-major batch of all three kinds, sigma is x on the
+    Adjacency and SignlessLaplacian rows, where it turns each off-diagonal
+    entry of an edge block into c_e, and 1 on the IncidenceQ rows, whose
+    entries are c_e already."""
+    graphs = _supertree_shapes(4, 3)
+    n, count = graphs[0].n, len(graphs)
+    idx = np.tile(_edge_index(graphs), (len(KINDS), 1, 1))
+    blocks = [(kind, i * count, (i + 1) * count) for i, kind in enumerate(KINDS)]
+    x = rng.random((len(idx), n)) + 0.05
+    sigma = _linearize(blocks, x, x.ravel()[_row_offset(idx, n)])[2]
+    for kind, s, e in blocks:
+        want = np.ones((e - s, n)) if kind is TensorKind.IncidenceQ else x[s:e]
+        assert np.array_equal(sigma[s:e], want)
 
 
 def test_rayleigh_identity_random(small_instance, rng):
