@@ -14,7 +14,8 @@ BASE first in odd pairs, CHANGE first in even ones, so that a drift in the
 host's speed falls on both sides alike.  Writes BENCH_<label>.json into
 --out (the root of this checkout by default), holding per workload every
 run's end-to-end metrics and check counts, each side's median and quartiles
-of every metric, and the number of pairs in which CHANGE read lower.  A run
+of every metric, the number of pairs in which CHANGE read lower, and a
+verdict per metric (see verdict; the bounds come from BENCHMARK.json).  A run
 that times out or whose last line of output is not a JSON result counts as
 incorrect, and is recorded with its exit code and the tail of its stderr;
 the file is still written.  Uses the standard library only.  The exit code
@@ -34,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("census_sweep", "long_path", "graft_descent")
 SIDES = ("base", "change")
+LOWER_SHARE = 0.9  # of the pairs, for a "lower" verdict
 
 
 def revision(checkout: Path) -> str:
@@ -87,9 +89,44 @@ def spread(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: dict) -> dict:
-    """Per metric, over the runs that gave a result: each side's spread, and
-    in how many pairs with both results change < base."""
+def bounds(path: Path = ROOT / "BENCHMARK.json") -> dict:
+    """Each end-to-end metric's bound, a share of the base's median."""
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+
+
+def verdict(entry: dict, bound: float | None) -> str:
+    """A summary entry's verdict, the first that holds of:
+
+    - "lower": change read lower in at least LOWER_SHARE of the pairs, and
+      its median is below the base's by more than the base's q3 - q1;
+    - "worse": change's median is above the base's by more than bound
+      times the base's median;
+    - "unresolved": the base's q3 - q1 is wider than that, or a side has
+      no result;
+    - "unchanged".
+
+    A metric without a bound can only be "lower" or "unchanged".
+    """
+    base, change = entry["base"], entry["change"]
+    if base is None or change is None:
+        return "unresolved"
+    spread_base = base["q3"] - base["q1"]
+    if (entry["pairs"] and entry["change_lower_in"] >= LOWER_SHARE * entry["pairs"]
+            and base["median"] - change["median"] > spread_base):
+        return "lower"
+    if bound is not None:
+        if change["median"] - base["median"] > bound * base["median"]:
+            return "worse"
+        if spread_base > bound * base["median"]:
+            return "unresolved"
+    return "unchanged"
+
+
+def summarize(runs: dict, bound: dict) -> dict:
+    """Per metric, over the runs that gave a result: each side's spread, in
+    how many pairs with both results change < base, and the verdict under
+    the metric's bound in bound (a dict by metric name)."""
     summary = {}
     names = dict.fromkeys(name for side in SIDES for run in runs[side] for name in run["metrics"])
     for name in names:
@@ -103,6 +140,7 @@ def summarize(runs: dict) -> dict:
             "change_lower_in": sum(after < before for before, after in pairs),
             "pairs": len(pairs),
         }
+        summary[name]["verdict"] = verdict(summary[name], bound.get(name))
     return summary
 
 
@@ -127,6 +165,7 @@ def main(argv=None) -> int:
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "workloads": {},
     }
+    limits = bounds()
     correct = True
     for workload in args.workload or WORKLOADS:
         runs = {side: [] for side in SIDES}
@@ -140,7 +179,10 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {seed} {side}: wall_s "
                       f"{run['metrics'].get('wall_s')} correct {run['correct']}"
                       f"{' (' + run['error'] + ')' if 'error' in run else ''}", flush=True)
-        bench["workloads"][workload] = {"summary": summarize(runs), "runs": runs}
+        summary = summarize(runs, limits)
+        bench["workloads"][workload] = {"summary": summary, "runs": runs}
+        print(workload, " ".join(f"{name} {entry['verdict']}" for name, entry in summary.items()),
+              flush=True)
     bench["correct"] = correct
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")

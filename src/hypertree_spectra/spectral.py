@@ -121,7 +121,13 @@ def _solve(
     max_iter: int,
 ) -> list[list[SpectralResult]]:
     """Every graph under every kind, in one batch of kind-major rows: row r
-    is graph r % B under kinds[r // B].  Returns one result list per kind."""
+    is graph r % B under kinds[r // B].  Returns one result list per kind.
+
+    An iteration in which every open row narrowed its bracket skips the
+    stall and floor bookkeeping, which would reset every stall count and
+    find no row at its floor, and one in which every row took a finite,
+    positive Newton-Noda step skips the power step, which would have no
+    row to step."""
     if not isinstance(tol, Real) or not tol > 0:
         raise BadParameter(f"tol must be positive, got {tol!r}")
     if not isinstance(max_iter, Integral) or max_iter < 1:
@@ -165,7 +171,8 @@ def _solve(
         ratios = y / xk1 - 1
         lower = ratios.min(axis=1)
         upper = ratios.max(axis=1)
-        done = upper - lower <= tol
+        width = upper - lower
+        done = width <= tol
         if done.any():
             closed = np.flatnonzero(done)
             lo, hi = lower[closed], upper[closed]
@@ -182,35 +189,46 @@ def _solve(
                 return [results[i : i + count] for i in range(0, rows, count)]
             keep = ~done
             active, x, xk1, ax, y = active[keep], x[keep], xk1[keep], ax[keep], y[keep]
-            vals, lower, upper = vals[keep], lower[keep], upper[keep]
+            vals, lower, upper, width = vals[keep], lower[keep], upper[keep], width[keep]
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
             stops = np.searchsorted(active, count * np.arange(1, len(kinds) + 1)).tolist()
             blocks = [(kd, s, e) for kd, s, e in zip(kinds, [0, *stops], stops) if e > s]
             flat, schedule = _row_offset(idx[active], n), None
+        x_next, power = y, slice(None)  # power: the rows that take a power step
         if newton:
             # A row at its rounding floor (a bracket within ROUNDING_PAD that
             # stopped narrowing), a row that stalls for NEWTON_PATIENCE
             # steps, and a row whose step fails finish with power steps
-            narrower = upper - lower < best
-            best = np.where(narrower, upper - lower, best)
-            stalls = np.where(narrower, 0, stalls + 1)
-            floor = (stalls > 0) & (best <= ROUNDING_PAD * np.abs(upper))
-            on_newton &= (stalls < NEWTON_PATIENCE) & ~floor
+            narrower = width < best
+            if narrower.all():  # no row stalls, and none is at its floor
+                best = width
+                stalls.fill(0)
+                on_newton &= NEWTON_PATIENCE > 0
+            else:
+                best = np.where(narrower, width, best)
+                stalls = np.where(narrower, 0, stalls + 1)
+                floor = (stalls > 0) & (best <= ROUNDING_PAD * np.abs(upper))
+                on_newton &= (stalls < NEWTON_PATIENCE) & ~floor
             if on_newton.any():
                 # all active rows step on one schedule; rows on Newton take the step
                 if schedule is None:
                     schedule = _schedule(flat, height[active])
                 step = _newton_noda_step(schedule, x, xk1, ax, _linearize(blocks, x, vals), upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
+                if on_newton.all():
+                    x_next, power = step, None
+                elif on_newton.any():
+                    x_next, power = step, ~on_newton
         # the other rows, and rows whose step failed, take a power step
-        x, power = (step, ~on_newton) if newton and on_newton.any() else (y, slice(None))
-        root = y[power] ** (1.0 / (k - 1))
-        tiny = root.min(axis=1) < 1e-300
-        if tiny.any():
-            root[tiny] /= np.maximum(root[tiny].max(axis=1, keepdims=True), 1e-300)
-        x[power] = root
+        if power is not None:
+            root = y[power] ** (1.0 / (k - 1))
+            tiny = root.min(axis=1) < 1e-300
+            if tiny.any():
+                root[tiny] /= np.maximum(root[tiny].max(axis=1, keepdims=True), 1e-300)
+            x_next[power] = root
+        x = x_next
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
-    widest = int(np.argmax(upper - lower))
+    widest = int(np.argmax(width))
     lo, hi = float(lower[widest]), float(upper[widest])
     raise NoConvergence(
         f"no convergence after {max_iter} iterations for {len(active)} of {rows} rows "
@@ -253,22 +271,39 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
         parent[leaf] = deg.argmax(axis=2)[leaf]
         live &= ~leaf
         h += 1
-    order = np.broadcast_to(np.arange(k), idx.shape).copy()
-    np.put_along_axis(order, parent[..., None], 0, axis=2)
-    order[..., 0] = parent
-    return np.take_along_axis(idx, order, axis=2), height
+    # move each edge's parent to position 0, and its first vertex to the
+    # parent's place
+    r, e = np.arange(rows)[:, None], np.arange(m)
+    out = idx.copy()
+    out[r, e, parent] = idx[..., 0]
+    out[..., 0] = idx[r, e, parent]
+    return out, height
 
 
 def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
     """Schedule of a Newton-Noda step on rows of _elimination_order's idx,
     row-offset (flat), and height: the (B m, k) edge index, each height's
-    (edge, parent, child) flat indices, lowest first, and every row's root."""
+    edges as a slice and its parents' places, every row's root, the edges
+    in height order and the level-major permutation of the B n vertices.
+
+    The permutation lists the children of the edges in height order, each
+    edge's k-1 children together, then the B roots, so that each height's
+    children are one contiguous (edges, k-1) run and every edge's parent,
+    a child of a higher edge or a root, has its own place in it."""
     rows, m, k = flat.shape
     verts = flat.reshape(-1, k)
     order = np.argsort(height.ravel(), kind="stable")
-    split = np.split(order, np.cumsum(np.bincount(height.ravel()))[:-1])
     root = verts[height.argmax(axis=1) + m * np.arange(rows), 0]
-    return verts, [(e, verts[e, 0], verts[e, 1:]) for e in split], root
+    perm = np.empty(rows * (m * (k - 1) + 1), dtype=np.intp)
+    by_height = verts[order]
+    perm[:-rows] = by_height[:, 1:].ravel()
+    perm[-rows:] = root
+    place = np.empty_like(perm)
+    place[perm] = np.arange(len(perm))
+    parent = place[by_height[:, 0]]
+    stops = np.cumsum(np.bincount(height.ravel())).tolist()
+    levels = [(slice(s, e), parent[s:e]) for s, e in zip([0, *stops], stops)]
+    return verts, levels, root, order, perm
 
 
 def _newton_noda_step(
@@ -297,33 +332,42 @@ def _newton_noda_step(
     diag(d) - c 11^T, d their pivots plus c (held from the start); by
     Sherman-Morrison, with r = 1/d, s = sum r, t = sum b r, cg = c/(1 - c s),
     p's pivot loses cg c s, b_p gains cg t, and w_C = b_C r + (t + w_p) cg r.
-    The last pivot, at the root, carries the near-singularity; once the
-    bracket top is within rounding of rho it may round to the wrong sign,
-    which only flips the sign of w and leaves t w unchanged.
+    The pivots, b and c are gathered once into the schedule's level-major
+    order, where each height is a slice of (edges, k-1) children, and w is
+    scattered back once.  The last pivot, at the root, carries the
+    near-singularity; once the bracket top is within rounding of rho it may
+    round to the wrong sign, which only flips the sign of w and leaves t w
+    unchanged.
     """
-    verts, levels, root = schedule
+    verts, levels, root, order, perm = schedule
     c, diag, sigma = factors
-    c, k = c.ravel(), verts.shape[1]
+    rows, k = len(x), verts.shape[1]
     q, mu = ax ** ((k - 2) / (k - 1)), top ** (1.0 / (k - 1))
     pivot = (mu[:, None] * q).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
     pivot *= (sigma**2).ravel()
-    pivot[verts[:, 1:]] += c[:, None]
-    b = (q * x * sigma).ravel()
+    pivot, b, c = pivot[perm], (q * x * sigma).ravel()[perm], c.ravel()[order]
+    # each child's (edges, k-1) place, a view of the level-major arrays
+    kids = pivot[:-rows].reshape(-1, k - 1)
+    kids += c[:, None]
+    b_kids = b[:-rows].reshape(-1, k - 1)
     folds = []
     with np.errstate(all="ignore"):
-        for e, parent, child in levels:
-            ce, bc, r = c[e], b[child], 1 / pivot[child]
-            br = bc * r
+        for e, parent in levels:
+            ce, r = c[e], 1 / kids[e]
+            br = b_kids[e] * r
             cs, t = ce * np.add.reduce(r, 1), np.add.reduce(br, 1)
             cg = ce / (1 - cs)
             np.subtract.at(pivot, parent, cg * cs)
             np.add.at(b, parent, cg * t)
             folds.append((br, cg[:, None] * r, t))
-        w = np.zeros(x.size)
-        w[root] = b[root] / pivot[root]
-        for (_, parent, child), (br, cgr, t) in zip(reversed(levels), reversed(folds)):
-            w[child] = br + (t + w[parent])[:, None] * cgr
-        w = w.reshape(x.shape) * sigma
+        w = np.empty(x.size)
+        w[-rows:] = b[-rows:] / pivot[-rows:]
+        w_kids = w[:-rows].reshape(-1, k - 1)
+        for (e, parent), (br, cgr, t) in zip(reversed(levels), reversed(folds)):
+            w_kids[e] = br + (t + w[parent])[:, None] * cgr
+        step = np.empty(x.size)
+        step[perm] = w
+        w = step.reshape(x.shape) * sigma
         t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
         return t[:, None] * w
 
