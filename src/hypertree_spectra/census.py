@@ -18,7 +18,7 @@ from typing import Iterator
 from .canon import _label, canonical_form
 from .errors import IncompleteCensus, TooLarge
 from .families import _supertree_edges, double_star, hyperstar, loose_path
-from .hypergraph import Hypergraph, validate
+from .hypergraph import Hypergraph, _hypergraph
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ROUNDING_PAD, _solve, closed_form_hyperstar
 from .tensors import TensorKind
 
@@ -108,7 +108,8 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     more edge branches, or an edge with k vertex subtrees, whose two
     deepest children are equally deep.  Pieces carry canon's AHU bit
     strings (a leaf is "10"), sorted among siblings, and ``canon._label``
-    numbers the vertices in pre-order; only the output is validated."""
+    numbers the vertices in pre-order, each edge an increasing tuple, so
+    nothing is validated."""
     # pieces by edge count: (code, depth), the code as in canon and the
     # depth in edges.  A vertex subtree is a multiset of edge branches, an
     # edge branch one of k-1 vertex subtrees.  A piece of s edges and depth
@@ -121,10 +122,10 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
         below.append([(c, d[-1]) for c, d in _multisets(branches, s) if s + d[-1] <= m])
     vertex_centers = ((True, c, d) for c, d in _multisets(branches, m) if len(d) > 1)
     edge_centers = ((False, c, d) for c, d in _multisets(below, m - 1, k))
-    shapes = []
+    n, shapes = m * (k - 1) + 1, []
     for vertex_root, code, depths in chain(vertex_centers, edge_centers):
         if depths[-1] == depths[-2]:
-            shapes.append(validate(_label(code, vertex_root), m * (k - 1) + 1, k=k))
+            shapes.append(_hypergraph(_label(code, vertex_root), n, k))
     return sorted(shapes, key=lambda g: g.edges)
 
 

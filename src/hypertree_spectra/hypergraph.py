@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,9 +55,13 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
     """Build a Hypergraph from raw edge lists, rejecting malformed input.
 
     Uniformity k is inferred from the first edge unless given explicitly,
-    and must be at least 2; n must be at least 1.  Duplicate edges are an
-    error, never silently merged.
+    and must be at least 2; n must be at least 1.  n, k and the vertex ids
+    must be integers, not bools; numpy integers are stored as int.
+    Duplicate edges are an error, never silently merged.
     """
+    for name, value in (("n", n), ("k", k)):
+        if value is not None and not _is_integer(value):
+            raise BadDimensions(f"{name} must be an integer, got {value!r}")
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for raw in raw_edges:
@@ -68,9 +73,11 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
         if len(set(verts)) != len(verts):
             raise RepeatedVertexInEdge(f"edge {verts} repeats a vertex")
         for v in verts:
+            if not _is_integer(v):
+                raise VertexOutOfRange(f"vertex {v!r} is not an integer id")
             if not (1 <= v <= n):
                 raise VertexOutOfRange(f"vertex {v} outside 1..{n}")
-        e = tuple(sorted(verts))
+        e = tuple(sorted(map(int, verts)))
         if e in seen:
             raise DuplicateEdge(f"edge {list(e)} appears twice")
         seen.add(e)
@@ -79,7 +86,17 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
         raise NonUniform("cannot infer uniformity from an empty edge list")
     if k < 2 or n < 1:
         raise BadDimensions(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    edges.sort()
+    return _hypergraph(edges, int(n), int(k))
+
+
+def _is_integer(value) -> bool:
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _hypergraph(edges: list[tuple[int, ...]], n: int, k: int) -> Hypergraph:
+    """The Hypergraph of distinct edges, each an increasing tuple of ints
+    in 1..n, in any order: validate's construction, with no checks."""
+    edges = sorted(edges)
     v2e: list[list[int]] = [[] for _ in range(n)]
     for j, e in enumerate(edges):
         for v in e:

@@ -24,6 +24,7 @@ from hypertree_spectra.canon import CanonicalForm, _center_peel, _supertree_cano
 from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.errors import (
     BadDimensions,
+    Disconnected,
     InvalidSpec,
     NotLinear,
     PendentEdge,
@@ -320,6 +321,48 @@ def edge_loop_apply(kind, g, x):
         for i, d in enumerate(g.degrees):
             out[i] += d * x[i] ** (k - 1)
     return out
+
+
+def elimination_order_by_queue(edges, n: int) -> tuple[list[list[int]], list[int]]:
+    """Oracle for spectral._elimination_order on one graph, its edges given
+    0-based: a queue peel in plain Python.  An edge joins the next round
+    when a removal leaves it at most one vertex shared with another live
+    edge; its height is its round, and its parent is that shared vertex at
+    the start of the round, or its first vertex if it has none.  Returns
+    the edges with the parent moved to position 0 (and the first vertex to
+    the parent's place), and the heights.  Disconnected if a cycle is left."""
+    degree = [0] * n
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            degree[v] += 1
+            incident[v].append(j)
+    shared = [sum(degree[v] > 1 for v in e) for e in edges]
+    live = [True] * len(edges)
+    height = [-1] * len(edges)
+    order = [list(e) for e in edges]
+    level = [j for j, s in enumerate(shared) if s <= 1]
+    h = 0
+    while level:
+        for j in level:
+            height[j], live[j] = h, False
+            e = order[j]
+            p = next((i for i, v in enumerate(e) if degree[v] > 1), 0)
+            e[0], e[p] = e[p], e[0]
+        following = []
+        for j in level:
+            for v in edges[j]:
+                degree[v] -= 1
+                if degree[v] == 1:  # v's one live edge, if any, shares one vertex fewer
+                    for i in incident[v]:
+                        if live[i]:
+                            shared[i] -= 1
+                            if shared[i] == 1:
+                                following.append(i)
+        level, h = following, h + 1
+    if any(live):
+        raise Disconnected("the edges contain a cycle")
+    return order, height
 
 
 def graft_to_path_by_rounds(parents) -> list[GraftStep]:

@@ -1,0 +1,80 @@
+"""scripts/bench_pairs.py's summary and verdicts, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+BOUNDS = {"wall_s": 0.25}
+
+
+def _runs(base, change, name="wall_s"):
+    """Runs with one metric; None stands for a run that gave no result."""
+    def side(values):
+        return [{"metrics": {} if v is None else {name: v}} for v in values]
+
+    return {"base": side(base), "change": side(change)}
+
+
+def test_summary_spread_and_pairs():
+    summary = bench_pairs.summarize(_runs([4, 1, 3, 2, 5], [1, 2, 2, 3, None]), BOUNDS)
+    entry = summary["wall_s"]
+    assert entry["base"] == {"q1": 2, "median": 3, "q3": 4}
+    assert entry["change"] == {"q1": 1.75, "median": 2, "q3": 2.25}
+    # the fifth pair has no change result; the second and fourth are not lower
+    assert (entry["pairs"], entry["change_lower_in"]) == (4, 2)
+
+
+def test_one_run_per_side_is_its_own_spread():
+    entry = bench_pairs.summarize(_runs([2.0], [1.0]), BOUNDS)["wall_s"]
+    assert entry["base"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+    assert entry["verdict"] == "lower"
+
+
+BASE = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+@pytest.mark.parametrize(
+    "change,verdict",
+    [
+        ([v - 0.1 for v in BASE], "lower"),
+        # lower in 9 of 10 pairs is enough
+        ([v - 0.1 for v in BASE[:9]] + [2.0], "lower"),
+        # lower in 8 of 10 is not
+        ([v - 0.1 for v in BASE[:8]] + [2.0, 2.0], "unchanged"),
+        # lower in every pair, but by less than the base's q3 - q1 (0.01)
+        ([v - 0.005 for v in BASE], "unchanged"),
+        ([v * 1.2 for v in BASE], "unchanged"),
+        ([v * 1.3 for v in BASE], "worse"),
+        ([None] * 10, "unresolved"),
+    ],
+)
+def test_verdict(change, verdict):
+    assert bench_pairs.summarize(_runs(BASE, change), BOUNDS)["wall_s"]["verdict"] == verdict
+
+
+def test_wide_base_spread_is_unresolved():
+    base = [0.5, 1.5, 0.5, 1.5, 1.0, 1.0, 0.5, 1.5, 1.0, 1.0]
+    summary = bench_pairs.summarize(_runs(base, [1.1] * 10), BOUNDS)
+    assert summary["wall_s"]["verdict"] == "unresolved"
+    # and worse wins over it when the change's median is beyond the bound
+    summary = bench_pairs.summarize(_runs(base, [1.3] * 10), BOUNDS)
+    assert summary["wall_s"]["verdict"] == "worse"
+
+
+def test_metric_without_a_bound_is_lower_or_unchanged():
+    runs = _runs(BASE, [v * 3 for v in BASE], name="checks")
+    assert bench_pairs.summarize(runs, BOUNDS)["checks"]["verdict"] == "unchanged"
+    runs = _runs(BASE, [v / 3 for v in BASE], name="checks")
+    assert bench_pairs.summarize(runs, BOUNDS)["checks"]["verdict"] == "lower"
+
+
+def test_bounds_are_the_end_to_end_metrics():
+    assert bench_pairs.bounds() == {
+        "setup_s": 0.25, "wall_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.1
+    }

@@ -15,6 +15,7 @@ from hypertree_spectra import (
     loose_path,
     spectral_radii,
     spectral_radius,
+    validate,
     verify_extremal,
 )
 from hypertree_spectra import census as census_module
@@ -152,6 +153,17 @@ def test_census_forms_are_pinned(k, top):
         forms = [[list(e) for e in g.edges] for g in _supertree_shapes(m, k)]
         digest.update(json.dumps(forms).encode())
     assert digest.hexdigest() == PINNED_FORMS[k, top]
+
+
+@pytest.mark.parametrize("k,top", sorted(PINNED_FORMS))
+def test_shapes_equal_their_validation(k, top):
+    """Growth builds its shapes without validate's checks; each is still
+    the Hypergraph validate builds from its edges, incidence lists too."""
+    for m in range(1, top + 1):
+        for g in _supertree_shapes(m, k):
+            want = validate(g.edges, g.n, k=g.k)
+            assert g == want and g.vertex_to_edges == want.vertex_to_edges
+            assert all(type(v) is int for e in g.edges for v in e)
 
 
 @pytest.mark.parametrize("k,top", [(2, 10), (3, 9), (4, 7), (5, 5)])

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,30 @@ def test_validate_non_uniform():
 def test_validate_vertex_out_of_range():
     with pytest.raises(VertexOutOfRange):
         validate([[1, 2, 9]], 5)
+
+
+@pytest.mark.parametrize(
+    "edges", [[[1, 2.5], [2.5, 3]], [[1, 2.0]], [[True, 2]], [[1, "2"]], [[1, None]]]
+)
+def test_validate_rejects_non_integer_vertex_ids(edges):
+    with pytest.raises(VertexOutOfRange):
+        validate(edges, 3)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(3.5, None), (3.0, None), (True, None), ("3", None), (3, 2.0), (3, True), (3, "2")]
+)
+def test_validate_rejects_non_integer_dimensions(n, k):
+    with pytest.raises(BadDimensions):
+        validate([[1, 2], [2, 3]], n, k=k)
+
+
+def test_validate_stores_numpy_integers_as_int():
+    ids = np.array([[1, 2, 3], [3, 4, 5]], dtype=np.int64)
+    g = validate(ids, np.int64(5), k=np.int32(3))
+    assert g == validate([[1, 2, 3], [3, 4, 5]], 5, k=3)
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert type(g.n) is int and type(g.k) is int
 
 
 def test_validate_repeated_vertex():

@@ -38,6 +38,7 @@ from hypertree_spectra.tensors import _edge_index, _linearize, _row_offset
 from oracles import (
     automorphism_orbits,
     dense_power_iteration,
+    elimination_order_by_queue,
     enumerate_trees,
     orbit_constancy_check,
     rayleigh,
@@ -386,6 +387,46 @@ def test_elimination_order_on_census(k, m):
         child_height = dict(zip(children.tolist(), np.repeat(heights, k - 1).tolist()))
         for e, h in zip(edges, heights):
             assert child_height.get(int(e[0]), m) > h
+
+
+def _assert_order_matches_queue_peel(graphs):
+    """_elimination_order of the batch, row by row == the queue peel's."""
+    n = graphs[0].n
+    idx, height = _elimination_order(_edge_index(graphs), n)
+    for g, edges, heights in zip(graphs, idx.tolist(), height.tolist()):
+        want = elimination_order_by_queue([[v - 1 for v in e] for e in g.edges], n)
+        assert (edges, heights) == want
+
+
+@pytest.mark.parametrize("k,top", [(2, 9), (3, 8), (4, 6), (5, 5)])
+def test_elimination_order_matches_queue_peel_on_census(k, top):
+    for m in range(1, top + 1):
+        _assert_order_matches_queue_peel(_supertree_shapes(m, k))
+
+
+def test_elimination_order_matches_queue_peel_on_random_trees():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        k, m = int(rng.integers(2, 6)), int(rng.integers(1, 81))
+        parents = [int(rng.integers(1, i + 2)) for i in range(m)]
+        _assert_order_matches_queue_peel([tree_power(parents, k)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_elimination_order_matches_queue_peel_on_paths_and_stars(k):
+    for m in (1, 2, 3, 8, 41):
+        n = m * (k - 1) + 1
+        _assert_order_matches_queue_peel([loose_path(n, k)])
+        _assert_order_matches_queue_peel([hyperstar(n, k)])
+
+
+def test_elimination_order_and_queue_peel_reject_a_cyclic_row():
+    connected = loose_path(7, 3)
+    cyclic = validate([[1, 2, 3], [1, 2, 4], [5, 6, 7]], 7)  # same (n, m, k)
+    with pytest.raises(Disconnected):
+        _elimination_order(_edge_index([connected, cyclic, connected]), 7)
+    with pytest.raises(Disconnected):
+        elimination_order_by_queue([[v - 1 for v in e] for e in cyclic.edges], 7)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
