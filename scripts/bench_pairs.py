@@ -123,10 +123,10 @@ def verdict(entry: dict, bound: float | None) -> str:
     return "unchanged"
 
 
-def summarize(runs: dict, bound: dict) -> dict:
+def summarize(runs: dict, limits: dict) -> dict:
     """Per metric, over the runs that gave a result: each side's spread, in
     how many pairs with both results change < base, and the verdict under
-    the metric's bound in bound (a dict by metric name)."""
+    the metric's bound in limits (bounds' dict)."""
     summary = {}
     names = dict.fromkeys(name for side in SIDES for run in runs[side] for name in run["metrics"])
     for name in names:
@@ -140,7 +140,7 @@ def summarize(runs: dict, bound: dict) -> dict:
             "change_lower_in": sum(after < before for before, after in pairs),
             "pairs": len(pairs),
         }
-        summary[name]["verdict"] = verdict(summary[name], bound.get(name))
+        summary[name]["verdict"] = verdict(summary[name], limits.get(name))
     return summary
 
 

@@ -70,11 +70,12 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
             k = len(verts)
         if len(verts) != k:
             raise NonUniform(f"edge {verts} has size {len(verts)}, expected {k}")
-        if len(set(verts)) != len(verts):
-            raise RepeatedVertexInEdge(f"edge {verts} repeats a vertex")
         for v in verts:
             if not _is_integer(v):
                 raise VertexOutOfRange(f"vertex {v!r} is not an integer id")
+        if len(set(verts)) != len(verts):
+            raise RepeatedVertexInEdge(f"edge {verts} repeats a vertex")
+        for v in verts:
             if not (1 <= v <= n):
                 raise VertexOutOfRange(f"vertex {v} outside 1..{n}")
         e = tuple(sorted(map(int, verts)))

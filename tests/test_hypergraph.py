@@ -54,7 +54,8 @@ def test_validate_vertex_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "edges", [[[1, 2.5], [2.5, 3]], [[1, 2.0]], [[True, 2]], [[1, "2"]], [[1, None]]]
+    "edges",
+    [[[1, 2.5], [2.5, 3]], [[1, 2.0]], [[True, 2]], [[1, True]], [[2, 2.0]], [[1, "2"]], [[1, None]]],
 )
 def test_validate_rejects_non_integer_vertex_ids(edges):
     with pytest.raises(VertexOutOfRange):
