@@ -5,6 +5,12 @@
         [--workload census_sweep --workload graft_descent ...] \\
         [--pairs 10] [--seconds 8] [--out DIR]
 
+BASE and CHANGE are each a checkout directory or a git revision of this
+repository; a revision is `git archive`d into a temporary directory, which
+is removed at the end.  The BENCH file names each side by its full commit
+hash: a revision's, or a directory's HEAD when it is a git work tree, and
+otherwise the directory's name.
+
 For each workload and each pair i = 1..N, runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
@@ -25,10 +31,13 @@ is 0 only if every run was correct.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,6 +52,30 @@ def revision(checkout: Path) -> str:
     done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else checkout.name
+
+
+def checkout(spec: str, into: Path, repo: Path) -> tuple[Path, str]:
+    """The directory to run BASE or CHANGE in, and the revision to record.
+
+    An existing directory is itself, named by revision().  Anything else is
+    a git revision of repo, archived into a new directory under into and
+    named by its full commit hash; ValueError if repo has no such commit.
+    """
+    path = Path(spec)
+    if path.is_dir():
+        return path.resolve(), revision(path)
+    done = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", "--quiet",
+                           f"{spec}^{{commit}}"], capture_output=True, text=True)
+    if done.returncode != 0:
+        raise ValueError(f"{spec!r} is neither a directory nor a commit of {repo}")
+    commit = done.stdout.strip()
+    archive = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", commit],
+                             capture_output=True, check=True).stdout
+    target = Path(tempfile.mkdtemp(prefix=f"{commit[:12]}_", dir=into))
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the data filter, where this Python has it, refuses links out of target
+        tar.extractall(target, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return target, commit
 
 
 def failed_run(seed: int, returncode, error: str, stderr) -> dict:
@@ -146,8 +179,8 @@ def summarize(runs: dict, limits: dict) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", type=Path, help="checkout measured as before")
-    parser.add_argument("change", type=Path, help="checkout measured as after")
+    parser.add_argument("base", help="checkout directory or git revision measured as before")
+    parser.add_argument("change", help="checkout directory or git revision measured as after")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeatable; all workloads by default")
@@ -155,13 +188,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
-    checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        checkouts, revisions = {}, {}
+        for side in SIDES:
+            try:
+                checkouts[side], revisions[side] = checkout(getattr(args, side), Path(tmp), ROOT)
+            except ValueError as exc:
+                parser.error(str(exc))
+        return run_pairs(args, checkouts, revisions)
+
+
+def run_pairs(args, checkouts: dict, revisions: dict) -> int:
+    """The pairs of runs of main's args in checkouts, and the BENCH file."""
     bench = {
         "label": args.label,
         "command": "python3 perfbench/run.py --workload W --seed I --seconds S --trace 0",
         "seconds": args.seconds,
         "pairs": args.pairs,
-        "revisions": {side: revision(path) for side, path in checkouts.items()},
+        "revisions": revisions,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "workloads": {},
     }

@@ -9,8 +9,10 @@ x normalized so that sum_i x_i^k = 1.  For a connected hypergraph both
 iterations keep the iterate strictly positive, and each step brackets rho
 between min_i y_i / x_i^{k-1} - 1 and max_i y_i / x_i^{k-1} - 1, with
 y = T x^{k-1} + x^{[k-1]} (Collatz-Wielandt); the shift by 1 keeps the
-power iterate positive, since the adjacency tensor has zero diagonal, and
-makes it converge.  A Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017),
+power iterate y^{[1/(k-1)]} positive, since the adjacency tensor has zero
+diagonal, and makes it converge.  Every solve starts from WARM_STEPS power
+steps on the uniform vector, which bracket nothing and count as no
+iteration; the bracket holds for any positive x.  A Newton-Noda step (Liu, Guo & Lin, Numer. Math. 2017),
 taken on the degree-one map (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM
 J. Matrix Anal. Appl. 2009), solves one linear system per row by
 eliminating along the supertree, each edge's block scaled to a diagonal
@@ -60,6 +62,12 @@ ROUNDING_PAD = 1e-12
 # to 24 steps (q, k = 4), with up to 6 in a row without a narrower bracket.
 # A row that takes this many is taken to be stuck at its rounding floor.
 NEWTON_PATIENCE = 30
+# Shifted power steps that every solve takes from the uniform vector before
+# its first bracket; they find the rough shape of the Perron vector, and
+# save Newton-Noda steps (on graft chains of 15 edges, 889 steps instead of
+# 1047 from the uniform vector; with three, loose_path(121, 3) takes one
+# more step under IncidenceQ).
+WARM_STEPS = 2
 ALPHA_STAR_TOL = 1e-13  # relative, for alpha_star's bisection
 
 
@@ -68,7 +76,7 @@ class SpectralResult:
     rho: float
     eigvec: np.ndarray  # positive, sum of k-th powers == 1
     residual: float  # max-norm of apply(.) - rho * x^[k-1]
-    iterations: int
+    iterations: int  # bracketed steps, after the WARM_STEPS warm-up steps
     lower: float  # final min-ratio bracket
     upper: float  # final max-ratio bracket
 
@@ -123,14 +131,18 @@ def _solve(
     """Every graph under every kind, in one batch of kind-major rows: row r
     is graph r % B under kinds[r // B].  Returns one result list per kind.
 
+    Every row starts from WARM_STEPS shifted power steps on the uniform
+    vector, by the power step of the loop.  Only the bracketed steps after
+    them count: as a result's iterations, and against max_iter.
+
     An iteration in which every open row narrowed its bracket skips the
     stall and floor bookkeeping, which would reset every stall count and
     find no row at its floor, and one in which every row took a finite,
     positive Newton-Noda step skips the power step, which would have no
     row to step."""
-    if not isinstance(tol, Real) or not tol > 0:
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0:
         raise BadParameter(f"tol must be positive, got {tol!r}")
-    if not isinstance(max_iter, Integral) or max_iter < 1:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise BadParameter(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     for kd in kinds:
         _check_kind(kd)
@@ -163,6 +175,9 @@ def _solve(
     stalls = np.zeros(rows, dtype=np.intp)  # steps since it narrowed
     flat = _row_offset(idx, n)
     x = np.full((rows, n), n ** (-1.0 / k))
+    for _ in range(WARM_STEPS):
+        x = _power_step(_contract(blocks, flat, x.ravel()[flat], n) + x ** (k - 1), k)
+        x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
     for it in range(1, max_iter + 1):
         vals = x.ravel()[flat]
         ax = _contract(blocks, flat, vals, n)
@@ -221,11 +236,7 @@ def _solve(
                     x_next, power = step, ~on_newton
         # the other rows, and rows whose step failed, take a power step
         if power is not None:
-            root = y[power] ** (1.0 / (k - 1))
-            tiny = root.min(axis=1) < 1e-300
-            if tiny.any():
-                root[tiny] /= np.maximum(root[tiny].max(axis=1, keepdims=True), 1e-300)
-            x_next[power] = root
+            x_next[power] = _power_step(y[power], k)
         x = x_next
         x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
     widest = int(np.argmax(width))
@@ -237,6 +248,17 @@ def _solve(
         upper=hi,
         iterations=max_iter,
     )
+
+
+def _power_step(y: np.ndarray, k: int) -> np.ndarray:
+    """The shifted power step y^{[1/(k-1)]} from y = T x^{k-1} + x^{[k-1]},
+    before normalization; a row with an entry below 1e-300 is divided by
+    its largest entry."""
+    root = y ** (1.0 / (k - 1))
+    tiny = root.min(axis=1) < 1e-300
+    if tiny.any():
+        root[tiny] /= np.maximum(root[tiny].max(axis=1, keepdims=True), 1e-300)
+    return root
 
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

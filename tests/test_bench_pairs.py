@@ -1,6 +1,9 @@
 """scripts/bench_pairs.py's summary and verdicts, on synthetic runs."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,78 @@ def test_bounds_are_the_end_to_end_metrics():
     assert bench_pairs.bounds() == {
         "setup_s": 0.25, "wall_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.1
     }
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+@pytest.fixture
+def two_commits(tmp_path):
+    """A throwaway git repository whose two commits hold version.txt 1 and 2,
+    and their full hashes."""
+    if shutil.which("git") is None:
+        pytest.skip("needs git")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    commits = []
+    for version in ("1", "2"):
+        (repo / "version.txt").write_text(version)
+        _git(repo, "add", "version.txt")
+        _git(repo, "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+             "commit", "-q", "-m", f"version {version}")
+        commits.append(_git(repo, "rev-parse", "HEAD"))
+    return repo, commits
+
+
+def test_checkout_archives_a_revision_and_names_its_commit(two_commits, tmp_path):
+    repo, (first, second) = two_commits
+    into = tmp_path / "archives"
+    into.mkdir()
+    for spec, commit, version in (("HEAD~1", first, "1"), (second[:8], second, "2")):
+        path, revision = bench_pairs.checkout(spec, into, repo)
+        assert revision == commit
+        assert path.parent == into and (path / "version.txt").read_text() == version
+        assert not (path / ".git").exists()
+    # both archives are kept apart, also of one commit
+    path, _ = bench_pairs.checkout("HEAD", into, repo)
+    assert len(list(into.iterdir())) == 3 and (path / "version.txt").read_text() == "2"
+
+
+def test_checkout_of_a_directory_is_the_directory(two_commits, tmp_path):
+    repo, (_, second) = two_commits
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.checkout(str(repo), tmp_path, repo) == (repo.resolve(), second)
+    assert bench_pairs.checkout(str(plain), tmp_path, repo) == (plain.resolve(), "plain")
+    with pytest.raises(ValueError):
+        bench_pairs.checkout("no-such-revision", tmp_path, repo)
+
+
+def test_main_records_the_commits_it_compares(two_commits, tmp_path, monkeypatch):
+    """main on two revisions runs each side in its own archive, which is
+    gone afterwards, and the BENCH file names both commits."""
+    repo, commits = two_commits
+    seen = []
+
+    def run_once(checkout, workload, seed, seconds):
+        version = float((checkout / "version.txt").read_text())
+        seen.append(checkout)
+        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": version}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert bench_pairs.main(["HEAD~1", "HEAD", "--label", "t", "--pairs", "2",
+                             "--workload", "long_path", "--out", str(out)]) == 0
+    bench = json.loads((out / "BENCH_t.json").read_text())
+    assert bench["revisions"] == dict(zip(bench_pairs.SIDES, commits))
+    wall = bench["workloads"]["long_path"]["summary"]["wall_s"]
+    assert (wall["base"]["median"], wall["change"]["median"]) == (1.0, 2.0)
+    assert len(set(seen)) == 2 and not any(path.exists() for path in seen)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["no-such-revision", "HEAD", "--label", "t", "--out", str(out)])
