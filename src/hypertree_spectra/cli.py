@@ -247,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument(
         "--max-iter", type=int, default=DEFAULT_MAX_ITER,
-        help="the step budget (default %(default)s); once it is spent the "
-        "command exits 4 and prints the last bracket",
+        help="the budget of bracketed steps, after the warm-up power steps "
+        "(default %(default)s); once it is spent the command exits 4 and "
+        "prints the last bracket",
     )
     p_compute.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_compute.add_argument("--eigvec", action="store_true")

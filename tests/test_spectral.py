@@ -87,7 +87,12 @@ def test_spectral_radius_no_convergence():
 
 @pytest.mark.parametrize(
     "tol,max_iter",
-    [(0.0, 100), (-1e-9, 100), (float("nan"), 100), (1e-10, 0), (1e-10, 2.5), ("1e-10", 100)],
+    [
+        (0.0, 100), (-1e-9, 100), (float("nan"), 100), (1e-10, 0), (1e-10, 2.5), ("1e-10", 100),
+        # a bool is an Integral and a Real, but tol=True closed a bracket 1.0
+        # wide, and max_iter=True ran one step
+        (True, 100), (False, 100), (1e-10, True), (1e-10, np.True_),
+    ],
 )
 def test_bad_solver_parameters(tol, max_iter):
     g = loose_path(9, 3)
@@ -97,21 +102,10 @@ def test_bad_solver_parameters(tol, max_iter):
         spectral_radii(TensorKind.Adjacency, [g], tol=tol, max_iter=max_iter)
 
 
-def test_bool_solver_parameters():
-    # a bool is an Integral and a Real, but tol=True closed a bracket of
-    # width 1.0 and max_iter=True ran one step
-    g = loose_path(7, 3)
-    for tol, max_iter in [(True, 100), (False, 100), (1e-10, True), (1e-10, np.True_)]:
-        with pytest.raises(BadParameter):
-            spectral_radius(TensorKind.Adjacency, g, tol=tol, max_iter=max_iter)
-        with pytest.raises(BadParameter):
-            spectral._solve(tuple(KINDS), [g], tol, max_iter)
-
-
-# Ceilings on the steps after the warm start: per kind, the total and the
-# largest count over census_sweep's censuses (k=3 m<=8, k=4 m<=7).  From
-# the uniform vector they were 1878/2087/1902 steps, at most 7/8/7.  A
-# change that raises a ceiling has to say why.
+# Ceilings on the steps after the warm start: per kind, the total (4794 in
+# all) and the largest count over census_sweep's censuses (k=3 m<=8, k=4
+# m<=7).  From the uniform vector they were 1878/2087/1902 steps, at most
+# 7/8/7.  A change that raises a ceiling has to say why.
 STEP_CEILINGS = {
     TensorKind.Adjacency: (1510, 6),
     TensorKind.SignlessLaplacian: (1786, 7),
@@ -130,13 +124,6 @@ def test_step_counts_on_census_sweep_stay_at_their_ceilings():
                 most[kind] = max(most[kind], *(r.iterations for r in results))
     for kind, (ceiling, largest) in STEP_CEILINGS.items():
         assert total[kind] <= ceiling and most[kind] <= largest, kind
-    assert sum(total.values()) <= 4794
-
-
-def test_step_counts_on_long_path_stay_at_their_ceilings():
-    g = loose_path(121, 3)
-    for kind in KINDS:
-        assert spectral_radius(kind, g).iterations <= 6, kind
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -293,9 +280,10 @@ def test_newton_steps_on_random_tree_powers(kind):
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_steps_on_long_path(kind):
     # power iteration needs O(m^2) steps here (5960 for adj, 9890 for q,
-    # 5707 for qstar); Newton-Noda takes 6
+    # 5707 for qstar); Newton-Noda takes 6, a ceiling that a change raising
+    # it has to explain
     result = spectral_radius(kind, loose_path(121, 3))
-    assert result.iterations <= 8
+    assert result.iterations <= 6
     assert result.upper - result.lower <= 1e-10
 
 
