@@ -177,8 +177,8 @@ def _solve(
     flat = _row_offset(idx, n)
     x = np.full((rows, n), n ** (-1.0 / k))
     for _ in range(WARM_STEPS):
-        x = _power_step(_contract(blocks, flat, x.ravel()[flat], n) + x ** (k - 1), k)
-        x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
+        y = _contract(blocks, flat, x.ravel()[flat], n) + x ** (k - 1)
+        x = _normalized(_power_step(y, k), k)
     for it in range(1, max_iter + 1):
         vals = x.ravel()[flat]
         ax = _contract(blocks, flat, vals, n)
@@ -238,8 +238,7 @@ def _solve(
         # the other rows, and rows whose step failed, take a power step
         if power is not None:
             x_next[power] = _power_step(y[power], k)
-        x = x_next
-        x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
+        x = _normalized(x_next, k)
     widest = int(np.argmax(width))
     lo, hi = float(lower[widest]), float(upper[widest])
     raise NoConvergence(
@@ -260,6 +259,12 @@ def _power_step(y: np.ndarray, k: int) -> np.ndarray:
     if tiny.any():
         root[tiny] /= np.maximum(root[tiny].max(axis=1, keepdims=True), 1e-300)
     return root
+
+
+def _normalized(x: np.ndarray, k: int) -> np.ndarray:
+    """x, each row divided in place so that its k-th powers sum to 1."""
+    x /= ((x**k).sum(axis=1) ** (1.0 / k))[:, None]
+    return x
 
 
 def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
