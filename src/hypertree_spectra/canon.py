@@ -25,14 +25,8 @@ CanonicalForm = tuple[tuple[int, ...], ...]
 
 def canonical_form(g: Hypergraph) -> CanonicalForm:
     """Canonical form of a supertree; NotATree for any other hypergraph."""
-    return _supertree_canonical(g.edges, g.n)
-
-
-def _supertree_canonical(edges: Sequence[Sequence[int]], n: int) -> CanonicalForm:
-    """Canonical form of the supertree on vertices 1..n with these edges;
-    NotATree unless the edges form a supertree."""
-    order, _, code = _center_peel(edges, n)
-    return tuple(sorted(_label(code, order[-1] < n)))
+    order, _, code = _center_peel(g.edges, g.n)
+    return tuple(sorted(_label(code, order[-1] < g.n)))
 
 
 def _label(code: str, vertex_root: bool) -> list[tuple[int, ...]]:

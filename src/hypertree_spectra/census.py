@@ -18,7 +18,7 @@ from typing import Iterator
 from .canon import _label, canonical_form
 from .errors import IncompleteCensus, TooLarge
 from .families import _supertree_edges, double_star, hyperstar, loose_path
-from .hypergraph import Hypergraph, _hypergraph
+from .hypergraph import Hypergraph
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ROUNDING_PAD, _solve, closed_form_hyperstar
 from .tensors import TensorKind
 
@@ -33,12 +33,16 @@ CENSUS_BATCH = 1024
 @dataclass(frozen=True)
 class CensusRecord:
     hypergraph: Hypergraph  # labeled by its own canonical form
-    radii: dict[TensorKind, float]
     solves: dict[TensorKind, dict[str, float]]  # iterations, lower, upper, residual
     is_hyperstar: bool
     is_loose_path: bool
     is_double_star_1: bool  # the second-largest shape S^k(1, m-2)
     is_tree_power: bool
+
+    @property
+    def radii(self) -> dict[TensorKind, float]:
+        """Each kind's radius, the midpoint of its bracket."""
+        return {kind: 0.5 * (s["lower"] + s["upper"]) for kind, s in self.solves.items()}
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -125,7 +129,7 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     n, shapes = m * (k - 1) + 1, []
     for vertex_root, code, depths in chain(vertex_centers, edge_centers):
         if depths[-1] == depths[-2]:
-            shapes.append(_hypergraph(_label(code, vertex_root), n, k))
+            shapes.append(Hypergraph(k=k, n=n, edges=tuple(sorted(_label(code, vertex_root)))))
     return sorted(shapes, key=lambda g: g.edges)
 
 
@@ -186,7 +190,6 @@ def enumerate_supertrees(
         records.append(
             CensusRecord(
                 hypergraph=g,
-                radii={kind: res.rho for kind, res in results.items()},
                 solves={
                     kind: {
                         "iterations": res.iterations,

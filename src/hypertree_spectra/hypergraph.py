@@ -8,7 +8,8 @@ indices into ``edges``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -28,16 +29,28 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Immutable k-uniform hypergraph on vertex set {1, ..., n}."""
+    """Immutable k-uniform hypergraph on vertex set {1, ..., n}.
+
+    edges is sorted, and each edge is an increasing tuple of ints in 1..n:
+    validate enforces this, and a direct construction must keep it.
+    """
 
     k: int
     n: int
     edges: tuple[tuple[int, ...], ...]
-    vertex_to_edges: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def vertex_to_edges(self) -> tuple[tuple[int, ...], ...]:
+        """0-based ids of each vertex's edges, vertex v at v-1."""
+        v2e: list[list[int]] = [[] for _ in range(self.n)]
+        for j, e in enumerate(self.edges):
+            for v in e:
+                v2e[v - 1].append(j)
+        return tuple(map(tuple, v2e))
 
     def degree(self, v: int) -> int:
         return len(self.vertex_to_edges[v - 1])
@@ -87,27 +100,11 @@ def validate(raw_edges: Iterable[Sequence[int]], n: int, k: int | None = None) -
         raise NonUniform("cannot infer uniformity from an empty edge list")
     if k < 2 or n < 1:
         raise BadDimensions(f"need k >= 2 and n >= 1, got k={k}, n={n}")
-    return _hypergraph(edges, int(n), int(k))
+    return Hypergraph(k=int(k), n=int(n), edges=tuple(sorted(edges)))
 
 
 def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _hypergraph(edges: list[tuple[int, ...]], n: int, k: int) -> Hypergraph:
-    """The Hypergraph of distinct edges, each an increasing tuple of ints
-    in 1..n, in any order: validate's construction, with no checks."""
-    edges = sorted(edges)
-    v2e: list[list[int]] = [[] for _ in range(n)]
-    for j, e in enumerate(edges):
-        for v in e:
-            v2e[v - 1].append(j)
-    return Hypergraph(
-        k=k,
-        n=n,
-        edges=tuple(edges),
-        vertex_to_edges=tuple(tuple(ids) for ids in v2e),
-    )
 
 
 def _reach(g: Hypergraph) -> dict[int, int]:

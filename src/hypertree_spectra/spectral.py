@@ -74,12 +74,16 @@ ALPHA_STAR_TOL = 1e-13  # relative, for alpha_star's bisection
 
 @dataclass(frozen=True)
 class SpectralResult:
-    rho: float
     eigvec: np.ndarray  # positive, sum of k-th powers == 1
     residual: float  # max-norm of apply(.) - rho * x^[k-1]
     iterations: int  # bracketed steps, after the WARM_STEPS warm-up steps
     lower: float  # final min-ratio bracket
     upper: float  # final max-ratio bracket
+
+    @property
+    def rho(self) -> float:
+        """The bracket's midpoint."""
+        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -194,12 +198,12 @@ def _solve(
             lo, hi = lower[closed], upper[closed]
             rho = 0.5 * (lo + hi)
             residual = np.abs(ax[closed] - rho[:, None] * xk1[closed]).max(axis=1)
-            for r, at, mid, res, a, b in zip(
-                closed.tolist(), active[closed].tolist(), rho.tolist(), residual.tolist(),
-                lo.tolist(), hi.tolist(),
+            for r, at, res, a, b in zip(
+                closed.tolist(), active[closed].tolist(), residual.tolist(), lo.tolist(),
+                hi.tolist(),
             ):
                 results[at] = SpectralResult(
-                    rho=mid, eigvec=x[r].copy(), residual=res, iterations=it, lower=a, upper=b
+                    eigvec=x[r].copy(), residual=res, iterations=it, lower=a, upper=b
                 )
             if done.all():
                 return [results[i : i + count] for i in range(0, rows, count)]
@@ -311,8 +315,8 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
     """Schedule of a Newton-Noda step on rows of _elimination_order's idx,
     row-offset (flat), and height: the (B m, k) edge index, each height's
-    edges as a slice and its parents' places, every row's root, the edges
-    in height order and the level-major permutation of the B n vertices.
+    edges as a slice and its parents' places, the edges in height order and
+    the level-major permutation of the B n vertices.
 
     The permutation lists the children of the edges in height order, each
     edge's k-1 children together, then the B roots, so that each height's
@@ -321,17 +325,16 @@ def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
     rows, m, k = flat.shape
     verts = flat.reshape(-1, k)
     order = np.argsort(height.ravel(), kind="stable")
-    root = verts[height.argmax(axis=1) + m * np.arange(rows), 0]
     perm = np.empty(rows * (m * (k - 1) + 1), dtype=np.intp)
     by_height = verts[order]
     perm[:-rows] = by_height[:, 1:].ravel()
-    perm[-rows:] = root
+    perm[-rows:] = verts[height.argmax(axis=1) + m * np.arange(rows), 0]
     place = np.empty_like(perm)
     place[perm] = np.arange(len(perm))
     parent = place[by_height[:, 0]]
     stops = np.cumsum(np.bincount(height.ravel())).tolist()
     levels = [(slice(s, e), parent[s:e]) for s, e in zip([0, *stops], stops)]
-    return verts, levels, root, order, perm
+    return verts, levels, order, perm
 
 
 def _newton_noda_step(
@@ -367,7 +370,7 @@ def _newton_noda_step(
     round to the wrong sign, which only flips the sign of w and leaves t w
     unchanged.
     """
-    verts, levels, root, order, perm = schedule
+    verts, levels, order, perm = schedule
     c, diag, sigma = factors
     rows, k = len(x), verts.shape[1]
     q, mu = ax ** ((k - 2) / (k - 1)), top ** (1.0 / (k - 1))

@@ -20,7 +20,7 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
-from hypertree_spectra.canon import CanonicalForm, _center_peel, _supertree_canonical
+from hypertree_spectra.canon import CanonicalForm, _center_peel
 from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.errors import (
     BadDimensions,
@@ -150,7 +150,7 @@ def grow_and_dedup(m: int, k: int) -> list[CanonicalForm]:
         n = size * (k - 1) + 1
         fresh = tuple(range(n + 1, n + k))
         level = {
-            _supertree_canonical(form + ((v, *fresh),), n + k - 1)
+            canonical_form(Hypergraph(k, n + k - 1, tuple(sorted(form + ((v, *fresh),)))))
             for form in level
             for v in set(supertree_orbits(form, n))
         }

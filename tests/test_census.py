@@ -178,7 +178,6 @@ def test_growth_calls_no_canonical_form(monkeypatch):
 
     for target in [
         "hypertree_spectra.canon.canonical_form",
-        "hypertree_spectra.canon._supertree_canonical",
         "hypertree_spectra.canon._center_peel",
         "hypertree_spectra.census.canonical_form",
     ]:
@@ -431,8 +430,8 @@ def _claims(census):
 
 
 def _with_bracket(census, target, kind, lower, upper):
-    """census with target's bracket for kind replaced.  The stored radius
-    is left as it was, so only a verdict read from the brackets sees it."""
+    """census with target's bracket for kind replaced; its radius, the
+    bracket's midpoint, moves with it."""
     def edit(r):
         if r is not target:
             return r

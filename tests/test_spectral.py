@@ -412,12 +412,14 @@ def test_newton_step_calls_no_lapack(kind, monkeypatch):
 @pytest.mark.parametrize("k,m", [(2, 9), (3, 8), (4, 6)])
 def test_elimination_order_on_census(k, m):
     """The order keeps every edge, makes each vertex but one root per row
-    (the one the schedule names) the child of exactly one edge, and takes
-    an edge only after every edge whose parent is one of its children."""
+    (those that end the schedule's permutation) the child of exactly one
+    edge, and takes an edge only after every edge whose parent is one of
+    its children."""
     graphs = _supertree_shapes(m, k)
     n = graphs[0].n
     idx, height = _elimination_order(_edge_index(graphs), n)
-    roots = _schedule(_row_offset(idx, n), height)[2] - n * np.arange(len(graphs))
+    perm = _schedule(_row_offset(idx, n), height)[-1]
+    roots = perm[-len(graphs) :] - n * np.arange(len(graphs))
     for g, edges, heights, root in zip(graphs, idx, height, roots):
         assert sorted(tuple(sorted(e + 1)) for e in edges) == list(g.edges)
         children = edges[:, 1:].ravel()
