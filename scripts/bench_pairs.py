@@ -25,7 +25,8 @@ verdict per metric (see verdict; the bounds come from BENCHMARK.json).  A run
 that times out or whose last line of output is not a JSON result counts as
 incorrect, and is recorded with its exit code and the tail of its stderr;
 the file is still written.  Uses the standard library only.  The exit code
-is 0 only if every run was correct.
+is 0 only if every run was correct and no metric's verdict is "worse"; each
+worse workload and metric is printed.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def run_pairs(args, checkouts: dict, revisions: dict) -> int:
         "workloads": {},
     }
     limits = bounds()
-    correct = True
+    correct, worse = True, []
     for workload in args.workload or WORKLOADS:
         runs = {side: [] for side in SIDES}
         for seed in range(1, args.pairs + 1):
@@ -227,11 +228,15 @@ def run_pairs(args, checkouts: dict, revisions: dict) -> int:
         bench["workloads"][workload] = {"summary": summary, "runs": runs}
         print(workload, " ".join(f"{name} {entry['verdict']}" for name, entry in summary.items()),
               flush=True)
+        worse += [f"{workload} {name}" for name, entry in summary.items()
+                  if entry["verdict"] == "worse"]
     bench["correct"] = correct
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    return 0 if correct else 1
+    for what in worse:
+        print(f"worse: {what}")
+    return 0 if correct and not worse else 1
 
 
 if __name__ == "__main__":

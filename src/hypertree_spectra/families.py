@@ -9,14 +9,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import BadDimensions, BadOverlap, NotATree
-from .hypergraph import Hypergraph, is_connected, validate
+from .hypergraph import Hypergraph, _is_integer, is_connected, validate
 
 
 def _supertree_edges(n: int, k: int, what: str) -> int:
     """m = (n-1)/(k-1), the number of edges of every k-uniform supertree on
     n vertices; BadDimensions, naming what was asked for, unless one exists."""
-    if k < 2 or n < k or (n - 1) % (k - 1) != 0:
-        raise BadDimensions(f"no {what} with n={n}, k={k}")
+    if not (_is_integer(n) and _is_integer(k)) or k < 2 or n < k or (n - 1) % (k - 1) != 0:
+        raise BadDimensions(f"no {what} with n={n!r}, k={k!r}")
     return (n - 1) // (k - 1)
 
 
@@ -40,8 +40,10 @@ def loose_path(n: int, k: int) -> Hypergraph:
 def double_star(a: int, b: int, k: int) -> Hypergraph:
     """k-th power of the ordinary double star S(a, b): a bridge edge whose
     end vertices carry a and b pendent edges."""
-    if a < 0 or b < 0 or k < 2:
-        raise BadDimensions(f"double_star needs a, b >= 0 and k >= 2, got ({a}, {b}, {k})")
+    if not all(map(_is_integer, (a, b, k))) or a < 0 or b < 0 or k < 2:
+        raise BadDimensions(
+            f"double_star needs integers a, b >= 0 and k >= 2, got ({a!r}, {b!r}, {k!r})"
+        )
     return tree_power([1] * (a + 1) + [2] * b, k)
 
 
@@ -53,12 +55,14 @@ def tree_power(parents: Sequence[int], k: int) -> Hypergraph:
     k-edge padded with k-2 fresh degree-one vertices, numbered from n'+1
     in edge order.
     """
+    if not _is_integer(k) or k < 2:
+        raise BadDimensions(f"tree_power needs an integer k >= 2, got {k!r}")
     n_prime = len(parents) + 1
     if n_prime < 2:
         raise NotATree("tree must have at least 2 nodes")
     for i, p in enumerate(parents):
         # a 2-cycle is the one way to repeat an edge at k=2
-        if not (1 <= p <= n_prime) or p == i + 2 or (p > 1 and parents[p - 2] == i + 2):
+        if not (_is_integer(p) and 1 <= p <= n_prime) or p == i + 2 or (p > 1 and parents[p - 2] == i + 2):
             raise NotATree(f"bad parent {p} for node {i + 2}")
     edges = []
     for i, p in enumerate(parents):
@@ -73,10 +77,7 @@ def tree_power(parents: Sequence[int], k: int) -> Hypergraph:
 
 def s_path(m: int, s: int, k: int) -> Hypergraph:
     """k-uniform path whose consecutive edges overlap in exactly s vertices."""
-    if not (1 <= s <= k // 2):
-        raise BadOverlap(f"need 1 <= s <= k/2, got s={s}, k={k}")
-    if m < 1:
-        raise BadOverlap(f"s_path needs m >= 1, got {m}")
+    _check_overlap("s_path", m, s, k, 1)
     n = k + (m - 1) * (k - s)
     edges = []
     for i in range(m):
@@ -88,10 +89,7 @@ def s_path(m: int, s: int, k: int) -> Hypergraph:
 def s_cycle(m: int, s: int, k: int) -> Hypergraph:
     """k-uniform cycle whose consecutive edges (cyclically) overlap in
     exactly s vertices."""
-    if not (1 <= s <= k // 2):
-        raise BadOverlap(f"need 1 <= s <= k/2, got s={s}, k={k}")
-    if m < 3:
-        raise BadOverlap(f"s_cycle needs m >= 3, got {m}")
+    _check_overlap("s_cycle", m, s, k, 3)
     n = m * (k - s)
     edges = []
     for i in range(m):
@@ -100,5 +98,17 @@ def s_cycle(m: int, s: int, k: int) -> Hypergraph:
     return validate(edges, n, k=k)
 
 
+def _check_overlap(what: str, m: int, s: int, k: int, least: int) -> None:
+    """BadOverlap unless m, s and k are integers, 1 <= s <= k/2 and m >= least."""
+    if not all(map(_is_integer, (m, s, k))):
+        raise BadOverlap(f"{what} needs integers m, s, k, got ({m!r}, {s!r}, {k!r})")
+    if not (1 <= s <= k // 2):
+        raise BadOverlap(f"need 1 <= s <= k/2, got s={s}, k={k}")
+    if m < least:
+        raise BadOverlap(f"{what} needs m >= {least}, got {m}")
+
+
 def single_edge(k: int) -> Hypergraph:
+    if not _is_integer(k) or k < 2:
+        raise BadDimensions(f"single_edge needs an integer k >= 2, got {k!r}")
     return validate([list(range(1, k + 1))], k, k=k)

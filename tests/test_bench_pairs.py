@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py's summary and verdicts, on synthetic runs."""
 
+import argparse
 import importlib.util
 import json
 import shutil
@@ -147,8 +148,9 @@ def test_main_records_the_commits_it_compares(two_commits, tmp_path, monkeypatch
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "out"
     out.mkdir()
+    # the change reads twice the base's wall_s, a worse verdict, so exit 1
     assert bench_pairs.main(["HEAD~1", "HEAD", "--label", "t", "--pairs", "2",
-                             "--workload", "long_path", "--out", str(out)]) == 0
+                             "--workload", "long_path", "--out", str(out)]) == 1
     bench = json.loads((out / "BENCH_t.json").read_text())
     assert bench["revisions"] == dict(zip(bench_pairs.SIDES, commits))
     wall = bench["workloads"]["long_path"]["summary"]["wall_s"]
@@ -156,3 +158,23 @@ def test_main_records_the_commits_it_compares(two_commits, tmp_path, monkeypatch
     assert len(set(seen)) == 2 and not any(path.exists() for path in seen)
     with pytest.raises(SystemExit):
         bench_pairs.main(["no-such-revision", "HEAD", "--label", "t", "--out", str(out)])
+
+
+@pytest.mark.parametrize("graft_wall,code", [(1.0, 0), (0.5, 0), (2.0, 1)])
+def test_run_pairs_exits_1_on_a_worse_verdict(graft_wall, code, tmp_path, monkeypatch, capsys):
+    """Every run is correct; only a worse verdict, here graft_descent's
+    wall_s, makes the exit code 1, and the workload and metric are printed."""
+    def run_once(checkout, workload, seed, seconds):
+        wall = graft_wall if checkout.name == "change" and workload == "graft_descent" else 1.0
+        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": wall, "checks": 5}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    args = argparse.Namespace(label="t", seconds=1.0, pairs=3, out=tmp_path,
+                              workload=["long_path", "graft_descent"])
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    assert bench_pairs.run_pairs(args, checkouts, dict(zip(bench_pairs.SIDES, "ab"))) == code
+    worse = [line for line in capsys.readouterr().out.splitlines() if line.startswith("worse:")]
+    assert worse == (["worse: graft_descent wall_s"] if code else [])
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert bench["correct"] is True

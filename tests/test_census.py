@@ -20,7 +20,7 @@ from hypertree_spectra import (
 )
 from hypertree_spectra import census as census_module
 from hypertree_spectra import spectral
-from hypertree_spectra.census import Census, _supertree_shapes
+from hypertree_spectra.census import Census, CensusRecord, _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
 from oracles import (
     brute_force_supertrees,
@@ -319,6 +319,17 @@ def test_census_solves_equal_per_kind_batches(k, top):
                     "upper": res.upper,
                     "residual": res.residual,
                 }
+
+
+def test_record_radii_follow_its_solves():
+    fields = [f.name for f in dataclasses.fields(CensusRecord)]
+    assert fields == [
+        "hypergraph", "solves", "is_hyperstar", "is_loose_path", "is_double_star_1",
+        "is_tree_power",
+    ]
+    rec = enumerate_supertrees(11, 3).records[0]
+    solves = {kind: dict(stats, lower=1.0, upper=2.0) for kind, stats in rec.solves.items()}
+    assert dataclasses.replace(rec, solves=solves).radii == {kind: 1.5 for kind in KINDS}
 
 
 def test_census_indexes_and_peels_each_shape_once(monkeypatch):

@@ -267,6 +267,7 @@ def test_construct_bad_parameters(capsys):
     assert run(capsys, "construct", "hyperstar", "6", "3")[0] == 2
     assert run(capsys, "construct", "hyperstar", "7")[0] == 2
     assert run(capsys, "construct", "scycle", "2", "1", "3")[0] == 2
+    assert run(capsys, "construct", "treepower", "1", "--tree", "1")[0] == 2
     # surplus parameters are an error, not silently dropped
     for argv in (["hyperstar", "7", "3", "9"], ["singleedge", "3", "5"]):
         code, out, err = run(capsys, "construct", *argv)

@@ -124,6 +124,45 @@ def test_s_bad_overlap():
         s_cycle(2, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "build,args,error",
+    [
+        (hyperstar, (7, 3.0), BadDimensions),
+        (hyperstar, (7.0, 3), BadDimensions),
+        (hyperstar, (True, 2), BadDimensions),
+        (loose_path, (7, 2.5), BadDimensions),
+        (double_star, (1, 1, 2.5), BadDimensions),
+        (double_star, (1.0, 1, 3), BadDimensions),
+        (double_star, (1, True, 3), BadDimensions),
+        (double_star, (1, 1, True), BadDimensions),
+        (tree_power, ([1], 1), BadDimensions),
+        (tree_power, ([1], 2.5), BadDimensions),
+        (tree_power, ([1], True), BadDimensions),
+        (tree_power, ([1, 1.5], 3), NotATree),
+        (s_path, (2, 1, 2.5), BadOverlap),
+        (s_path, (2.0, 1, 3), BadOverlap),
+        (s_path, (2, True, 3), BadOverlap),
+        (s_path, (0, 1, 3), BadOverlap),
+        (s_cycle, (3, 1, 3.0), BadOverlap),
+        (s_cycle, (True, 1, 3), BadOverlap),
+        (single_edge, (2.5,), BadDimensions),
+        (single_edge, (True,), BadDimensions),
+        (single_edge, (1,), BadDimensions),
+    ],
+)
+def test_family_parameters_raise_typed_errors(build, args, error):
+    """A parameter that is a bool, not an integer, or below its minimum is
+    rejected with a typed error, never a bare TypeError."""
+    with pytest.raises(error):
+        build(*args)
+
+
+def test_family_parameters_take_numpy_integers():
+    assert hyperstar(np.int64(7), np.int64(3)) == hyperstar(7, 3)
+    assert s_path(np.int64(3), np.int64(1), np.int64(3)) == s_path(3, 1, 3)
+    assert tree_power([np.int64(1)], np.int64(3)) == tree_power([1], 3)
+
+
 def test_constructed_supertrees_satisfy_invariants():
     for g in [
         hyperstar(9, 3),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertree_spectra import (
+    Hypergraph,
     format_hypergraph,
     hyperstar,
     incidence_matrix,
@@ -36,6 +38,18 @@ def test_validate_basic():
     assert g.k == 3
     assert g.m == 2
     assert g.degrees == (1, 1, 2, 1, 1)
+
+
+def test_replaced_edges_carry_their_own_incidence():
+    """Only (k, n, edges) are stored; a copy with other edges has their
+    incidence lists and degrees, not the original's."""
+    assert [f.name for f in dataclasses.fields(Hypergraph)] == ["k", "n", "edges"]
+    star, path = hyperstar(7, 3), loose_path(7, 3)
+    assert star.degrees == (3, 1, 1, 1, 1, 1, 1)
+    moved = dataclasses.replace(star, edges=path.edges)
+    assert moved == path and moved.vertex_to_edges == path.vertex_to_edges
+    assert moved.degrees == (1, 1, 2, 1, 2, 1, 1)
+    assert moved.incident_edges(3) == (0, 1)
 
 
 def test_validate_duplicate_edge():
@@ -222,6 +236,14 @@ def random_hypergraphs(draw):
 def test_roundtrip_and_degree_sum_random(g):
     assert parse_hypergraph(format_hypergraph(g)) == g
     assert sum(g.degrees) == g.k * g.m
+
+
+@given(random_hypergraphs())
+@settings(max_examples=60, deadline=None)
+def test_incidence_is_recomputed_from_edges(g):
+    assert g.vertex_to_edges == tuple(
+        tuple(j for j, e in enumerate(g.edges) if v in e) for v in range(1, g.n + 1)
+    )
 
 
 @given(random_hypergraphs())

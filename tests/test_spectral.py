@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hypertree_spectra import (
+    SpectralResult,
     TensorKind,
     alpha_star,
     apply,
@@ -68,6 +71,14 @@ def test_loose_path_adjacency_between_brackets():
         dense_build(TensorKind.Adjacency, loose_path(7, 3))
     )
     assert result.rho == pytest.approx(0.5 * (lower + upper), abs=1e-8)
+
+
+def test_rho_is_the_midpoint_of_the_bracket():
+    fields = [f.name for f in dataclasses.fields(SpectralResult)]
+    assert fields == ["eigvec", "residual", "iterations", "lower", "upper"]
+    result = spectral_radius(TensorKind.Adjacency, loose_path(7, 3))
+    assert result.rho == 0.5 * (result.lower + result.upper)
+    assert dataclasses.replace(result, lower=2.0, upper=3.0).rho == 2.5
 
 
 def test_spectral_radius_disconnected():
