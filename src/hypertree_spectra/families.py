@@ -62,7 +62,9 @@ def tree_power(parents: Sequence[int], k: int) -> Hypergraph:
         raise NotATree("tree must have at least 2 nodes")
     for i, p in enumerate(parents):
         # a 2-cycle is the one way to repeat an edge at k=2
-        if not (_is_integer(p) and 1 <= p <= n_prime) or p == i + 2 or (p > 1 and parents[p - 2] == i + 2):
+        if not (_is_integer(p) and 1 <= p <= n_prime) or p == i + 2 or (
+            p > 1 and parents[p - 2] == i + 2
+        ):
             raise NotATree(f"bad parent {p} for node {i + 2}")
     edges = []
     for i, p in enumerate(parents):
