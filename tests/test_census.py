@@ -321,13 +321,13 @@ def test_census_solves_equal_per_kind_batches(k, top):
                 }
 
 
-def test_record_radii_follow_its_solves():
+def test_record_radii_follow_its_solves(c11):
     fields = [f.name for f in dataclasses.fields(CensusRecord)]
     assert fields == [
         "hypergraph", "solves", "is_hyperstar", "is_loose_path", "is_double_star_1",
         "is_tree_power",
     ]
-    rec = enumerate_supertrees(11, 3).records[0]
+    rec = c11.records[0]
     solves = {kind: dict(stats, lower=1.0, upper=2.0) for kind, stats in rec.solves.items()}
     assert dataclasses.replace(rec, solves=solves).radii == {kind: 1.5 for kind in KINDS}
 
