@@ -11,7 +11,8 @@ is removed at the end.  The BENCH file names each side by its full commit
 hash: a revision's, or a directory's HEAD when it is a git work tree, and
 otherwise the directory's name.
 
-For each workload and each pair i = 1..N, runs
+For each workload, by default every one that BENCHMARK.json declares, and
+each pair i = 1..N, runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
@@ -43,7 +44,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("census_sweep", "long_path", "graft_descent")
+SPEC = ROOT / "BENCHMARK.json"  # the workloads and the end-to-end bounds
 SIDES = ("base", "change")
 LOWER_SHARE = 0.9  # of the pairs, for a "lower" verdict
 
@@ -123,10 +124,18 @@ def spread(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def bounds(path: Path = ROOT / "BENCHMARK.json") -> dict:
+def _spec(path: Path | None) -> dict:
+    return json.loads((path or SPEC).read_text(encoding="utf-8"))
+
+
+def workloads(path: Path | None = None) -> list[str]:
+    """The names of the workloads that the spec file (SPEC) declares."""
+    return [workload["name"] for workload in _spec(path)["workloads"]]
+
+
+def bounds(path: Path | None = None) -> dict:
     """Each end-to-end metric's bound, a share of the base's median."""
-    spec = json.loads(path.read_text(encoding="utf-8"))
-    return {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric["bound"] for metric in _spec(path)["end_to_end"]}
 
 
 def verdict(entry: dict, bound: float | None) -> str:
@@ -183,8 +192,8 @@ def main(argv=None) -> int:
     parser.add_argument("base", help="checkout directory or git revision measured as before")
     parser.add_argument("change", help="checkout directory or git revision measured as after")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="repeatable; all workloads by default")
+    parser.add_argument("--workload", action="append", choices=workloads(),
+                        help="repeatable; every workload of BENCHMARK.json by default")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--out", type=Path, default=ROOT)
@@ -212,7 +221,7 @@ def run_pairs(args, checkouts: dict, revisions: dict) -> int:
     }
     limits = bounds()
     correct, worse = True, []
-    for workload in args.workload or WORKLOADS:
+    for workload in args.workload or workloads():
         runs = {side: [] for side in SIDES}
         for seed in range(1, args.pairs + 1):
             first = SIDES if seed % 2 else SIDES[::-1]

@@ -19,7 +19,7 @@ from .canon import _label, canonical_form
 from .errors import IncompleteCensus, TooLarge
 from .families import _supertree_edges, double_star, hyperstar, loose_path
 from .hypergraph import Hypergraph
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ROUNDING_PAD, _solve, closed_form_hyperstar
+from .spectral import DEFAULT_TOL, ROUNDING_PAD, closed_form_hyperstar, spectral_radii
 from .tensors import TensorKind
 
 MAX_CENSUS_EDGES = 6
@@ -179,32 +179,29 @@ def enumerate_supertrees(
     path_form = canonical_form(loose_path(n, k))
     ds1_form = canonical_form(double_star(1, m - 2, k)) if m >= 3 else None
     shapes = _supertree_shapes(m, k)
-    solved = {kind: [] for kind in TensorKind}
+    kinds, records = tuple(TensorKind), []
     for start in range(0, len(shapes), CENSUS_BATCH):
-        batch = _solve(tuple(solved), shapes[start : start + CENSUS_BATCH], tol, DEFAULT_MAX_ITER)
-        for solves, results in zip(solved.values(), batch):
-            solves += results
-    records = []
-    for i, g in enumerate(shapes):
-        results = {kind: solves[i] for kind, solves in solved.items()}
-        records.append(
-            CensusRecord(
-                hypergraph=g,
-                solves={
-                    kind: {
-                        "iterations": res.iterations,
-                        "lower": res.lower,
-                        "upper": res.upper,
-                        "residual": res.residual,
-                    }
-                    for kind, res in results.items()
-                },
-                is_hyperstar=g.edges == star_form,
-                is_loose_path=g.edges == path_form,
-                is_double_star_1=g.edges == ds1_form,
-                is_tree_power=_is_tree_power(g),
+        batch = shapes[start : start + CENSUS_BATCH]
+        solved = spectral_radii(kinds, batch, tol)
+        for g, *results in zip(batch, *solved):
+            records.append(
+                CensusRecord(
+                    hypergraph=g,
+                    solves={
+                        kind: {
+                            "iterations": res.iterations,
+                            "lower": res.lower,
+                            "upper": res.upper,
+                            "residual": res.residual,
+                        }
+                        for kind, res in zip(kinds, results)
+                    },
+                    is_hyperstar=g.edges == star_form,
+                    is_loose_path=g.edges == path_form,
+                    is_double_star_1=g.edges == ds1_form,
+                    is_tree_power=_is_tree_power(g),
+                )
             )
-        )
     return Census(n=n, k=k, records=tuple(records))
 
 

@@ -25,7 +25,7 @@ from .census import MAX_CENSUS_EDGES, bracket_verdict, enumerate_supertrees, ver
 from .errors import (BadParameter, Disconnected, HypertreeError, InvalidSpec, MultipleEdge,
                      NoConvergence, NotLinear, NotPendentPaths, PendentEdge)
 from .hypergraph import format_hypergraph, read_hypergraph
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve, bounds_report, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, bounds_report, spectral_radii, spectral_radius
 from .tensors import TensorKind
 from .transforms import EdgeMoveSpec, edge_release, move_edges, total_graft
 
@@ -178,7 +178,7 @@ def cmd_transform(args) -> int:
         out = move_edges(g, EdgeMoveSpec(tuple(e - 1 for e in eids), tuple(sources), target))
     if args.check_monotone:
         # a transform keeps (n, m, k), so both graphs solve in one batch
-        solved = _solve(tuple(TensorKind), [g, out], args.tol, DEFAULT_MAX_ITER)
+        solved = spectral_radii(tuple(TensorKind), [g, out], args.tol)
         for kind, (before, after) in zip(TensorKind, solved):
             print(_monotone_line(kind, before, after))
     sys.stdout.write(format_hypergraph(out))

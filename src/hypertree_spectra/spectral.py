@@ -19,12 +19,12 @@ solves one linear system per row by eliminating along the supertree, each
 edge's block scaled to a diagonal plus c 11^T, in O(m k) time and memory,
 and converges quadratically, in
 about ten steps where the power iteration needs thousands on long paths
-and nearly degenerate shapes.  spectral_radii runs the iteration on a batch
-of graphs sharing (n, m, k), one row per graph.  A census runs its graphs
-under all three kinds in one batch, kind-major: each kind's rows form a
-block (kind, start, stop), each graph is indexed and peeled once for all
-kinds, and each step gathers x once for one tensor evaluation and one set
-of Newton-Noda factors over all blocks; the elimination takes the factors
+and nearly degenerate shapes.  spectral_radii(kinds, graphs) runs the
+iteration on a batch of graphs sharing (n, m, k) under a tuple of kinds,
+one row per graph and kind, kind-major: each kind's rows form a block
+(kind, start, stop), each graph is indexed and peeled once for all kinds,
+and each step gathers x once for one tensor evaluation and one set of
+Newton-Noda factors over all blocks; the elimination takes the factors
 and knows no tensor.  A disconnected graph raises
 Disconnected.  In a batch with m (k-1) = n-1 such a graph has a cycle,
 which the leaf peeling that orders the elimination finds; any other batch
@@ -46,7 +46,7 @@ from .errors import (
     NoConvergence,
 )
 from .families import _supertree_edges
-from .hypergraph import Hypergraph, incidence_matrix, is_connected
+from .hypergraph import Hypergraph, _is_integer, incidence_matrix, is_connected
 from .tensors import TensorKind, _check_kind, _contract, _edge_index, _linearize, _row_offset
 
 DEFAULT_TOL = 1e-10
@@ -108,33 +108,21 @@ def spectral_radius(
     Near the rounding floor a Newton-Noda step can fail or stop shrinking
     the bracket, and the solve then finishes with power steps.
     """
-    return _solve((kind,), [g], tol, max_iter)[0][0]
+    return spectral_radii((kind,), [g], tol, max_iter)[0][0]
 
 
 def spectral_radii(
-    kind: TensorKind,
+    kinds: tuple[TensorKind, ...],
     graphs: list[Hypergraph],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> list[SpectralResult]:
-    """spectral_radius of every graph, iterated together as one batch, in
-    the order of graphs.
-
-    The graphs must share (n, m, k).  Each row runs exactly the iteration
-    spectral_radius runs on it alone, and is frozen into its own result
-    when its own bracket closes.
-    """
-    return _solve((kind,), graphs, tol, max_iter)[0]
-
-
-def _solve(
-    kinds: tuple[TensorKind, ...],
-    graphs: list[Hypergraph],
-    tol: float,
-    max_iter: int,
 ) -> list[list[SpectralResult]]:
-    """Every graph under every kind, in one batch of kind-major rows: row r
-    is graph r % B under kinds[r // B].  Returns one result list per kind.
+    """spectral_radius of every graph under every kind of the non-empty
+    tuple kinds, in one batch of kind-major rows: row r is graph r % B
+    under kinds[r // B].  Returns one result list per kind, in the order of
+    graphs, which must share (n, m, k).  Each row runs exactly the
+    iteration spectral_radius runs on it alone, and is frozen into its own
+    result when its own bracket closes.
 
     Every row starts from WARM_STEPS shifted power steps on the uniform
     vector, by the power step of the loop.  Only the bracketed steps after
@@ -149,8 +137,8 @@ def _solve(
         raise BadParameter(f"tol must be positive, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise BadParameter(f"max_iter must be an integer of at least 1, got {max_iter!r}")
-    for kd in kinds:
-        _check_kind(kd)
+    if not (isinstance(kinds, tuple) and kinds and all(isinstance(kd, TensorKind) for kd in kinds)):
+        raise BadParameter(f"kinds must be a non-empty tuple of TensorKind, got {kinds!r}")
     count = len(graphs)
     if not graphs:
         return [[] for _ in kinds]
@@ -410,8 +398,8 @@ def alpha_star(m: int, k: int) -> float:
     f(m-1) = -m < 0 and f(m) = m^{k-1} - m >= 0, so [m-1, m] brackets it.
     The bisection also stops once the midpoint rounds to an endpoint.
     """
-    if m < 1 or k < 2:
-        raise BadDimensions(f"alpha_star needs m >= 1, k >= 2, got ({m}, {k})")
+    if not (_is_integer(m) and _is_integer(k)) or m < 1 or k < 2:
+        raise BadDimensions(f"alpha_star needs integers m >= 1, k >= 2, got ({m!r}, {k!r})")
 
     def f(x: float) -> float:
         return x**k - (m - 1) * x ** (k - 1) - m

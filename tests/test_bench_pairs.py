@@ -84,6 +84,39 @@ def test_bounds_are_the_end_to_end_metrics():
     }
 
 
+def test_workloads_and_bounds_come_from_the_spec_file(tmp_path, monkeypatch):
+    """With no --workload, main runs every workload that the spec file
+    declares, in its order, and --workload takes no other name."""
+    spec = tmp_path / "BENCHMARK.json"
+    spec.write_text(json.dumps({
+        "workloads": [{"name": "zeta", "why": "first"}, {"name": "alpha", "why": "second"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.5}],
+    }))
+    assert bench_pairs.workloads(spec) == ["zeta", "alpha"]
+    assert bench_pairs.bounds(spec) == {"wall_s": 0.5}
+    assert bench_pairs.workloads() == ["census_sweep", "long_path", "graft_descent"]
+    seen = []
+
+    def run_once(checkout, workload, seed, seconds):
+        seen.append(workload)
+        return {"seed": seed, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": 1.4 if checkout.name == "change" else 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "SPEC", spec)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    sides = [str(tmp_path / side) for side in bench_pairs.SIDES]
+    # 1.4 is within the spec's bound of 0.5, so the verdict is not worse
+    assert bench_pairs.main([*sides, "--label", "t", "--pairs", "2", "--out", str(tmp_path)]) == 0
+    assert seen == ["zeta"] * 4 + ["alpha"] * 4
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(bench["workloads"]) == ["zeta", "alpha"]
+    assert bench["workloads"]["alpha"]["summary"]["wall_s"]["verdict"] == "unchanged"
+    with pytest.raises(SystemExit):
+        bench_pairs.main([*sides, "--label", "t", "--workload", "census_sweep"])
+
+
 def _git(repo, *args):
     return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True,
                           check=True).stdout.strip()

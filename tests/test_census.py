@@ -311,7 +311,7 @@ def test_census_solves_equal_per_kind_batches(k, top):
         census = enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m)
         shapes = [rec.hypergraph for rec in census.records]
         for kind in KINDS:
-            for rec, res in zip(census.records, spectral_radii(kind, shapes)):
+            for rec, res in zip(census.records, spectral_radii((kind,), shapes)[0]):
                 assert rec.radii[kind] == res.rho
                 assert rec.solves[kind] == {
                     "iterations": res.iterations,

@@ -503,7 +503,7 @@ def test_verify_no_convergence_prints_bracket(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise NoConvergence("no convergence", lower=1.0, upper=2.0, iterations=7)
 
-    monkeypatch.setattr(census, "_solve", no_convergence)
+    monkeypatch.setattr(census, "spectral_radii", no_convergence)
     code, out, err = run(capsys, "verify", "--n", "9", "--k", "3")
     assert code == 4
     assert out == ""

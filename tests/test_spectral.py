@@ -110,7 +110,7 @@ def test_bad_solver_parameters(tol, max_iter):
     with pytest.raises(BadParameter):
         spectral_radius(TensorKind.Adjacency, g, tol=tol, max_iter=max_iter)
     with pytest.raises(BadParameter):
-        spectral_radii(TensorKind.Adjacency, [g], tol=tol, max_iter=max_iter)
+        spectral_radii((TensorKind.Adjacency,), [g], tol=tol, max_iter=max_iter)
 
 
 # Ceilings on the steps after the warm start: per kind, the total (4794 in
@@ -129,7 +129,7 @@ def test_step_counts_on_census_sweep_stay_at_their_ceilings():
     for k, top in ((3, 8), (4, 7)):
         for m in range(1, top + 1):
             graphs = _supertree_shapes(m, k)
-            solved = spectral._solve(tuple(KINDS), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+            solved = spectral_radii(tuple(KINDS), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
             for kind, results in zip(KINDS, solved):
                 total[kind] += sum(r.iterations for r in results)
                 most[kind] = max(most[kind], *(r.iterations for r in results))
@@ -149,7 +149,7 @@ def test_single_edge_closes_at_the_first_bracket(k):
 def test_batch_matches_single_solves_on_census(kind):
     """Each row of the batched k=3, m=8 census runs the single iteration."""
     graphs = _supertree_shapes(8, 3)
-    batch = spectral_radii(kind, graphs)
+    batch = spectral_radii((kind,), graphs)[0]
     assert len(batch) == len(graphs) == 126
     for g, row in zip(graphs, batch):
         single = spectral_radius(kind, g)
@@ -177,7 +177,7 @@ def test_batch_mixing_newton_and_power_rows_matches_single_solves(monkeypatch):
     monkeypatch.setattr(spectral, "NEWTON_PATIENCE", 1)
     graphs = _random_tree_powers()
     kind = TensorKind.SignlessLaplacian
-    batch = spectral_radii(kind, graphs)
+    batch = spectral_radii((kind,), graphs)[0]
     for g, row in zip(graphs, batch):
         single = spectral_radius(kind, g)
         assert (row.iterations, row.lower, row.upper) == (
@@ -195,9 +195,9 @@ def test_mixed_kind_batch_equals_per_kind_batches(patience, monkeypatch):
     different steps, and with kinds out of order or missing."""
     monkeypatch.setattr(spectral, "NEWTON_PATIENCE", patience)
     graphs = _random_tree_powers()
-    per_kind = {kind: spectral_radii(kind, graphs) for kind in KINDS}
+    per_kind = {kind: spectral_radii((kind,), graphs)[0] for kind in KINDS}
     for kinds in (tuple(KINDS), (TensorKind.IncidenceQ, TensorKind.Adjacency)):
-        solved = spectral._solve(kinds, graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        solved = spectral_radii(kinds, graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
         assert len(solved) == len(kinds)
         for kind, results in zip(kinds, solved):
             assert len(results) == len(graphs)
@@ -225,11 +225,11 @@ def test_single_kind_batch_calls_one_contract_per_iteration(monkeypatch):
     graphs = _supertree_shapes(8, 3)
     for kind in KINDS:
         calls.clear()
-        results = spectral_radii(kind, graphs)
+        results = spectral_radii((kind,), graphs)[0]
         assert len({r.iterations for r in results}) > 1  # rows freeze apart
         assert calls == [[kind]] * (spectral.WARM_STEPS + max(r.iterations for r in results))
     calls.clear()
-    solved = spectral._solve(tuple(KINDS), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    solved = spectral_radii(tuple(KINDS), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
     last = [max(r.iterations for r in results) for results in solved]
     assert len(set(last)) > 1  # a kind's block goes when its rows all freeze
     assert calls == [KINDS] * spectral.WARM_STEPS + [
@@ -247,25 +247,32 @@ def test_mixed_kinds_bad_input():
         spectral_radii("adj", graphs)
     with pytest.raises(BadParameter):
         spectral_radii("adj", [])
+    # an empty tuple once ran the whole budget on zero rows, and a bare kind
+    # raised TypeError; both are checked before an empty batch returns
+    for graph_list in (graphs, []):
+        with pytest.raises(BadParameter):
+            spectral_radii((), graph_list, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        with pytest.raises(BadParameter):
+            spectral_radii(TensorKind.Adjacency, graph_list)
     with pytest.raises(BadParameter):
         spectral_radius(None, graphs[0])
     with pytest.raises(BadParameter):
-        spectral._solve((TensorKind.Adjacency, "q"), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        spectral_radii((TensorKind.Adjacency, "q"), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
     with pytest.raises(BadParameter):
         apply("q", graphs[0], np.ones(7))
     with pytest.raises(BadParameter):
         dense_build("q", graphs[0])
     with pytest.raises(BadParameter):
         closed_form_hyperstar("q", 7, 3)
-    assert spectral_radii(TensorKind.Adjacency, []) == []
-    assert spectral._solve(tuple(KINDS), [], DEFAULT_TOL, DEFAULT_MAX_ITER) == [[], [], []]
+    assert spectral_radii((TensorKind.Adjacency,), [])[0] == []
+    assert spectral_radii(tuple(KINDS), [], DEFAULT_TOL, DEFAULT_MAX_ITER) == [[], [], []]
 
 
 def test_mixed_batch_no_convergence_names_the_widest_kind():
     graphs = [hyperstar(9, 3), loose_path(9, 3), double_star(1, 2, 3)]
     kinds = (TensorKind.SignlessLaplacian, TensorKind.IncidenceQ)
     with pytest.raises(NoConvergence) as exc:
-        spectral._solve(kinds, graphs, DEFAULT_TOL, 2)
+        spectral_radii(kinds, graphs, DEFAULT_TOL, 2)
     widths = {}
     for kind in kinds:
         for g in graphs:
@@ -284,7 +291,7 @@ def test_mixed_batch_no_convergence_names_the_widest_kind():
 def test_newton_steps_on_random_tree_powers(kind):
     # Newton's method on T x^{k-1}, of degree k-1, took up to 15 (adj),
     # 30 (q) and 18 (qstar) steps here; on its (k-1)-th root up to 9, 14, 11
-    results = spectral_radii(kind, _random_tree_powers())
+    results = spectral_radii((kind,), _random_tree_powers())[0]
     assert max(r.iterations for r in results) <= 15
 
 
@@ -416,7 +423,7 @@ def test_newton_step_calls_no_lapack(kind, monkeypatch):
         raise AssertionError("np.linalg.solve called")
 
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    results = spectral_radii(kind, _supertree_shapes(6, 3))
+    results = spectral_radii((kind,), _supertree_shapes(6, 3))[0]
     assert max(r.iterations for r in results) <= 30
 
 
@@ -535,7 +542,7 @@ def test_adjacency_tree_powers_on_census(k, top):
     for m in range(1, top + 1):
         trees = enumerate_trees(m + 1)
         graphs = [tree_power(parents, k) for parents in trees]
-        for parents, result in zip(trees, spectral_radii(TensorKind.Adjacency, graphs)):
+        for parents, result in zip(trees, spectral_radii((TensorKind.Adjacency,), graphs)[0]):
             _tree_power_bracket_check(parents, k, result)
 
 
@@ -553,7 +560,7 @@ def test_batch_disconnected_member():
     connected = loose_path(7, 3)
     split = validate([[1, 2, 3], [1, 2, 4], [5, 6, 7]], 7)  # same (n, m, k)
     with pytest.raises(Disconnected):
-        spectral_radii(TensorKind.Adjacency, [connected, split, connected])
+        spectral_radii((TensorKind.Adjacency,), [connected, split, connected])
     # the leaf peeling alone rejects the cycle
     with pytest.raises(Disconnected):
         _elimination_order(_edge_index([connected, split, connected]), 7)
@@ -562,13 +569,13 @@ def test_batch_disconnected_member():
 def test_supertree_batches_skip_the_connectivity_search(monkeypatch):
     monkeypatch.setattr(spectral, "is_connected", lambda g: pytest.fail("searched a supertree"))
     graphs = [loose_path(7, 3), hyperstar(7, 3)]
-    assert len(spectral_radii(TensorKind.Adjacency, graphs)) == 2
+    assert len(spectral_radii((TensorKind.Adjacency,), graphs)[0]) == 2
 
 
 def test_batch_no_convergence_reports_widest_bracket():
     graphs = [hyperstar(9, 3), loose_path(9, 3), double_star(1, 2, 3)]
     with pytest.raises(NoConvergence) as exc:
-        spectral_radii(TensorKind.Adjacency, graphs, max_iter=2)
+        spectral_radii((TensorKind.Adjacency,), graphs, max_iter=2)
     err = exc.value
     assert err.iterations == 2
     assert np.isfinite(err.lower) and np.isfinite(err.upper)
@@ -582,12 +589,12 @@ def test_batch_no_convergence_reports_widest_bracket():
 
 def test_batch_mixed_shapes():
     with pytest.raises(DimensionMismatch):
-        spectral_radii(TensorKind.Adjacency, [loose_path(7, 3), loose_path(9, 3)])
+        spectral_radii((TensorKind.Adjacency,), [loose_path(7, 3), loose_path(9, 3)])
     with pytest.raises(DimensionMismatch):
-        spectral_radii(TensorKind.Adjacency, [loose_path(7, 3), single_edge(7)])
+        spectral_radii((TensorKind.Adjacency,), [loose_path(7, 3), single_edge(7)])
     with pytest.raises(DimensionMismatch):  # same n and k, fewer edges
-        spectral_radii(TensorKind.Adjacency, [loose_path(7, 3), validate([[1, 2, 3]], 7, k=3)])
-    assert spectral_radii(TensorKind.Adjacency, []) == []
+        spectral_radii((TensorKind.Adjacency,), [loose_path(7, 3), validate([[1, 2, 3]], 7, k=3)])
+    assert spectral_radii((TensorKind.Adjacency,), [])[0] == []
 
 
 def test_result_invariants(corpus_instance):
@@ -683,6 +690,12 @@ def test_alpha_star_consistency():
         m = (n - 1) // (k - 1)
         rho = spectral_radius(TensorKind.SignlessLaplacian, hyperstar(n, k)).rho
         assert rho == pytest.approx(1 + alpha_star(m, k), abs=1e-7)
+
+
+@pytest.mark.parametrize("m,k", [(2.5, 3), (3, 2.5), (True, 2), (3, True), (3.0, 3), ("3", 3)])
+def test_alpha_star_rejects_non_integers(m, k):
+    with pytest.raises(BadDimensions):
+        alpha_star(m, k)
 
 
 def test_alpha_star_large_star_terminates():
@@ -794,7 +807,7 @@ def test_orbit_constancy_over_census(k, top):
     for m in range(1, top + 1):
         graphs = _supertree_shapes(m, k)
         for kind in KINDS:
-            for g, result in zip(graphs, spectral_radii(kind, graphs)):
+            for g, result in zip(graphs, spectral_radii((kind,), graphs)[0]):
                 assert orbit_constancy_check(g, automorphism_orbits(g), result)
 
 
