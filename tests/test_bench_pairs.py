@@ -94,7 +94,6 @@ def test_workloads_and_bounds_come_from_the_spec_file(tmp_path, monkeypatch):
     }))
     assert bench_pairs.workloads(spec) == ["zeta", "alpha"]
     assert bench_pairs.bounds(spec) == {"wall_s": 0.5}
-    assert bench_pairs.workloads() == ["census_sweep", "long_path", "graft_descent"]
     seen = []
 
     def run_once(checkout, workload, seed, seconds):
