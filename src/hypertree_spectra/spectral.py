@@ -25,7 +25,13 @@ one row per graph and kind, kind-major: each kind's rows form a block
 (kind, start, stop), each graph is indexed and peeled once for all kinds,
 and each step gathers x once for one tensor evaluation and one set of
 Newton-Noda factors over all blocks; the elimination takes the factors
-and knows no tensor.  A disconnected graph raises
+and knows no tensor.  It has two kernels with the same arithmetic in the
+same order, each sum over an edge's children left to right, so they give
+the same bits: numpy, one height of every row at a time, for wide
+batches such as a census, and Python floats, edge by edge, for a
+schedule whose heights hold at most NARROW_WIDTH edges on average, such
+as a single path or graft-chain tree, where numpy's fixed cost per height
+outweighs the few edges it holds.  A disconnected graph raises
 Disconnected.  In a batch with m (k-1) = n-1 such a graph has a cycle,
 which the leaf peeling that orders the elimination finds; any other batch
 is searched graph by graph.
@@ -33,6 +39,9 @@ is searched graph by graph.
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -47,7 +56,15 @@ from .errors import (
 )
 from .families import _supertree_edges
 from .hypergraph import Hypergraph, _is_integer, incidence_matrix, is_connected
-from .tensors import TensorKind, _check_kind, _contract, _edge_index, _linearize, _row_offset
+from .tensors import (
+    TensorKind,
+    _check_graph,
+    _check_kind,
+    _contract,
+    _edge_index,
+    _linearize,
+    _row_offset,
+)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
@@ -65,10 +82,21 @@ ROUNDING_PAD = 1e-12
 NEWTON_PATIENCE = 30
 # Shifted power steps that every solve takes from the uniform vector before
 # its first bracket.  They find the rough shape of the Perron vector: over
-# the 144 solves of graft chains of 15 edges, 889 Newton-Noda steps follow
-# them against 1047 from the uniform vector.  Three steps save a few more
-# there, but loose_path(121, 3) then takes one more under IncidenceQ.
+# the 144 solves of graft chains of 15 edges, 889 bracketed iterations (745
+# of them Newton-Noda steps) follow them against 1047 from the uniform
+# vector.  Three steps save a few more there, but loose_path(121, 3) then
+# takes one more under IncidenceQ.
 WARM_STEPS = 2
+# A Newton-Noda step eliminates a schedule edge by edge in Python floats
+# when its heights hold at most this many edges on average, and height by
+# height in numpy otherwise.  A height costs numpy about 19 calls, some
+# 25-30 us whatever its width, and an edge costs the Python loop about
+# 1.6 us at k = 3, more at larger k.  Timing both kernels on steps of
+# batches of loose paths (m = 20, widths 6 to 20; numpy 2.4, Python 3.11,
+# one CPU of a shared host), the loop was as fast as numpy at about 18
+# edges per height for k = 2, 16 for k = 3, 12 for k = 4, 10-12 for k = 5
+# and 10 for k = 9; at 8 it is the faster kernel for every k measured.
+NARROW_WIDTH = 8
 ALPHA_STAR_TOL = 1e-13  # relative, for alpha_star's bisection
 
 
@@ -133,12 +161,16 @@ def spectral_radii(
     find no row at its floor, and one in which every row took a finite,
     positive Newton-Noda step skips the power step, which would have no
     row to step."""
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0:
-        raise BadParameter(f"tol must be positive, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
+        raise BadParameter(f"tol must be positive and finite, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise BadParameter(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if not (isinstance(kinds, tuple) and kinds and all(isinstance(kd, TensorKind) for kd in kinds)):
         raise BadParameter(f"kinds must be a non-empty tuple of TensorKind, got {kinds!r}")
+    if not isinstance(graphs, Sequence):
+        raise BadParameter(f"graphs must be a sequence of Hypergraph, got {type(graphs).__name__}")
+    for g in graphs:
+        _check_graph(g)
     count = len(graphs)
     if not graphs:
         return [[] for _ in kinds]
@@ -303,13 +335,16 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
     """Schedule of a Newton-Noda step on rows of _elimination_order's idx,
     row-offset (flat), and height: the (B m, k) edge index, each height's
-    edges as a slice and its parents' places, the edges in height order and
-    the level-major permutation of the B n vertices.
+    edges as a slice and its parents' places, the edges in height order,
+    every edge's parent place as a list when the schedule is narrow (None
+    otherwise), and the level-major permutation of the B n vertices.
 
     The permutation lists the children of the edges in height order, each
     edge's k-1 children together, then the B roots, so that each height's
     children are one contiguous (edges, k-1) run and every edge's parent,
-    a child of a higher edge or a root, has its own place in it."""
+    a child of a higher edge or a root, has its own place in it.  A
+    schedule is narrow when its heights hold at most NARROW_WIDTH edges
+    each on average; _newton_noda_step then eliminates it edge by edge."""
     rows, m, k = flat.shape
     verts = flat.reshape(-1, k)
     order = np.argsort(height.ravel(), kind="stable")
@@ -322,7 +357,8 @@ def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
     parent = place[by_height[:, 0]]
     stops = np.cumsum(np.bincount(height.ravel())).tolist()
     levels = [(slice(s, e), parent[s:e]) for s, e in zip([0, *stops], stops)]
-    return verts, levels, order, perm
+    narrow = parent.tolist() if len(order) <= NARROW_WIDTH * len(levels) else None
+    return verts, levels, order, narrow, perm
 
 
 def _newton_noda_step(
@@ -347,48 +383,102 @@ def _newton_noda_step(
     Off the diagonal, Z of a supertree is nonzero only inside the edges'
     blocks, so S Z S, S = diag(sigma), is -c there (_linearize); the step
     solves S Z S w' = S q x, w = S w', eliminating each edge's children C
-    onto its parent p, one height at a time, with no fill.  C's block is
+    onto its parent p, leaves first, with no fill.  C's block is
     diag(d) - c 11^T, d their pivots plus c (held from the start); by
     Sherman-Morrison, with r = 1/d, s = sum r, t = sum b r, cg = c/(1 - c s),
     p's pivot loses cg c s, b_p gains cg t, and w_C = b_C r + (t + w_p) cg r.
     The pivots, b and c are gathered once into the schedule's level-major
     order, where each height is a slice of (edges, k-1) children, and w is
-    scattered back once.  The last pivot, at the root, carries the
-    near-singularity; once the bracket top is within rounding of rho it may
-    round to the wrong sign, which only flips the sign of w and leaves t w
-    unchanged.
+    scattered back once.  In between, a narrow schedule is eliminated edge
+    by edge in Python floats (_eliminate_edges), any other height by
+    height in numpy, every edge of a height in one slice.  Both kernels
+    take the same operations in the same order, each sum over C left to
+    right, so the step is the same to the bit whichever runs.  The last
+    pivot, at the root, carries the near-singularity; once the bracket top
+    is within rounding of rho it may round to the wrong sign, which only
+    flips the sign of w and leaves t w unchanged.
     """
-    verts, levels, order, perm = schedule
+    verts, levels, order, narrow, perm = schedule
     c, diag, sigma = factors
     rows, k = len(x), verts.shape[1]
     q, mu = ax ** ((k - 2) / (k - 1)), top ** (1.0 / (k - 1))
     pivot = (mu[:, None] * q).ravel() - np.bincount(verts.ravel(), diag.ravel(), x.size)
     pivot *= (sigma**2).ravel()
     pivot, b, c = pivot[perm], (q * x * sigma).ravel()[perm], c.ravel()[order]
-    # each child's (edges, k-1) place, a view of the level-major arrays
+    # each child's (edges, k-1) place, a view of the level-major pivots
     kids = pivot[:-rows].reshape(-1, k - 1)
     kids += c[:, None]
-    b_kids = b[:-rows].reshape(-1, k - 1)
-    folds = []
+    w = None if narrow is None else _eliminate_edges(
+        narrow, pivot.tolist(), b.tolist(), c.tolist(), rows, k
+    )
     with np.errstate(all="ignore"):
-        for e, parent in levels:
-            ce, r = c[e], 1 / kids[e]
-            br = b_kids[e] * r
-            cs, t = ce * np.add.reduce(r, 1), np.add.reduce(br, 1)
-            cg = ce / (1 - cs)
-            np.subtract.at(pivot, parent, cg * cs)
-            np.add.at(b, parent, cg * t)
-            folds.append((br, cg[:, None] * r, t))
-        w = np.empty(x.size)
-        w[-rows:] = b[-rows:] / pivot[-rows:]
-        w_kids = w[:-rows].reshape(-1, k - 1)
-        for (e, parent), (br, cgr, t) in zip(reversed(levels), reversed(folds)):
-            w_kids[e] = br + (t + w[parent])[:, None] * cgr
+        if w is None:  # the numpy kernel
+            b_kids = b[:-rows].reshape(-1, k - 1)
+            folds = []
+            for e, parent in levels:
+                ce, r = c[e], 1 / kids[e]
+                br = b_kids[e] * r
+                cs, t = ce * _sum_rows(r), _sum_rows(br)
+                cg = ce / (1 - cs)
+                np.subtract.at(pivot, parent, cg * cs)
+                np.add.at(b, parent, cg * t)
+                folds.append((br, cg[:, None] * r, t))
+            w = np.empty(x.size)
+            w[-rows:] = b[-rows:] / pivot[-rows:]
+            w_kids = w[:-rows].reshape(-1, k - 1)
+            for (e, parent), (br, cgr, t) in zip(reversed(levels), reversed(folds)):
+                w_kids[e] = br + (t + w[parent])[:, None] * cgr
         step = np.empty(x.size)
         step[perm] = w
         w = step.reshape(x.shape) * sigma
         t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
         return t[:, None] * w
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Each row's sum, left to right as _eliminate_edges adds: np.add.reduce
+    adds a row of 8 or more entries pairwise."""
+    return np.add.reduce(a, 1) if a.shape[1] < 8 else functools.reduce(np.add, a.T)
+
+
+def _eliminate_edges(
+    parents: list, pivot: list, b: list, c: list, rows: int, k: int
+) -> list | None:
+    """The level-major solution w of _newton_noda_step's scaled system,
+    eliminated edge by edge in Python floats, from the level-major pivots
+    and b, the edges' c in height order and each edge's parent place (the
+    schedule's narrow list); None if a division by zero stops it, where
+    numpy gives inf or nan.
+
+    Works in place: once its edge is folded, a child's pivot is replaced by
+    r and its b by b r, and back-substitution turns b into w."""
+    kids = len(pivot) - rows
+    cgs, ts = [], []
+    try:
+        for lo, p, ce in zip(range(0, kids, k - 1), parents, c):
+            s = pivot[lo] = 1 / pivot[lo]
+            t = b[lo] = b[lo] * s
+            for i in range(lo + 1, lo + k - 1):
+                r = pivot[i] = 1 / pivot[i]
+                br = b[i] = b[i] * r
+                s += r
+                t += br
+            cs = ce * s
+            cg = ce / (1 - cs)
+            pivot[p] -= cg * cs
+            b[p] += cg * t
+            cgs.append(cg)
+            ts.append(t)
+        for i in range(kids, len(pivot)):
+            b[i] = b[i] / pivot[i]
+    except ZeroDivisionError:
+        return None
+    backward = range(kids - k + 1, -1, 1 - k)
+    for lo, p, cg, t in zip(backward, reversed(parents), reversed(cgs), reversed(ts)):
+        tw = t + b[p]
+        for i in range(lo, lo + k - 1):
+            b[i] += tw * (cg * pivot[i])
+    return b
 
 
 def alpha_star(m: int, k: int) -> float:

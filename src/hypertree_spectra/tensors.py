@@ -44,6 +44,11 @@ def _check_kind(kind) -> None:
         raise BadParameter(f"kind must be a TensorKind, got {kind!r}")
 
 
+def _check_graph(g) -> None:
+    if not isinstance(g, Hypergraph):
+        raise BadParameter(f"expected a Hypergraph, got {type(g).__name__}")
+
+
 @dataclass(frozen=True)
 class DenseTensor:
     k: int
@@ -138,6 +143,7 @@ def _linearize(blocks: list, x: np.ndarray, vals: np.ndarray) -> tuple:
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
     """(T x^{k-1}) for the selected tensor, computed from the edge list."""
     _check_kind(kind)
+    _check_graph(g)
     x = _check_vector(g, x)
     # a batch of one needs no row offset
     flat = _edge_index([g])
@@ -147,6 +153,7 @@ def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:
 def dense_build(kind: TensorKind, g: Hypergraph) -> DenseTensor:
     """Dense symmetric tensor, n^k <= DEFAULT_DENSE_CAP; oracle for apply()."""
     _check_kind(kind)
+    _check_graph(g)
     n, k = g.n, g.k
     if n**k > DEFAULT_DENSE_CAP:
         raise TooLarge(f"n^k = {n**k} exceeds cap {DEFAULT_DENSE_CAP}")

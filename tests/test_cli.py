@@ -184,8 +184,8 @@ def test_compute_below_rounding_floor_prints_finite_bracket(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--tol", "0"), ("--tol=-1e-9",), ("--max-iter", "0")],
-    ids=["tol-zero", "tol-negative", "max-iter-zero"],
+    [("--tol", "0"), ("--tol=-1e-9",), ("--tol", "inf"), ("--max-iter", "0")],
+    ids=["tol-zero", "tol-negative", "tol-inf", "max-iter-zero"],
 )
 def test_compute_bad_solver_parameters(capsys, path_file, flags):
     code, out, err = run(capsys, "compute", *flags, path_file)

@@ -22,6 +22,7 @@ from hypertree_spectra import (
     validate,
 )
 from hypertree_spectra import spectral
+from hypertree_spectra.transforms import apply_graft_sequence, graft_to_path
 from hypertree_spectra.census import ROUNDING_PAD, _supertree_shapes
 from hypertree_spectra.errors import (
     BadDimensions,
@@ -103,6 +104,8 @@ def test_spectral_radius_no_convergence():
         # a bool is an Integral and a Real, but tol=True closed a bracket 1.0
         # wide, and max_iter=True ran one step
         (True, 100), (False, 100), (1e-10, True), (1e-10, np.True_),
+        # tol=inf "converged" after one step with a bracket 0.2 wide
+        (float("inf"), 100), (np.float64("inf"), 100),
     ],
 )
 def test_bad_solver_parameters(tol, max_iter):
@@ -264,6 +267,21 @@ def test_mixed_kinds_bad_input():
         dense_build("q", graphs[0])
     with pytest.raises(BadParameter):
         closed_form_hyperstar("q", 7, 3)
+    # a graph that is not a Hypergraph, or graphs that are not a sequence,
+    # once raised AttributeError or, for a generator, TypeError from len
+    adj = (TensorKind.Adjacency,)
+    for not_graphs in (
+        [None], [[1, 2, 3]], "abc", [graphs[0], None], iter(graphs), (g for g in graphs)
+    ):
+        with pytest.raises(BadParameter):
+            spectral_radii(adj, not_graphs)
+    with pytest.raises(BadParameter):
+        spectral_radius(TensorKind.Adjacency, None)
+    with pytest.raises(BadParameter):
+        apply(TensorKind.Adjacency, None, np.ones(7))
+    with pytest.raises(BadParameter):
+        dense_build(TensorKind.Adjacency, [[1, 2, 3]])
+    assert spectral_radii(adj, tuple(graphs))[0][0].rho == spectral_radius(adj[0], graphs[0]).rho
     assert spectral_radii((TensorKind.Adjacency,), [])[0] == []
     assert spectral_radii(tuple(KINDS), [], DEFAULT_TOL, DEFAULT_MAX_ITER) == [[], [], []]
 
@@ -367,16 +385,147 @@ def _step_inputs(graphs, kind, x):
     return _schedule(flat, height), _linearize([(kind, 0, len(x))], x, x.ravel()[flat])
 
 
-def test_newton_step_fails_on_singular_system():
+def _kernels(schedule):
+    """schedule forced onto each elimination kernel: height by height in
+    numpy, then edge by edge in Python floats."""
+    verts, levels, order, _, perm = schedule
+    parents = [p for _, level in levels for p in level.tolist()]
+    return (verts, levels, order, None, perm), (verts, levels, order, parents, perm)
+
+
+def _kernels_taken(monkeypatch) -> list[str]:
+    """A list that gets the elimination kernel of every Newton-Noda step
+    taken from now on: "edges" where _eliminate_edges solved the system,
+    "levels" where numpy did."""
+    taken = []
+    step, edges = spectral._newton_noda_step, spectral._eliminate_edges
+
+    def counted_step(*args):
+        taken.append("levels")
+        return step(*args)
+
+    def counted_edges(*args):
+        w = edges(*args)
+        if w is not None:
+            taken[-1] = "edges"
+        return w
+
+    monkeypatch.setattr(spectral, "_newton_noda_step", counted_step)
+    monkeypatch.setattr(spectral, "_eliminate_edges", counted_edges)
+    return taken
+
+
+def test_newton_step_fails_on_singular_system(monkeypatch):
     # x is the Perron vector of the k=2 edge and top its exact radius, so
     # the first row's Z is singular and its step is not finite; the second
-    # row's bracket is open and it steps to a positive y
+    # row's bracket is open and it steps to a positive y.  Both kernels
+    # give numpy's inf or nan: the edge loop, whose Python floats raise on
+    # the zero root pivot, hands the step to numpy.
     x = np.array([[2**-0.5, 2**-0.5], [0.6, 0.8]])
     top = np.array([2.0, 1.4 / 0.6])
-    schedule, factors = _step_inputs([single_edge(2)] * 2, TensorKind.IncidenceQ, x)
-    y = _newton_noda_step(schedule, x, x, x, factors, top)
-    assert not np.isfinite(y[0]).any()
-    assert np.isfinite(y[1]).all() and (y[1] > 0).all()
+    taken = _kernels_taken(monkeypatch)
+    for rows in (2, 1):
+        schedule, factors = _step_inputs([single_edge(2)] * rows, TensorKind.IncidenceQ, x[:rows])
+        steps = [
+            spectral._newton_noda_step(s, x[:rows], x[:rows], x[:rows], factors, top[:rows])
+            for s in _kernels(schedule)
+        ]
+        for y in steps:
+            assert not np.isfinite(y[0]).any()
+            assert np.isfinite(y[1:]).all() and (y[1:] > 0).all()
+        assert steps[0].tobytes() == steps[1].tobytes()
+    assert taken == ["levels"] * 4
+    # one edge, two children of pivot 1 and c = 1/4: the root's pivot 1/4
+    # loses cg c s = 1/4, and the edge loop stops at the division by zero
+    assert spectral._eliminate_edges([2], [1.0, 1.0, 0.25], [1.0] * 3, [0.25], 1, 3) is None
+
+
+def _assert_kernels_agree(graphs, rng, monkeypatch):
+    """A Newton-Noda step on the batch, under each kind, is the same to the
+    bit on both elimination kernels, from x spread up to 1e-6..1 and top
+    above each row's bracket."""
+    n, k = graphs[0].n, graphs[0].k
+    x = 10.0 ** rng.uniform(-6, 0, (len(graphs), n))
+    xk1 = x ** (k - 1)
+    taken = _kernels_taken(monkeypatch)
+    for kind in KINDS:
+        ax = np.array([apply(kind, g, row) for g, row in zip(graphs, x)])
+        top = (ax / xk1).max(axis=1) * (1 + rng.random(len(graphs)))
+        schedule, factors = _step_inputs(graphs, kind, x)
+        levels, edges = (
+            spectral._newton_noda_step(s, x, xk1, ax, factors, top) for s in _kernels(schedule)
+        )
+        assert np.isfinite(levels).all()
+        assert levels.tobytes() == edges.tobytes()
+    assert taken == ["levels", "edges"] * len(KINDS)
+
+
+@pytest.mark.parametrize("k,top", [(2, 9), (3, 8), (4, 6), (5, 5)])
+def test_kernels_agree_on_census(k, top, monkeypatch):
+    rng = np.random.default_rng(k)
+    for m in range(1, top + 1):
+        _assert_kernels_agree(_supertree_shapes(m, k), rng, monkeypatch)
+
+
+def test_kernels_agree_on_random_tree_powers(monkeypatch):
+    """k up to 10, where an edge has 8 or more children, whose sum
+    np.add.reduce would take pairwise."""
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        k, m = int(rng.integers(2, 11)), int(rng.integers(1, 41))
+        parents = [int(rng.integers(1, i + 2)) for i in range(m)]
+        _assert_kernels_agree([tree_power(parents, k)], rng, monkeypatch)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 9, 10])
+def test_kernels_agree_on_paths_and_stars(k, monkeypatch):
+    rng = np.random.default_rng(k)
+    for m in (1, 2, 3, 8, 41):
+        n = m * (k - 1) + 1
+        _assert_kernels_agree([loose_path(n, k)] * 2, rng, monkeypatch)
+        _assert_kernels_agree([hyperstar(n, k)], rng, monkeypatch)
+
+
+def test_wide_batches_take_the_level_kernel_and_narrow_ones_the_edge_kernel(monkeypatch):
+    """The census batch and the large star keep numpy's height-by-height
+    kernel; a long path and the tree powers of a graft chain, each solved
+    under one kind at a time, go edge by edge.  The census batch narrows
+    as its rows close, so only its first step is pinned."""
+    taken = _kernels_taken(monkeypatch)
+    spectral_radii(tuple(KINDS), _supertree_shapes(8, 3))
+    assert taken[0] == "levels"
+    taken.clear()
+    spectral_radii(tuple(KINDS), [hyperstar(20001, 3)])
+    assert taken and set(taken) == {"levels"}
+    parents = [1, 1, 2, 2, 3, 3, 1, 4, 5, 6, 6, 7, 8, 8, 9]  # 16 nodes, 15 edges
+    chain = [parents, *apply_graft_sequence(parents, graft_to_path(parents))]
+    assert len(chain) > 2
+    taken.clear()
+    for g in [loose_path(121, 3)] + [tree_power(tree, 3) for tree in chain]:
+        for kind in KINDS:
+            spectral_radius(kind, g)
+    assert taken and set(taken) == {"edges"}
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_batch_matches_single_solves_with_eight_or_more_children(k):
+    """A batch of census shapes and random tree powers, eliminated height by
+    height, where an edge has k-1 >= 8 children, == each graph solved alone,
+    which goes edge by edge.  IncidenceQ's radius is near 1e8 at k = 9,
+    beyond the reach of an absolute tol of 1e-10."""
+    rng = np.random.default_rng(k)
+    trees = [[int(rng.integers(1, i + 2)) for i in range(5)] for _ in range(6)]
+    graphs = _supertree_shapes(5, k) + [tree_power(parents, k) for parents in trees]
+    small = (TensorKind.Adjacency, TensorKind.SignlessLaplacian)
+    for kinds, tol in ((small, DEFAULT_TOL), ((TensorKind.IncidenceQ,), 1e-3)):
+        solved = spectral_radii(kinds, graphs, tol)
+        for kind, results in zip(kinds, solved):
+            for g, row in zip(graphs, results):
+                single = spectral_radius(kind, g, tol)
+                assert (row.iterations, row.lower, row.upper, row.residual) == (
+                    single.iterations, single.lower, single.upper, single.residual
+                )
+                assert row.eigvec.tobytes() == single.eigvec.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
