@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -198,6 +199,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not 0 < args.seconds < math.inf:
+        parser.error(f"--seconds must be positive and finite, got {args.seconds}")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts, revisions = {}, {}
         for side in SIDES:

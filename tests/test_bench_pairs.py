@@ -210,3 +210,23 @@ def test_run_pairs_exits_1_on_a_worse_verdict(graft_wall, code, tmp_path, monkey
     assert worse == (["worse: graft_descent wall_s"] if code else [])
     bench = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert bench["correct"] is True
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--pairs", "0"], ["--pairs", "-3"], ["--seconds", "0"], ["--seconds", "-1"],
+     ["--seconds", "nan"], ["--seconds", "inf"]],
+)
+def test_main_rejects_no_pairs_and_no_time(flags, tmp_path, monkeypatch, capsys):
+    """--pairs below 1 would write a BENCH file with no runs that reads
+    correct; a run of no time, or an unbounded one, measures nothing.  Both
+    exit 2 before any run, and no BENCH file is written."""
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("ran perfbench"))
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    sides = [str(tmp_path / side) for side in bench_pairs.SIDES]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([*sides, "--label", "t", "--out", str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()

@@ -225,6 +225,28 @@ def test_compute_json_deterministic(capsys, star_file):
     assert out1 == out2
 
 
+def test_parser_is_built_once_and_calls_do_not_share_state(capsys, star_file, path_file):
+    """main reuses one parser per process: repeated calls, of one command
+    or of several, print what the first call printed, and a parse error
+    after a successful call still exits 2 and leaves the parser usable."""
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, "compute", "--kind", "q", star_file)
+    assert first[0] == 0
+    built = run(capsys, "construct", "loosepath", "9", "3")
+    assert built[0] == 0
+    assert run(capsys, "compute", "--kind", "q", star_file) == first
+    assert run(capsys, "construct", "loosepath", "9", "3") == built
+    for argv in (["compute", "--kind", "bogus", star_file], ["bogus"], [], ["compute"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert run(capsys, "compute", "--kind", "q", star_file) == first
+    # an option given to one call does not become the next call's default
+    assert run(capsys, "compute", "--format", "text", path_file)[0] == 0
+    assert json.loads(run(capsys, "compute", path_file)[1])["kind"] == "adj"
+
+
 # -- construct ---------------------------------------------------------------
 
 
