@@ -31,10 +31,13 @@ the same bits: numpy, one height of every row at a time, for wide
 batches such as a census, and Python floats, edge by edge, for a
 schedule whose heights hold at most NARROW_WIDTH edges on average, such
 as a single path or graft-chain tree, where numpy's fixed cost per height
-outweighs the few edges it holds.  A disconnected graph raises
-Disconnected.  In a batch with m (k-1) = n-1 such a graph has a cycle,
-which the leaf peeling that orders the elimination finds; any other batch
-is searched graph by graph.
+outweighs the few edges it holds.  The elimination order comes from a
+leaf peel of the batch in O(m k) per graph whatever its height: numpy
+rounds while a round peels more than NARROW_WIDTH edges, then a queue in
+Python ints for the rest (_elimination_order).  A disconnected graph
+raises Disconnected.  In a batch with m (k-1) = n-1 such a graph has a
+cycle, which that leaf peel finds; any other batch is searched graph by
+graph.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ WARM_STEPS = 2
 # one CPU of a shared host), the loop was as fast as numpy at about 18
 # edges per height for k = 2, 16 for k = 3, 12 for k = 4, 10-12 for k = 5
 # and 10 for k = 9; at 8 it is the faster kernel for every k measured.
+# _elimination_order's leaf peel leaves numpy for a queue in Python ints at
+# the first round that peels at most this many edges; see its docstring.
 NARROW_WIDTH = 8
 ALPHA_STAR_TOL = 1e-13  # relative, for alpha_star's bisection
 
@@ -304,28 +309,30 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     edges of smaller height.  Returns idx with each parent moved to
     position 0, and the (B, m) heights.
 
-    The peel has two phases.  A round that peels more than NARROW_WIDTH
-    edges of the batch runs in numpy: one bincount of the live edges'
-    vertices gives every vertex's degree, and so every edge's count of
-    shared vertices, at O(B m k) per round, so that a census batch or a
-    star stays on a few numpy calls per round.  The first round that peels
-    NARROW_WIDTH edges or fewer hands the live edges, with its degrees and
-    counts, to a queue in Python ints: removing an edge lowers its
-    vertices' degrees, a vertex left in one live edge lowers that edge's
-    count, and an edge whose count falls to 1 joins the next round.  Each
-    vertex also keeps the sum of its live edges' numbers, which names the
-    one edge left once its degree is 1.  The queue touches each edge and
-    incidence it is handed once, so a deep supertree such as a loose path,
-    whose rounds peel two edges each, costs O(m k) in all, where rounds
-    alone would cost O(m k) each: 2.09 s against 0.016 s to peel
-    loose_path(20001, 3).  The hand-off reuses NARROW_WIDTH, the width
-    below which the Newton-Noda step also leaves numpy for Python floats;
-    rounds of up to 8 edges cost numpy some 50 us each, whatever the
-    batch's size, and the queue about 1 us per edge at k = 3.
+    The peel has two phases.  Numpy rounds cost O(B m k) each, one per
+    height, so they alone would cost O(m k height) on a deep supertree:
+    2.0 s on loose_path(20001, 3), whose 5000 rounds peel two edges each.
+    While a round peels more than NARROW_WIDTH edges of the batch, as a
+    census batch's first rounds and a star's one round do, it runs in
+    numpy: one bincount of the live edges' vertices gives each vertex's
+    degree, and so each edge's count of shared vertices.  The first round
+    that peels NARROW_WIDTH edges or fewer hands the live edges, with those
+    degrees and counts, to a queue in Python ints that touches each edge
+    and incidence once, O(m k) in all (0.011 s on that path): removing an
+    edge lowers its vertices' degrees, a vertex left in one live edge
+    lowers that edge's count, and an edge whose count falls to 1 joins the
+    next round.  Each vertex keeps the sum of its live edges' numbers,
+    which names its one live edge once its degree is 1.  The hand-off
+    reuses NARROW_WIDTH, at the measured crossover: on one tree whose
+    rounds all peel w edges (legs of four edges), the two phases cost the
+    same at about w = 8-12 for k = 2, 3 and 6-8 for k = 5, and on batches
+    of loose paths, whose numpy rounds pay for every row, the queue was
+    still the faster at w = 32.
 
     With m (k-1) = n-1 a row is a supertree iff it has no cycle.  The
     edges of a cycle never peel and acyclic rows empty first, so a round
-    that finds no leaf, which always falls to the queue, means a cycle.
+    that finds no leaf, which always falls to the queue, means a cycle:
+    the queue then ends with live edges left.
     """
     rows, m, k = idx.shape
     flat = _row_offset(idx, n)
@@ -344,12 +351,13 @@ def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
         h += 1
     if live.any():
         # the queue, on the live edges numbered j = 0, 1, ... in idx's order,
-        # each vertex numbered by one of its places in their incidences
+        # each vertex numbered by one of its slots in their incidences; a
+        # vertex's sum of edge numbers is a float, exact below 2**53
         ids = np.flatnonzero(live)
         inc = flat.reshape(-1, k)[ids].ravel()
-        place = np.empty(rows * n, dtype=np.intp)
-        place[inc] = np.arange(len(inc))
-        verts = place[inc]
+        slot = np.empty(rows * n, dtype=np.intp)
+        slot[inc] = np.arange(len(inc))
+        verts = slot[inc]
         deg = deg.reshape(-1, k)[ids]
         owner = np.bincount(verts, np.arange(len(ids)).repeat(k), len(inc)).astype(np.intp)
         degree, owner = deg.ravel().tolist(), owner.tolist()

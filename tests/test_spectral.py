@@ -22,7 +22,7 @@ from hypertree_spectra import (
     validate,
 )
 from hypertree_spectra import spectral
-from hypertree_spectra.transforms import apply_graft_sequence, graft_to_path
+from hypertree_spectra.transforms import apply_graft_sequence, graft_to_path, total_graft
 from hypertree_spectra.census import ROUNDING_PAD, _supertree_shapes
 from hypertree_spectra.errors import (
     BadDimensions,
@@ -34,6 +34,7 @@ from hypertree_spectra.errors import (
 from hypertree_spectra.spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    NARROW_WIDTH,
     _elimination_order,
     _newton_noda_step,
     _schedule,
@@ -635,6 +636,99 @@ def test_elimination_order_and_queue_peel_reject_a_cyclic_row():
         _elimination_order(_edge_index([connected, cyclic, connected]), 7)
     with pytest.raises(Disconnected):
         elimination_order_by_queue([[v - 1 for v in e] for e in cyclic.edges], 7)
+
+
+def _peel_rounds(graphs) -> list[int]:
+    """The number of edges of the batch that each round of the leaf peel
+    removes, by the queue peel."""
+    n = graphs[0].n
+    heights = [h for g in graphs
+               for h in elimination_order_by_queue([[v - 1 for v in e] for e in g.edges], n)[1]]
+    return np.bincount(heights).tolist()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_elimination_order_hands_off_mid_peel(k):
+    """Batches of a star, a path and random tree powers, shallow and deep,
+    up to 400 edges, as built and with their vertices shuffled: their first
+    round peels more than NARROW_WIDTH edges, so it runs on numpy, and
+    their last rounds, the path's, are left to the queue.  Every row == the
+    queue peel's."""
+    rng = np.random.default_rng(30 + k)
+    for m in (9, 20, 57, 150, 400):
+        n = m * (k - 1) + 1
+        shallow = [int(rng.integers(1, i + 2)) for i in range(m)]
+        deep = [int(rng.integers(max(1, i - 1), i + 2)) for i in range(m)]
+        graphs = [hyperstar(n, k), loose_path(n, k), tree_power(shallow, k), tree_power(deep, k)]
+        perm = dict(zip(range(1, n + 1), (rng.permutation(n) + 1).tolist()))
+        shuffled = [relabel(g, perm) for g in graphs]
+        for batch in (graphs, graphs[::-1], shuffled):
+            rounds = _peel_rounds(batch)
+            assert rounds[0] > NARROW_WIDTH >= rounds[-1]
+            _assert_order_matches_queue_peel(batch)
+
+
+def test_elimination_order_rejects_a_cycle_in_either_phase():
+    """Beside two stars on 13 vertices, k = 2, a triangle with nine
+    pendant edges at one vertex peels 33 edges on numpy in the first round
+    and then nothing, so the hand-off finds the cycle; a triangle beside a
+    path of nine edges peels 26 edges on numpy and then two per round in
+    the queue, which ends with the triangle left."""
+    star = hyperstar(13, 2)
+    triangle = [[1, 2], [2, 3], [1, 3]]
+    pendant = validate(triangle + [[4, v] for v in range(5, 14)], 13, k=2)
+    path = validate(triangle + [[v, v + 1] for v in range(4, 13)], 13, k=2)
+    for cyclic in (pendant, path):
+        with pytest.raises(Disconnected):
+            _elimination_order(_edge_index([star, cyclic, star]), 13)
+        with pytest.raises(Disconnected):
+            elimination_order_by_queue([[v - 1 for v in e] for e in cyclic.edges], 13)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_elimination_order_of_no_edge_and_one_edge(k):
+    for g in (validate([], 1, k=k), single_edge(k)):
+        idx, height = _elimination_order(_edge_index([g, g]), g.n)
+        assert idx.shape == (2, g.m, k) and height.shape == (2, g.m)
+        _assert_order_matches_queue_peel([g, g])
+    assert _elimination_order(_edge_index([single_edge(k)]), k)[1].tolist() == [[0]]
+
+
+@pytest.mark.parametrize("n,k", [(2001, 3), (2001, 2)])
+def test_elimination_order_of_long_paths(n, k):
+    """1000 and 2000 edges, two per round: all but the first round in the
+    queue."""
+    _assert_order_matches_queue_peel([loose_path(n, k)])
+
+
+def _spider(legs) -> list[int]:
+    """Parent array of a tree of paths of the given lengths from node 1."""
+    parents, node = [], 2
+    for leg in legs:
+        prev = 1
+        for _ in range(leg):
+            parents.append(prev)
+            prev, node = node, node + 1
+    return parents
+
+
+def test_two_graph_batch_of_a_long_path_and_its_total_graft_matches_single_solves():
+    """transform --check-monotone solves a graph and its transform in one
+    batch under all three kinds.  A loose path of 200 edges with a third
+    leg at vertex 1, and its total graft there, which is a loose path:
+    each row == the graph solved alone, bit for bit."""
+    g = tree_power(_spider([70, 70, 60]), 3)
+    grafted = total_graft(g, 1, 70, 70)
+    graphs = [g, grafted]
+    solved = spectral_radii(tuple(KINDS), graphs)
+    for kind, results in zip(KINDS, solved):
+        for h, row in zip(graphs, results):
+            single = spectral_radius(kind, h)
+            assert (row.iterations, row.lower, row.upper, row.residual) == (
+                single.iterations, single.lower, single.upper, single.residual
+            )
+            assert row.eigvec.tobytes() == single.eigvec.tobytes()
+        assert results[1].upper < results[0].lower  # the graft lowers rho
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
