@@ -17,9 +17,7 @@ iteration; the bracket holds for any positive x.  A Newton-Noda step
 (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM J. Matrix Anal. Appl. 2009),
 solves one linear system per row by eliminating along the supertree, each
 edge's block scaled to a diagonal plus c 11^T, in O(m k) time and memory,
-and converges quadratically, in
-about ten steps where the power iteration needs thousands on long paths
-and nearly degenerate shapes.  spectral_radii(kinds, graphs) runs the
+and converges quadratically.  spectral_radii(kinds, graphs) runs the
 iteration on a batch of graphs sharing (n, m, k) under a tuple of kinds,
 one row per graph and kind, kind-major: each kind's rows form a block
 (kind, start, stop), each graph is indexed and peeled once for all kinds,
@@ -30,14 +28,13 @@ same order, each sum over an edge's children left to right, so they give
 the same bits: numpy, one height of every row at a time, for wide
 batches such as a census, and Python floats, edge by edge, for a
 schedule whose heights hold at most NARROW_WIDTH edges on average, such
-as a single path or graft-chain tree, where numpy's fixed cost per height
-outweighs the few edges it holds.  The elimination order comes from a
-leaf peel of the batch in O(m k) per graph whatever its height: numpy
-rounds while a round peels more than NARROW_WIDTH edges, then a queue in
-Python ints for the rest (_elimination_order).  A disconnected graph
-raises Disconnected.  In a batch with m (k-1) = n-1 such a graph has a
-cycle, which that leaf peel finds; any other batch is searched graph by
-graph.
+as a single path or graft-chain tree.  The schedule comes from a leaf
+peel of the batch in O(m k) per graph whatever its height, which emits
+the edges height by height and builds the schedule in one pass, once per
+batch (_elimination_order); when rows close, a stable filter takes the
+kept rows' schedule from it (_kept_rows).  A disconnected graph raises
+Disconnected.  In a batch with m (k-1) = n-1 such a graph has a cycle,
+which that leaf peel finds; any other batch is searched graph by graph.
 """
 
 from __future__ import annotations
@@ -72,35 +69,25 @@ from .tensors import (
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10**6
 # A Collatz-Wielandt bracket encloses rho up to rounding: of the ratios that
-# form it, and of each vertex's edge terms, summed one by one.  On
-# hyperstars of up to 20000 edges, k = 3..5, the exact closed forms fall
-# outside the computed brackets by up to 2.0e-13 relative (IncidenceQ at
-# n = 80001, k = 5), so brackets count as apart, and a closed form as
-# inside, only beyond this relative pad.
+# form it, and of each vertex's edge terms, summed one by one.  So brackets
+# count as apart, and a closed form as inside, only beyond this relative
+# pad, above the offsets measured on large stars (README's solver notes).
 ROUNDING_PAD = 1e-12
-# Far from rho a Newton-Noda step can widen the bracket; on 60 random tree
-# powers per k = 2, 3, 4 of up to 79 edges, pure Newton-Noda steps needed up
-# to 24 steps (q, k = 4), with up to 6 in a row without a narrower bracket.
-# A row that takes this many is taken to be stuck at its rounding floor.
+# Far from rho a Newton-Noda step can widen the bracket, for a few steps in a
+# row (README's solver notes); a row whose bracket has not narrowed for this
+# many steps is taken to be stuck at its rounding floor.
 NEWTON_PATIENCE = 30
 # Shifted power steps that every solve takes from the uniform vector before
-# its first bracket.  They find the rough shape of the Perron vector: over
-# the 144 solves of graft chains of 15 edges, 889 bracketed iterations (745
-# of them Newton-Noda steps) follow them against 1047 from the uniform
-# vector.  Three steps save a few more there, but loose_path(121, 3) then
-# takes one more under IncidenceQ.
+# its first bracket, to find the rough shape of the Perron vector; README's
+# solver notes give the step counts that chose two.
 WARM_STEPS = 2
 # A Newton-Noda step eliminates a schedule edge by edge in Python floats
 # when its heights hold at most this many edges on average, and height by
-# height in numpy otherwise.  A height costs numpy about 19 calls, some
-# 25-30 us whatever its width, and an edge costs the Python loop about
-# 1.6 us at k = 3, more at larger k.  Timing both kernels on steps of
-# batches of loose paths (m = 20, widths 6 to 20; numpy 2.4, Python 3.11,
-# one CPU of a shared host), the loop was as fast as numpy at about 18
-# edges per height for k = 2, 16 for k = 3, 12 for k = 4, 10-12 for k = 5
-# and 10 for k = 9; at 8 it is the faster kernel for every k measured.
+# height in numpy otherwise, whose fixed cost per height outweighs a few
+# edges; below the measured crossover for every k (README's solver notes).
 # _elimination_order's leaf peel leaves numpy for a queue in Python ints at
-# the first round that peels at most this many edges; see its docstring.
+# the first round that peels at most this many edges, near the crossover
+# of its two phases.
 NARROW_WIDTH = 8
 ALPHA_STAR_TOL = 1e-13  # relative, for alpha_star's bisection
 
@@ -187,23 +174,22 @@ def spectral_radii(
     newton = m * (k - 1) == n - 1
     if not newton and not all(is_connected(g) for g in graphs):
         raise Disconnected("spectral_radius requires a connected hypergraph")
-    # each graph is indexed and peeled once, for its rows under every kind
+    # each graph is indexed and peeled once, for its rows under every kind;
+    # the schedule of the active rows is filtered from it as rows close
     idx = _edge_index(graphs)
     if newton:
-        idx, height = _elimination_order(idx, n)
-        height = np.tile(height, (len(kinds), 1))
-    idx = np.tile(idx, (len(kinds), 1, 1))
-    rows = len(idx)
+        flat, schedule = _elimination_order(idx, n, len(kinds))
+    else:
+        flat, schedule = _row_offset(np.tile(idx, (len(kinds), 1, 1)), n), None
+    rows = len(flat)
     # (kind, start, stop): a row keeps its kind-major place as rows freeze,
     # so each kind's rows stay contiguous
     blocks = [(kd, i * count, (i + 1) * count) for i, kd in enumerate(kinds)]
-    schedule = None  # built for the active rows when a Newton step needs it
     results: list[SpectralResult | None] = [None] * rows
     active = np.arange(rows)  # batch row -> its kind-major row
     on_newton = np.full(rows, newton)  # rows still taking Newton-Noda steps
     best = np.full(rows, np.inf)  # each row's narrowest bracket so far
     stalls = np.zeros(rows, dtype=np.intp)  # steps since it narrowed
-    flat = _row_offset(idx, n)
     x = np.full((rows, n), n ** (-1.0 / k))
     for _ in range(WARM_STEPS):
         y = _contract(blocks, flat, x.ravel()[flat], n) + x ** (k - 1)
@@ -238,7 +224,8 @@ def spectral_radii(
             on_newton, best, stalls = on_newton[keep], best[keep], stalls[keep]
             stops = np.searchsorted(active, count * np.arange(1, len(kinds) + 1)).tolist()
             blocks = [(kd, s, e) for kd, s, e in zip(kinds, [0, *stops], stops) if e > s]
-            flat, schedule = _row_offset(idx[active], n), None
+            flat = _row_offset(flat[keep] % n, n)
+            schedule = _kept_rows(schedule, keep, flat, n) if newton else None
         x_next, power = y, slice(None)  # power: the rows that take a power step
         if newton:
             # A row at its rounding floor (a bracket within ROUNDING_PAD that
@@ -256,8 +243,6 @@ def spectral_radii(
                 on_newton &= (stalls < NEWTON_PATIENCE) & ~floor
             if on_newton.any():
                 # all active rows step on one schedule; rows on Newton take the step
-                if schedule is None:
-                    schedule = _schedule(flat, height[active])
                 step = _newton_noda_step(schedule, x, xk1, ax, _linearize(blocks, x, vals), upper)
                 on_newton &= (np.isfinite(step) & (step > 0)).all(axis=1)
                 if on_newton.all():
@@ -296,134 +281,147 @@ def _normalized(x: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _elimination_order(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order in which a Newton-Noda step eliminates a batch of
-    supertrees, from their (B, m, k) 0-based edge index; Disconnected
-    unless every row is a supertree.
+def _elimination_order(idx: np.ndarray, n: int, copies: int = 1) -> tuple[np.ndarray, tuple]:
+    """The parent-first index and the Newton-Noda schedule of copies blocks
+    of the batch of supertrees with the (B, m, k) 0-based edge index idx,
+    peeled once for all blocks; Disconnected unless every row is a
+    supertree.
 
     Rounds of leaf peeling remove, in every row at once, each edge with at
     most one vertex in another remaining edge; an edge's height is its
     round.  Its parent is that shared vertex, or its first vertex when it is
     the last edge; the others are its children.  Every vertex but one root
     per row is a child of exactly one edge, and is the parent only of
-    edges of smaller height.  Returns idx with each parent moved to
-    position 0, and the (B, m) heights.
+    edges of smaller height.  The index is idx repeated copies times, each
+    parent moved to position 0, row-offset: (copies B, m, k).
 
-    The peel has two phases.  Numpy rounds cost O(B m k) each, one per
-    height, so they alone would cost O(m k height) on a deep supertree:
-    2.0 s on loose_path(20001, 3), whose 5000 rounds peel two edges each.
-    While a round peels more than NARROW_WIDTH edges of the batch, as a
-    census batch's first rounds and a star's one round do, it runs in
-    numpy: one bincount of the live edges' vertices gives each vertex's
+    The schedule (verts, levels, order, narrow, perm) holds the index as
+    (copies B m, k) rows; the edges in height order, block by block within
+    a height and row-major within a block; each height as a slice of order
+    with its parents' places in perm; those places as a list when the
+    heights hold at most NARROW_WIDTH edges on average, for
+    _newton_noda_step's edge-by-edge kernel (None otherwise); and perm,
+    the children of the edges in height order, each edge's k-1 together,
+    then the roots in row order, so that each height's children are one
+    contiguous run and every edge's parent has its own place.
+
+    The peel emits the edges height by height, each height once per block,
+    so the schedule is built in one pass over that order, with no sort.
+    While a round peels more than NARROW_WIDTH edges of the batch it runs
+    in numpy: one bincount of the live edges' vertices gives each vertex's
     degree, and so each edge's count of shared vertices.  The first round
     that peels NARROW_WIDTH edges or fewer hands the live edges, with those
-    degrees and counts, to a queue in Python ints that touches each edge
-    and incidence once, O(m k) in all (0.011 s on that path): removing an
-    edge lowers its vertices' degrees, a vertex left in one live edge
-    lowers that edge's count, and an edge whose count falls to 1 joins the
-    next round.  Each vertex keeps the sum of its live edges' numbers,
-    which names its one live edge once its degree is 1.  The hand-off
-    reuses NARROW_WIDTH, at the measured crossover: on one tree whose
-    rounds all peel w edges (legs of four edges), the two phases cost the
-    same at about w = 8-12 for k = 2, 3 and 6-8 for k = 5, and on batches
-    of loose paths, whose numpy rounds pay for every row, the queue was
-    still the faster at w = 32.
-
-    With m (k-1) = n-1 a row is a supertree iff it has no cycle.  The
-    edges of a cycle never peel and acyclic rows empty first, so a round
-    that finds no leaf, which always falls to the queue, means a cycle:
-    the queue then ends with live edges left.
+    degrees and counts, to a queue in Python ints (_peel_queue) that
+    touches each edge and incidence once, so the peel costs O(m k) per
+    graph whatever its height.  With m (k-1) = n-1 a row is a supertree
+    iff it has no cycle.  The edges of a cycle never peel and acyclic rows
+    empty first, so a round that finds no leaf, which always falls to the
+    queue, means a cycle: the queue then ends with live edges left.
     """
     rows, m, k = idx.shape
-    flat = _row_offset(idx, n)
-    height = np.zeros((rows, m), dtype=np.intp)
-    parent = np.zeros((rows, m), dtype=np.intp)
-    live = np.ones((rows, m), dtype=bool)
-    h = 0
-    while live.any():
-        deg = np.bincount(flat[live].ravel(), minlength=rows * n)[flat]
-        leaf = live & ((deg > 1).sum(axis=2) <= 1)
+    width = rows * m  # edges in one block
+    shifts = [width * c for c in range(copies)]  # each block's first edge
+    flat = inc = _row_offset(idx, n).reshape(-1, k)  # inc: the live edges' vertices
+    ids, parent = np.arange(width), np.zeros(width, dtype=np.intp)  # live edges; parent places
+    # every block's edges by height, and where each height ends
+    order, stops = np.empty(copies * width, dtype=np.intp), [0]
+    while True:
+        deg = np.bincount(inc.ravel(), minlength=rows * n)[inc]
+        shared = (deg > 1) @ np.full(k, 1)  # a matrix product sums short rows fastest
+        leaf = shared <= 1
         if np.count_nonzero(leaf) <= NARROW_WIDTH:
             break
-        height[leaf] = h
-        parent[leaf] = deg.argmax(axis=2)[leaf]
-        live &= ~leaf
-        h += 1
-    if live.any():
-        # the queue, on the live edges numbered j = 0, 1, ... in idx's order,
-        # each vertex numbered by one of its slots in their incidences; a
-        # vertex's sum of edge numbers is a float, exact below 2**53
-        ids = np.flatnonzero(live)
-        inc = flat.reshape(-1, k)[ids].ravel()
-        slot = np.empty(rows * n, dtype=np.intp)
-        slot[inc] = np.arange(len(inc))
-        verts = slot[inc]
-        deg = deg.reshape(-1, k)[ids]
-        owner = np.bincount(verts, np.arange(len(ids)).repeat(k), len(inc)).astype(np.intp)
-        degree, owner = deg.ravel().tolist(), owner.tolist()
-        count, verts = (deg > 1).sum(axis=1).tolist(), verts.reshape(-1, k).tolist()
-        level = [j for j, s in enumerate(count) if s <= 1]
-        heights, places = [0] * len(ids), [0] * len(ids)
-        left = len(ids)
-        while level:
-            left -= len(level)
-            for j in level:
-                heights[j] = h
-                for i, v in enumerate(verts[j]):
-                    if degree[v] > 1:
-                        places[j] = i
-                        break
-            following = []
-            for j in level:
-                for v in verts[j]:
-                    degree[v] -= 1
-                    owner[v] -= j
-                    if degree[v] == 1:  # v's one live edge shares one vertex fewer
-                        i = owner[v]
-                        count[i] -= 1
-                        if count[i] == 1:
-                            following.append(i)
-            level, h = following, h + 1
-        if left:
-            raise Disconnected("spectral_radius requires a connected hypergraph")
-        height.reshape(-1)[ids] = heights
-        parent.reshape(-1)[ids] = places
+        peeled, ids, inc = ids[leaf], ids[~leaf], np.compress(~leaf, inc, axis=0)
+        parent[peeled] = deg.argmax(axis=1)[leaf]
+        stops.append(stops[-1] + len(peeled) * copies)
+        order[stops[-2] : stops[-1]] = np.add.outer(shifts, peeled).ravel()
+    parent[ids] = _peel_queue(inc, deg, shared, ids, shifts, order, stops, rows * n)
     # move each edge's parent to position 0, and its first vertex to the
-    # parent's place
-    r, e = np.arange(rows)[:, None], np.arange(m)
-    out = idx.copy()
-    out[r, e, parent] = idx[..., 0]
-    out[..., 0] = idx[r, e, parent]
-    return out, height
+    # parent's place, and repeat the index once per block
+    edge = np.arange(width)
+    flat[:, 0], flat[edge, parent] = flat[edge, parent], flat[:, 0].copy()
+    verts = (flat + np.arange(0, copies * rows * n, rows * n)[:, None, None]).reshape(-1, k)
+    # the children in height order, then each row's root, its one vertex
+    # that is no child, in row order
+    perm, kids = np.empty(copies * rows * n, dtype=np.intp), len(order) * (k - 1)
+    perm[:kids] = verts[order, 1:].ravel()
+    perm[kids:] = np.flatnonzero(np.bincount(perm[:kids], minlength=len(perm)) == 0)
+    return verts.reshape(copies * rows, m, k), _schedule(verts, order, perm, stops)
 
 
-def _schedule(flat: np.ndarray, height: np.ndarray) -> tuple:
-    """Schedule of a Newton-Noda step on rows of _elimination_order's idx,
-    row-offset (flat), and height: the (B m, k) edge index, each height's
-    edges as a slice and its parents' places, the edges in height order,
-    every edge's parent place as a list when the schedule is narrow (None
-    otherwise), and the level-major permutation of the B n vertices.
+def _peel_queue(inc, deg, shared, ids, shifts, order, stops, vertices) -> list:
+    """_elimination_order's queue on the live edges ids, with their
+    vertices inc, those vertices' degrees deg and each edge's count of
+    shared vertices: every live edge's parent place.  Fills the rest of
+    order with the live edges by height, each height once per block
+    shift, and appends the end of each height to stops; Disconnected if
+    edges are left.  Removing an edge lowers its vertices' degrees, a
+    vertex left in one live edge lowers that edge's count, and an edge
+    whose count falls to 1 joins the next height.  Each vertex keeps the
+    sum of its live edges' numbers, which names its one live edge once
+    its degree is 1.  Its lists, O(m k) Python objects, die on return,
+    before the schedule is built."""
+    # the live edges numbered j = 0, 1, ... in idx's order, each vertex
+    # numbered by one of its slots in their incidences; a vertex's sum of
+    # edge numbers is a float, exact below 2**53
+    slot = np.empty(vertices, dtype=np.intp)
+    slot[inc.ravel()] = np.arange(inc.size)
+    verts = slot[inc]
+    owner = np.bincount(verts.ravel(), np.arange(len(ids)).repeat(inc.shape[1]), inc.size)
+    degree, owner, count = deg.ravel().tolist(), owner.astype(np.intp).tolist(), shared.tolist()
+    verts, edges, start = verts.tolist(), ids.tolist(), stops[-1]
+    level, places, queued = [j for j, s in enumerate(count) if s <= 1], [0] * len(edges), []
+    while level:
+        level.sort()
+        for j in level:
+            for i, v in enumerate(verts[j]):
+                if degree[v] > 1:
+                    places[j] = i
+                    break
+        following = []
+        for j in level:
+            for v in verts[j]:
+                degree[v] = d = degree[v] - 1
+                owner[v] -= j
+                if d == 1:  # v's one live edge shares one vertex fewer
+                    i = owner[v]
+                    count[i] -= 1
+                    if count[i] == 1:
+                        following.append(i)
+        for s in shifts:
+            for j in level:
+                queued.append(edges[j] + s)
+        stops.append(start + len(queued))
+        level = following
+    if len(queued) < len(shifts) * len(edges):
+        raise Disconnected("spectral_radius requires a connected hypergraph")
+    order[start:] = queued
+    return places
 
-    The permutation lists the children of the edges in height order, each
-    edge's k-1 children together, then the B roots, so that each height's
-    children are one contiguous (edges, k-1) run and every edge's parent,
-    a child of a higher edge or a root, has its own place in it.  A
-    schedule is narrow when its heights hold at most NARROW_WIDTH edges
-    each on average; _newton_noda_step then eliminates it edge by edge."""
-    rows, m, k = flat.shape
-    verts = flat.reshape(-1, k)
-    order = np.argsort(height.ravel(), kind="stable")
-    perm = np.empty(rows * (m * (k - 1) + 1), dtype=np.intp)
-    by_height = verts[order]
-    perm[:-rows] = by_height[:, 1:].ravel()
-    perm[-rows:] = verts[height.argmax(axis=1) + m * np.arange(rows), 0]
+
+def _schedule(verts: np.ndarray, order: np.ndarray, perm: np.ndarray, stops: list) -> tuple:
+    """The schedule (verts, levels, order, narrow, perm) from its parts and
+    the bounds 0, ..., E of the heights in order; an edge's parent place is
+    that of its first vertex in perm."""
     place = np.empty_like(perm)
     place[perm] = np.arange(len(perm))
-    parent = place[by_height[:, 0]]
-    stops = np.cumsum(np.bincount(height.ravel())).tolist()
-    levels = [(slice(s, e), parent[s:e]) for s, e in zip([0, *stops], stops)]
+    parent = place[verts[order, 0]]
+    levels = [(e, parent[e]) for e in map(slice, stops, stops[1:])]
     narrow = parent.tolist() if len(order) <= NARROW_WIDTH * len(levels) else None
     return verts, levels, order, narrow, perm
+
+
+def _kept_rows(schedule: tuple, keep: np.ndarray, flat: np.ndarray, n: int) -> tuple:
+    """The schedule of the rows where keep is true, with flat their index
+    row-offset as rows 0, 1, ...: a stable filter of schedule, == the one
+    _elimination_order builds for those rows alone."""
+    _, levels, order, _, perm = schedule
+    m, row = flat.shape[1], order // flat.shape[1]
+    gone = np.arange(1, len(keep) + 1) - np.cumsum(keep)  # rows dropped up to each row
+    stops = [0, *np.cumsum(keep[row])[[e.stop - 1 for e, _ in levels]].tolist()]
+    order = (order - m * gone[row])[keep[row]]
+    perm = (perm - n * gone[perm // n])[keep[perm // n]]
+    return _schedule(flat.reshape(-1, flat.shape[2]), order, perm, stops[: stops.index(stops[-1]) + 1])
 
 
 def _newton_noda_step(
@@ -436,8 +434,9 @@ def _newton_noda_step(
     The step is Noda's iteration on the degree-one map
     F(x) = (T x^{k-1})^{[1/(k-1)]} (Ng, Qi & Zhou, SIAM J. Matrix Anal.
     Appl. 2009), whose Jacobian is diag(q)^{-1} M with M = T x^{k-2} and
-    q = ax^{[(k-2)/(k-1)]}.  schedule comes from _schedule, and top is each
-    row's bracket top, mu = top^{1/(k-1)}.  Then Z = mu diag(q) - M has
+    q = ax^{[(k-2)/(k-1)]}.  schedule comes from _elimination_order or
+    _kept_rows, and top is each row's bracket top, mu = top^{1/(k-1)}.
+    Then Z = mu diag(q) - M has
     Z x = ax ((top / r)^{1/(k-1)} - 1) >= 0, r the Collatz-Wielandt
     ratios, so it is a nonsingular M-matrix while the row's bracket is
     open, and w = Z^{-1} (q x) > 0.  The step is t w with

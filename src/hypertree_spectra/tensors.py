@@ -74,7 +74,8 @@ def _edge_index(graphs) -> np.ndarray:
     """(B, m, k) array of the 0-based vertices of each edge of each graph;
     the graphs must share (m, k)."""
     m, k = graphs[0].m, graphs[0].k
-    return np.array([g.edges for g in graphs], dtype=np.intp).reshape(len(graphs), m, k) - 1
+    vertices = itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs))
+    return np.fromiter(vertices, np.intp, len(graphs) * m * k).reshape(len(graphs), m, k) - 1
 
 
 def _row_offset(idx: np.ndarray, n: int) -> np.ndarray:

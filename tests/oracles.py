@@ -31,6 +31,8 @@ from hypertree_spectra.errors import (
     TooLarge,
 )
 from hypertree_spectra.hypergraph import _reach
+from hypertree_spectra.spectral import NARROW_WIDTH
+from hypertree_spectra.tensors import _row_offset
 from hypertree_spectra.transforms import GraftStep, edges_to_parents
 
 _BRUTE_FORCE_CAP = 2_000_000  # permutations examined by brute_force_canonical
@@ -363,6 +365,139 @@ def elimination_order_by_queue(edges, n: int) -> tuple[list[list[int]], list[int
     if any(live):
         raise Disconnected("the edges contain a cycle")
     return order, height
+
+
+def elimination_order_by_heights(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for spectral._elimination_order, as it was before the
+    peel built the schedule itself: the order in which a Newton-Noda step
+    eliminates a batch of supertrees, from their (B, m, k) 0-based edge
+    index; Disconnected unless every row is a supertree.
+
+    Rounds of leaf peeling remove, in every row at once, each edge with at
+    most one vertex in another remaining edge; an edge's height is its
+    round.  Its parent is that shared vertex, or its first vertex when it is
+    the last edge; the others are its children.  Every vertex but one root
+    per row is a child of exactly one edge, and is the parent only of
+    edges of smaller height.  Returns idx with each parent moved to
+    position 0, and the (B, m) heights.
+
+    The peel has two phases.  Numpy rounds cost O(B m k) each, one per
+    height, so they alone would cost O(m k height) on a deep supertree:
+    2.0 s on loose_path(20001, 3), whose 5000 rounds peel two edges each.
+    While a round peels more than NARROW_WIDTH edges of the batch, as a
+    census batch's first rounds and a star's one round do, it runs in
+    numpy: one bincount of the live edges' vertices gives each vertex's
+    degree, and so each edge's count of shared vertices.  The first round
+    that peels NARROW_WIDTH edges or fewer hands the live edges, with those
+    degrees and counts, to a queue in Python ints that touches each edge
+    and incidence once, O(m k) in all (0.011 s on that path): removing an
+    edge lowers its vertices' degrees, a vertex left in one live edge
+    lowers that edge's count, and an edge whose count falls to 1 joins the
+    next round.  Each vertex keeps the sum of its live edges' numbers,
+    which names its one live edge once its degree is 1.  The hand-off
+    reuses NARROW_WIDTH, at the measured crossover: on one tree whose
+    rounds all peel w edges (legs of four edges), the two phases cost the
+    same at about w = 8-12 for k = 2, 3 and 6-8 for k = 5, and on batches
+    of loose paths, whose numpy rounds pay for every row, the queue was
+    still the faster at w = 32.
+
+    With m (k-1) = n-1 a row is a supertree iff it has no cycle.  The
+    edges of a cycle never peel and acyclic rows empty first, so a round
+    that finds no leaf, which always falls to the queue, means a cycle:
+    the queue then ends with live edges left.
+    """
+    rows, m, k = idx.shape
+    flat = _row_offset(idx, n)
+    height = np.zeros((rows, m), dtype=np.intp)
+    parent = np.zeros((rows, m), dtype=np.intp)
+    live = np.ones((rows, m), dtype=bool)
+    h = 0
+    while live.any():
+        deg = np.bincount(flat[live].ravel(), minlength=rows * n)[flat]
+        leaf = live & ((deg > 1).sum(axis=2) <= 1)
+        if np.count_nonzero(leaf) <= NARROW_WIDTH:
+            break
+        height[leaf] = h
+        parent[leaf] = deg.argmax(axis=2)[leaf]
+        live &= ~leaf
+        h += 1
+    if live.any():
+        # the queue, on the live edges numbered j = 0, 1, ... in idx's order,
+        # each vertex numbered by one of its slots in their incidences; a
+        # vertex's sum of edge numbers is a float, exact below 2**53
+        ids = np.flatnonzero(live)
+        inc = flat.reshape(-1, k)[ids].ravel()
+        slot = np.empty(rows * n, dtype=np.intp)
+        slot[inc] = np.arange(len(inc))
+        verts = slot[inc]
+        deg = deg.reshape(-1, k)[ids]
+        owner = np.bincount(verts, np.arange(len(ids)).repeat(k), len(inc)).astype(np.intp)
+        degree, owner = deg.ravel().tolist(), owner.tolist()
+        count, verts = (deg > 1).sum(axis=1).tolist(), verts.reshape(-1, k).tolist()
+        level = [j for j, s in enumerate(count) if s <= 1]
+        heights, places = [0] * len(ids), [0] * len(ids)
+        left = len(ids)
+        while level:
+            left -= len(level)
+            for j in level:
+                heights[j] = h
+                for i, v in enumerate(verts[j]):
+                    if degree[v] > 1:
+                        places[j] = i
+                        break
+            following = []
+            for j in level:
+                for v in verts[j]:
+                    degree[v] -= 1
+                    owner[v] -= j
+                    if degree[v] == 1:  # v's one live edge shares one vertex fewer
+                        i = owner[v]
+                        count[i] -= 1
+                        if count[i] == 1:
+                            following.append(i)
+            level, h = following, h + 1
+        if left:
+            raise Disconnected("spectral_radius requires a connected hypergraph")
+        height.reshape(-1)[ids] = heights
+        parent.reshape(-1)[ids] = places
+    # move each edge's parent to position 0, and its first vertex to the
+    # parent's place
+    r, e = np.arange(rows)[:, None], np.arange(m)
+    out = idx.copy()
+    out[r, e, parent] = idx[..., 0]
+    out[..., 0] = idx[r, e, parent]
+    return out, height
+
+
+def schedule_by_heights(flat: np.ndarray, height: np.ndarray) -> tuple:
+    """Reference for the schedule spectral._elimination_order builds, by a
+    stable argsort of the heights: the schedule of a Newton-Noda step on
+    rows of elimination_order_by_heights' idx, row-offset (flat), and
+    height: the (B m, k) edge index, each height's
+    edges as a slice and its parents' places, the edges in height order,
+    every edge's parent place as a list when the schedule is narrow (None
+    otherwise), and the level-major permutation of the B n vertices.
+
+    The permutation lists the children of the edges in height order, each
+    edge's k-1 children together, then the B roots, so that each height's
+    children are one contiguous (edges, k-1) run and every edge's parent,
+    a child of a higher edge or a root, has its own place in it.  A
+    schedule is narrow when its heights hold at most NARROW_WIDTH edges
+    each on average; _newton_noda_step then eliminates it edge by edge."""
+    rows, m, k = flat.shape
+    verts = flat.reshape(-1, k)
+    order = np.argsort(height.ravel(), kind="stable")
+    perm = np.empty(rows * (m * (k - 1) + 1), dtype=np.intp)
+    by_height = verts[order]
+    perm[:-rows] = by_height[:, 1:].ravel()
+    perm[-rows:] = verts[height.argmax(axis=1) + m * np.arange(rows), 0]
+    place = np.empty_like(perm)
+    place[perm] = np.arange(len(perm))
+    parent = place[by_height[:, 0]]
+    stops = np.cumsum(np.bincount(height.ravel())).tolist()
+    levels = [(slice(s, e), parent[s:e]) for s, e in zip([0, *stops], stops)]
+    narrow = parent.tolist() if len(order) <= NARROW_WIDTH * len(levels) else None
+    return verts, levels, order, narrow, perm
 
 
 def graft_to_path_by_rounds(parents) -> list[GraftStep]:

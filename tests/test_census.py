@@ -338,9 +338,9 @@ def test_census_indexes_and_peels_each_shape_once(monkeypatch):
     calls = []
     peel = spectral._elimination_order
 
-    def counted(idx, n):
+    def counted(idx, n, copies=1):
         calls.append(len(idx))
-        return peel(idx, n)
+        return peel(idx, n, copies)
 
     monkeypatch.setattr(spectral, "_elimination_order", counted)
     census = enumerate_supertrees(15, 3, max_edges=7)

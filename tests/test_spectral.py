@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertree_spectra import (
     SpectralResult,
@@ -36,18 +38,20 @@ from hypertree_spectra.spectral import (
     DEFAULT_TOL,
     NARROW_WIDTH,
     _elimination_order,
+    _kept_rows,
     _newton_noda_step,
-    _schedule,
 )
 from hypertree_spectra.tensors import _edge_index, _linearize, _row_offset
 from oracles import (
     automorphism_orbits,
     dense_power_iteration,
+    elimination_order_by_heights,
     elimination_order_by_queue,
     enumerate_trees,
     orbit_constancy_check,
     rayleigh,
     relabel,
+    schedule_by_heights,
 )
 
 KINDS = list(TensorKind)
@@ -81,6 +85,36 @@ def test_rho_is_the_midpoint_of_the_bracket():
     result = spectral_radius(TensorKind.Adjacency, loose_path(7, 3))
     assert result.rho == 0.5 * (result.lower + result.upper)
     assert dataclasses.replace(result, lower=2.0, upper=3.0).rho == 2.5
+
+
+def _assert_residual(kind, g, result):
+    """result.residual is max|apply(kind, g, x) - rho x^{[k-1]}| at its
+    eigenvector x, up to a few ulps of max|apply|: the solver forms each
+    edge's products over its parent-first vertex order, apply over g's."""
+    ax = apply(kind, g, result.eigvec)
+    want = np.abs(ax - result.rho * result.eigvec ** (g.k - 1)).max()
+    assert abs(result.residual - want) <= 4 * np.spacing(np.abs(ax).max())
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_residual_is_recomputed_from_the_eigenvector(kind):
+    """Single solves: Newton-Noda on supertrees, power steps on a cycle."""
+    graphs = [
+        loose_path(121, 3), hyperstar(13, 4), double_star(2, 3, 5),
+        tree_power([1, 1, 2, 2, 3, 5, 5, 7], 3), s_cycle(4, 1, 3),
+    ]
+    for g in graphs:
+        _assert_residual(kind, g, spectral_radius(kind, g))
+
+
+def test_residual_of_every_row_of_a_three_kind_batch():
+    """The rows of the k=3 m=8 census close at different iterations, each
+    with the residual of its own eigenvector."""
+    graphs = _supertree_shapes(8, 3)
+    for kind, results in zip(KINDS, spectral_radii(tuple(KINDS), graphs)):
+        assert len({r.iterations for r in results}) > 1
+        for g, result in zip(graphs, results):
+            _assert_residual(kind, g, result)
 
 
 def test_spectral_radius_disconnected():
@@ -380,10 +414,8 @@ def test_newton_closes_bracket_exactly():
 def _step_inputs(graphs, kind, x):
     """The schedule of a Newton-Noda step on graphs, and the factors of
     M(x) under kind for the rows of x."""
-    n = graphs[0].n
-    idx, height = _elimination_order(_edge_index(graphs), n)
-    flat = _row_offset(idx, n)
-    return _schedule(flat, height), _linearize([(kind, 0, len(x))], x, x.ravel()[flat])
+    flat, schedule = _elimination_order(_edge_index(graphs), graphs[0].n)
+    return schedule, _linearize([(kind, 0, len(x))], x, x.ravel()[flat])
 
 
 def _kernels(schedule):
@@ -585,8 +617,7 @@ def test_elimination_order_on_census(k, m):
     its children."""
     graphs = _supertree_shapes(m, k)
     n = graphs[0].n
-    idx, height = _elimination_order(_edge_index(graphs), n)
-    perm = _schedule(_row_offset(idx, n), height)[-1]
+    idx, height, perm = _peeled(graphs)
     roots = perm[-len(graphs) :] - n * np.arange(len(graphs))
     for g, edges, heights, root in zip(graphs, idx, height, roots):
         assert sorted(tuple(sorted(e + 1)) for e in edges) == list(g.edges)
@@ -598,10 +629,22 @@ def test_elimination_order_on_census(k, m):
             assert child_height.get(int(e[0]), m) > h
 
 
+def _peeled(graphs) -> tuple:
+    """_elimination_order of the batch: the 0-based parent-first edges, the
+    (B, m) heights, read off the schedule's levels, and perm."""
+    n = graphs[0].n
+    flat, (_, levels, order, _, perm) = _elimination_order(_edge_index(graphs), n)
+    rows, m, _ = flat.shape
+    height = np.empty(rows * m, dtype=np.intp)
+    for h, (e, _) in enumerate(levels):
+        height[order[e]] = h
+    return flat - n * np.arange(rows)[:, None, None], height.reshape(rows, m), perm
+
+
 def _assert_order_matches_queue_peel(graphs):
     """_elimination_order of the batch, row by row == the queue peel's."""
     n = graphs[0].n
-    idx, height = _elimination_order(_edge_index(graphs), n)
+    idx, height, _ = _peeled(graphs)
     for g, edges, heights in zip(graphs, idx.tolist(), height.tolist()):
         want = elimination_order_by_queue([[v - 1 for v in e] for e in g.edges], n)
         assert (edges, heights) == want
@@ -630,10 +673,12 @@ def test_elimination_order_matches_queue_peel_on_paths_and_stars(k):
 
 
 def test_elimination_order_and_queue_peel_reject_a_cyclic_row():
+    """In a batch, and alone under one or three kinds."""
     connected = loose_path(7, 3)
     cyclic = validate([[1, 2, 3], [1, 2, 4], [5, 6, 7]], 7)  # same (n, m, k)
-    with pytest.raises(Disconnected):
-        _elimination_order(_edge_index([connected, cyclic, connected]), 7)
+    for batch, copies in (([connected, cyclic, connected], 1), ([cyclic], 1), ([cyclic], 3)):
+        with pytest.raises(Disconnected):
+            _elimination_order(_edge_index(batch), 7, copies)
     with pytest.raises(Disconnected):
         elimination_order_by_queue([[v - 1 for v in e] for e in cyclic.edges], 7)
 
@@ -668,6 +713,62 @@ def test_elimination_order_hands_off_mid_peel(k):
             _assert_order_matches_queue_peel(batch)
 
 
+@st.composite
+def _supertree_batches(draw):
+    """1-6 supertrees sharing (n, m, k), k = 2..5 and m = 1..24, each a
+    random tree power, a star or a loose path with its vertices relabelled,
+    and a number of kinds, 1-3."""
+    k, m = draw(st.integers(2, 5)), draw(st.integers(1, 24))
+    n = m * (k - 1) + 1
+    graphs = []
+    for _ in range(draw(st.integers(1, 6))):
+        shape = draw(st.sampled_from(["tree", "star", "path"]))
+        if shape == "tree":
+            g = tree_power([draw(st.integers(1, i + 1)) for i in range(m)], k)
+        else:
+            g = (hyperstar if shape == "star" else loose_path)(n, k)
+        labels = draw(st.permutations(range(1, n + 1)))
+        graphs.append(relabel(g, dict(zip(range(1, n + 1), labels))))
+    return graphs, draw(st.integers(1, 3))
+
+
+def _assert_schedule_is_the_height_sort(flat, schedule, idx, height, n):
+    """The index and the schedule == the reference's: the peel's (B, m, k)
+    parent-first idx and heights, row-offset and sorted by height."""
+    want = _row_offset(idx, n)
+    assert flat.dtype == want.dtype and np.array_equal(flat, want)
+    verts, levels, order, narrow, perm = schedule
+    w_verts, w_levels, w_order, w_narrow, w_perm = schedule_by_heights(want, height)
+    for got, expected in ((verts, w_verts), (order, w_order), (perm, w_perm)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert narrow == w_narrow
+    assert [e for e, _ in levels] == [e for e, _ in w_levels]
+    for (_, got), (_, expected) in zip(levels, w_levels):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supertree_batches(), st.data())
+def test_schedule_is_the_height_sort_and_closing_rows_filter_it(batch, data):
+    """The peel's schedule of a batch under 1-3 kinds == the reference
+    peel's heights sorted by a stable argsort, and so is every schedule
+    left after dropping a random non-empty set of rows, until one row is
+    left, as closing rows drop them in the solve."""
+    graphs, copies = batch
+    n = graphs[0].n
+    flat, schedule = _elimination_order(_edge_index(graphs), n, copies)
+    idx, height = elimination_order_by_heights(_edge_index(graphs), n)
+    idx, height = np.tile(idx, (copies, 1, 1)), np.tile(height, (copies, 1))
+    _assert_schedule_is_the_height_sort(flat, schedule, idx, height, n)
+    while len(idx) > 1:
+        drop = data.draw(st.sets(st.integers(0, len(idx) - 1), min_size=1, max_size=len(idx) - 1))
+        keep = np.ones(len(idx), dtype=bool)
+        keep[list(drop)] = False
+        flat = _row_offset(flat[keep] % n, n)  # as the solve keeps its index
+        schedule, idx, height = _kept_rows(schedule, keep, flat, n), idx[keep], height[keep]
+        _assert_schedule_is_the_height_sort(flat, schedule, idx, height, n)
+
+
 def test_elimination_order_rejects_a_cycle_in_either_phase():
     """Beside two stars on 13 vertices, k = 2, a triangle with nine
     pendant edges at one vertex peels 33 edges on numpy in the first round
@@ -688,10 +789,11 @@ def test_elimination_order_rejects_a_cycle_in_either_phase():
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_elimination_order_of_no_edge_and_one_edge(k):
     for g in (validate([], 1, k=k), single_edge(k)):
-        idx, height = _elimination_order(_edge_index([g, g]), g.n)
+        idx, height, perm = _peeled([g, g])
         assert idx.shape == (2, g.m, k) and height.shape == (2, g.m)
+        assert sorted(perm.tolist()) == list(range(2 * g.n))
         _assert_order_matches_queue_peel([g, g])
-    assert _elimination_order(_edge_index([single_edge(k)]), k)[1].tolist() == [[0]]
+    assert _peeled([single_edge(k)])[1].tolist() == [[0]]
 
 
 @pytest.mark.parametrize("n,k", [(2001, 3), (2001, 2)])
