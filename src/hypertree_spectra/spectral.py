@@ -405,7 +405,7 @@ def _schedule(verts: np.ndarray, order: np.ndarray, perm: np.ndarray, stops: lis
     that of its first vertex in perm."""
     place = np.empty_like(perm)
     place[perm] = np.arange(len(perm))
-    parent = place[verts[order, 0]]
+    parent = place[verts[:, 0][order]]
     levels = [(e, parent[e]) for e in map(slice, stops, stops[1:])]
     narrow = parent.tolist() if len(order) <= NARROW_WIDTH * len(levels) else None
     return verts, levels, order, narrow, perm
