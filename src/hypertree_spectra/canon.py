@@ -1,12 +1,14 @@
 """Canonical forms of supertrees.
 
-A supertree's bipartite vertex/edge incidence graph is a tree, so its AHU
-code rooted at the tree's center (Aho, Hopcroft & Ullman 1974) yields an
-exact canonical labeling, ``_label``, which also numbers the census shapes.
-A code is a bit string: "1", the children's codes in sorted order, "0".  No
+A supertree's bipartite vertex/edge incidence tree has one center, and its
+AHU code rooted there (Aho, Hopcroft & Ullman 1974) yields an exact
+canonical labeling, ``_label``, which also numbers the census shapes.  A
+code is a bit string: "1", the children's codes in sorted order, "0".  No
 code is a proper prefix of another, so with "0" < "1" codes sort as nested
-lists of child codes do, and nothing recurses.  The leaf peeling that finds
-the center is also the supertree test: any other hypergraph raises NotATree.
+lists of child codes do, and nothing recurses.  The codes are read off the
+solver's leaf peel, ``spectral._elimination_order``, which gives each
+edge's parent vertex and the edges by height, and is also the supertree
+test: any other hypergraph raises NotATree.
 
 A canonical form is the relabeled edge list: a sorted tuple of sorted
 vertex tuples.  Two supertrees are isomorphic iff their canonical forms
@@ -15,18 +17,47 @@ are equal.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .errors import NotATree
+from .errors import Disconnected, NotATree
 from .hypergraph import Hypergraph
+from .spectral import _elimination_order
+from .tensors import _edge_index
 
 CanonicalForm = tuple[tuple[int, ...], ...]
 
 
 def canonical_form(g: Hypergraph) -> CanonicalForm:
     """Canonical form of a supertree; NotATree for any other hypergraph."""
-    order, _, code = _center_peel(g.edges, g.n)
-    return tuple(sorted(_label(code, order[-1] < g.n)))
+    # with sum(|e| - 1) = n - 1 the incidence graph has one link fewer than
+    # nodes, so it is a tree iff it has no cycle, which the peel finds
+    if sum(len(e) - 1 for e in g.edges) != g.n - 1:
+        raise NotATree(f"{g.m} edges on {g.n} vertices cannot form a supertree")
+    if not g.edges:  # one vertex
+        return ()
+    try:
+        verts, (_, levels, order, _, _) = _elimination_order(_edge_index([g]), g.n)
+    except Disconnected:
+        raise NotATree("the edges contain a cycle") from None
+    # an edge's children are its vertices but its parent (position 0), and
+    # a vertex's children are the edges it is the parent of, all of smaller
+    # height, so walking the edges by height finds every child's code done.
+    # Only the parent keeps a child's code, so the live codes cover disjoint
+    # subtrees and memory stays linear
+    edges, kids = verts[0].tolist(), {}  # a vertex's children's codes
+
+    def code(children) -> str:
+        return "1" + "".join(sorted(children)) + "0"
+
+    for j in order.tolist():
+        parent, *children = edges[j]
+        codes = [code(kids.pop(v, ())) for v in children]
+        kids.setdefault(parent, []).append(code(codes))
+    # the last height is one edge, the center, whose code takes all its
+    # vertices, or edges around their shared parent vertex, the center
+    last = levels[-1][0]
+    if last.stop - last.start > 1:
+        return tuple(sorted(_label(code(kids[parent]), True)))
+    kids[parent].pop()  # the center's own code, appended last
+    return tuple(sorted(_label(code([code(kids[parent]), *codes]), False)))
 
 
 def _label(code: str, vertex_root: bool) -> list[tuple[int, ...]]:
@@ -49,41 +80,3 @@ def _label(code: str, vertex_root: bool) -> list[tuple[int, ...]]:
         else:  # an edge, child of the vertex path[-1] if any
             path.append(path[-1:])
     return edges
-
-
-def _center_peel(edges: Sequence[Sequence[int]], n: int) -> tuple[list, list, str]:
-    """Leaf peel of the incidence tree, whose nodes are ints (vertex v is
-    v-1, edge j is n+j): the peel order, center last, each node's parent,
-    and the center's AHU code.  NotATree unless the edges form a supertree."""
-    # with sum(|e| - 1) = n - 1 the incidence graph has one link fewer than
-    # nodes, so it is a tree iff it has no cycle, iff peeling removes it all
-    if sum(len(e) - 1 for e in edges) != n - 1:
-        raise NotATree(f"{len(edges)} edges on {n} vertices cannot form a supertree")
-    adj: list[list[int]] = [[] for _ in range(n + len(edges))]
-    for j, e in enumerate(edges):
-        for v in e:
-            adj[v - 1].append(n + j)
-            adj[n + j].append(v - 1)
-
-    # one leaf peel: a node peels after its children, and its one neighbour
-    # left is its parent.  Every leaf is a vertex, so leaf-to-leaf paths in
-    # the bipartite tree have even length and the last node peeled is the
-    # one center.  Only the parent keeps a child's code, so the live codes
-    # cover disjoint subtrees; siblings all have one type, so need no tag.
-    degree = [len(nbrs) for nbrs in adj]
-    order = [x for x, d in enumerate(degree) if d <= 1]
-    parent = [-1] * len(adj)
-    kids: list[list[str]] = [[] for _ in adj]  # children's codes until the node peels
-    for x in order:  # order grows while it is walked
-        code = "1" + "".join(sorted(kids[x])) + "0"
-        kids[x].clear()
-        for nb in adj[x]:
-            if parent[nb] != x:  # the one neighbour left
-                parent[x] = nb
-                kids[nb].append(code)
-                degree[nb] -= 1
-                if degree[nb] == 1:
-                    order.append(nb)
-    if len(order) < len(adj):
-        raise NotATree("the edges contain a cycle")
-    return order, parent, code

@@ -5,7 +5,8 @@ A supertree's incidence tree has exactly one center, and rooted there it
 is built once from smaller rooted pieces, so the census is isomorph-free
 by construction: no candidate is canonicalized, no set of forms is kept,
 and each shape is its center's AHU bit string, which canon's labeler
-numbers.  Free trees on n' nodes are the k=2 census with n'-1 edges.
+numbers.  Free trees on n' nodes are the k=2 census with n'-1 edges.  A
+record's four shape flags come from its degrees alone (_flags).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Iterator
 
-from .canon import _label, canonical_form
+from .canon import _label
 from .errors import IncompleteCensus, TooLarge
-from .families import _supertree_edges, double_star, hyperstar, loose_path
+from .families import _supertree_edges
 from .hypergraph import Hypergraph
 from .spectral import DEFAULT_TOL, ROUNDING_PAD, closed_form_hyperstar, spectral_radii
 from .tensors import TensorKind
@@ -154,14 +155,22 @@ def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]
             yield (p, *rest)
 
 
-def _is_tree_power(g: Hypergraph) -> bool:
-    """A supertree is a k-th power of an ordinary tree iff every edge
-    carries at least k-2 degree-one (filler) vertices."""
+def _flags(g: Hypergraph) -> dict[str, bool]:
+    """A supertree's shape flags, from its degrees.  Its largest degree is
+    m only when every edge meets one vertex: the hyperstar.  With m >= 3 it
+    is m-1 only when one more edge meets a star of m-1 edges away from
+    their center: S^k(1, m-2).  It is a k-th power of an ordinary tree iff
+    every edge carries at least k-2 degree-one (filler) vertices, and that
+    tree is a path, so the power a loose path, iff no degree exceeds 2."""
     degs = g.degrees
-    for e in g.edges:
-        if sum(1 for v in e if degs[v - 1] == 1) < g.k - 2:
-            return False
-    return True
+    top, m = max(degs), g.m
+    power = all(sum(degs[v - 1] == 1 for v in e) >= g.k - 2 for e in g.edges)
+    return {
+        "is_hyperstar": top == m,
+        "is_loose_path": power and top <= 2,
+        "is_double_star_1": m >= 3 and top == m - 1,
+        "is_tree_power": power,
+    }
 
 
 def enumerate_supertrees(
@@ -175,9 +184,6 @@ def enumerate_supertrees(
     m = _supertree_edges(n, k, "supertree")
     if m > max_edges:
         raise TooLarge(f"census capped at m <= {max_edges}, got m={m}")
-    star_form = canonical_form(hyperstar(n, k))
-    path_form = canonical_form(loose_path(n, k))
-    ds1_form = canonical_form(double_star(1, m - 2, k)) if m >= 3 else None
     shapes = _supertree_shapes(m, k)
     kinds, records = tuple(TensorKind), []
     for start in range(0, len(shapes), CENSUS_BATCH):
@@ -196,10 +202,7 @@ def enumerate_supertrees(
                         }
                         for kind, res in zip(kinds, results)
                     },
-                    is_hyperstar=g.edges == star_form,
-                    is_loose_path=g.edges == path_form,
-                    is_double_star_1=g.edges == ds1_form,
-                    is_tree_power=_is_tree_power(g),
+                    **_flags(g),
                 )
             )
     return Census(n=n, k=k, records=tuple(records))

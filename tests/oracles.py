@@ -20,12 +20,13 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
-from hypertree_spectra.canon import CanonicalForm, _center_peel
+from hypertree_spectra.canon import CanonicalForm
 from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.errors import (
     BadDimensions,
     Disconnected,
     InvalidSpec,
+    NotATree,
     NotLinear,
     PendentEdge,
     TooLarge,
@@ -113,14 +114,46 @@ def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
+def _node_peel(edges, n: int) -> tuple[list[int], list[int]]:
+    """Leaf peel of the incidence tree, whose nodes are ints (vertex v is
+    v-1, edge j is n+j), one node at a time: the peel order, center last,
+    and each node's parent (-1 for the center).  A node peels after its
+    children, and its one neighbour left is its parent.  Every leaf is a
+    vertex, so leaf-to-leaf paths have even length and the last node
+    peeled is the one center.  NotATree unless the edges form a
+    supertree: with sum(|e| - 1) = n - 1 the incidence graph is a tree iff
+    the peel takes every node."""
+    if sum(len(e) - 1 for e in edges) != n - 1:
+        raise NotATree(f"{len(edges)} edges on {n} vertices cannot form a supertree")
+    adj: list[list[int]] = [[] for _ in range(n + len(edges))]
+    for j, e in enumerate(edges):
+        for v in e:
+            adj[v - 1].append(n + j)
+            adj[n + j].append(v - 1)
+    degree = [len(nbrs) for nbrs in adj]
+    order = [x for x, d in enumerate(degree) if d <= 1]
+    parent = [-1] * len(adj)
+    for x in order:  # order grows while it is walked
+        for nb in adj[x]:
+            if parent[nb] != x:  # the one neighbour left
+                parent[x] = nb
+                degree[nb] -= 1
+                if degree[nb] == 1:
+                    order.append(nb)
+    if len(order) < len(adj):
+        raise NotATree("the edges contain a cycle")
+    return order, parent
+
+
 def supertree_orbits(edges, n: int) -> list[int]:
     """orbit[v-1] is the smallest vertex that an automorphism of the
     supertree maps v to.  Automorphisms fix the center, so two nodes share
     an orbit iff their paths from the center carry equal codes, level by
     level.  The codes are nested tuples of the children's codes, sorted,
-    built here from the peel's order and parents rather than taken from
-    canon's bit strings.  NotATree unless the edges form a supertree."""
-    order, parent, _ = _center_peel(edges, n)
+    built here from _node_peel's order and parents, independently of
+    the library's peel and bit strings.  NotATree unless the edges form a
+    supertree."""
+    order, parent = _node_peel(edges, n)
     code: list = [[] for _ in order]  # children's codes until the node's turn
     for x in order:  # children before parents
         code[x] = tuple(sorted(code[x]))

@@ -236,6 +236,26 @@ def test_leaf_peeling_decides_supertrees():
     assert supertrees == 735
 
 
+def test_canonical_form_rejects_a_cycle_in_either_peel_phase():
+    """A triangle beside a tree, k = 2, with m = n-1.  Beside nine pendant
+    edges at one vertex the peel's first round takes 9 > NARROW_WIDTH edges
+    on numpy and the hand-off finds nothing to peel; with a tail of three
+    edges at that vertex the first round takes ten and the queue one
+    height of two; beside a path of nine edges the queue alone peels, two
+    edges per round.  Each ends with the triangle left."""
+    triangle = [[1, 2], [2, 3], [1, 3]]
+    pendant = [[4, v] for v in range(5, 14)]
+    for edges, n in [
+        (triangle + pendant, 13),
+        (triangle + pendant + [[4, 14], [14, 15], [15, 16]], 16),
+        (triangle + [[v, v + 1] for v in range(4, 13)], 13),
+    ]:
+        g = validate(edges, n, k=2)
+        assert g.m == n - 1
+        with pytest.raises(NotATree):
+            canonical_form(g)
+
+
 def test_automorphism_orbits_need_a_supertree():
     with pytest.raises(NotATree):
         automorphism_orbits(s_cycle(4, 1, 3))

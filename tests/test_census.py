@@ -176,14 +176,32 @@ def test_growth_calls_no_canonical_form(monkeypatch):
     def refuse(*args):
         raise AssertionError("growth called a canonical form")
 
-    for target in [
-        "hypertree_spectra.canon.canonical_form",
-        "hypertree_spectra.canon._center_peel",
-        "hypertree_spectra.census.canonical_form",
-    ]:
-        monkeypatch.setattr(target, refuse)
+    monkeypatch.setattr("hypertree_spectra.canon.canonical_form", refuse)
     assert len(_supertree_shapes(8, 3)) == 126
     assert len(_supertree_shapes(7, 4)) == 56
+    # nor does the census, whose flags come from degrees
+    assert len(enumerate_supertrees(13, 3).records) == 19
+
+
+def test_census_flags_match_the_canonical_form_oracle():
+    """Each record's degree-read flags against their definitions: equal
+    to the canonical form of the hyperstar, the loose path or S^k(1, m-2),
+    and at least k-2 degree-one vertices in every edge."""
+    checked = 0
+    for k, top in [(2, 10), (3, 8), (4, 7), (5, 5)]:
+        for m in range(1, top + 1):
+            n = m * (k - 1) + 1
+            star, path = canonical_form(hyperstar(n, k)), canonical_form(loose_path(n, k))
+            ds1 = canonical_form(double_star(1, m - 2, k)) if m >= 3 else None
+            for r in enumerate_supertrees(n, k, max_edges=m).records:
+                g, degs = r.hypergraph, r.hypergraph.degrees
+                assert r.is_hyperstar == (g.edges == star)
+                assert r.is_loose_path == (g.edges == path)
+                assert r.is_double_star_1 == (g.edges == ds1)
+                fillers = [sum(degs[v - 1] == 1 for v in e) for e in g.edges]
+                assert r.is_tree_power == (min(fillers) >= k - 2)
+                checked += 1
+    assert checked == 755
 
 
 @pytest.mark.parametrize(
