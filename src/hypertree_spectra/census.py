@@ -157,18 +157,19 @@ def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]
 
 def _flags(g: Hypergraph) -> dict[str, bool]:
     """A supertree's shape flags, from its degrees.  Its largest degree is
-    m only when every edge meets one vertex: the hyperstar.  With m >= 3 it
-    is m-1 only when one more edge meets a star of m-1 edges away from
-    their center: S^k(1, m-2).  It is a k-th power of an ordinary tree iff
-    every edge carries at least k-2 degree-one (filler) vertices, and that
-    tree is a path, so the power a loose path, iff no degree exceeds 2."""
+    m only when every edge meets one vertex: the hyperstar.  It is m-1 only
+    when one more edge meets a star of m-1 edges away from their center:
+    S^k(1, m-2), so m >= 3 (with m <= 2 the largest degree is m).  It is a
+    k-th power of an ordinary tree iff every edge carries at least k-2
+    degree-one (filler) vertices, and that tree is a path, so the power a
+    loose path, iff no degree exceeds 2."""
     degs = g.degrees
     top, m = max(degs), g.m
     power = all(sum(degs[v - 1] == 1 for v in e) >= g.k - 2 for e in g.edges)
     return {
         "is_hyperstar": top == m,
         "is_loose_path": power and top <= 2,
-        "is_double_star_1": m >= 3 and top == m - 1,
+        "is_double_star_1": top == m - 1,
         "is_tree_power": power,
     }
 
