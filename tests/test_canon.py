@@ -283,3 +283,14 @@ def test_canonical_form_of_a_deep_or_wide_tree(family):
 def test_canonical_form_of_a_deep_path_is_relabeling_invariant():
     g = loose_path(601, 3)
     assert canonical_form(_random_relabel(g, random.Random(0))) == canonical_form(g)
+
+
+def test_canonical_form_of_every_census_shape():
+    """A relabeled census shape canonicalizes to the shape itself, which
+    the census numbers with canon's labeler, whether the center is an
+    edge or a vertex."""
+    rnd = random.Random(32)
+    for k, top in [(2, 9), (3, 7), (4, 5)]:
+        for m in range(1, top + 1):
+            for g in _supertree_shapes(m, k):
+                assert canonical_form(_random_relabel(g, rnd)) == g.edges
