@@ -5,8 +5,12 @@ A supertree's incidence tree has exactly one center, and rooted there it
 is built once from smaller rooted pieces, so the census is isomorph-free
 by construction: no candidate is canonicalized, no set of forms is kept,
 and each shape is its center's AHU bit string, which canon's labeler
-numbers.  Free trees on n' nodes are the k=2 census with n'-1 edges.  A
-record's four shape flags come from its degrees alone (_flags).
+numbers.  Free trees on n' nodes are the k=2 census with n'-1 edges.
+Each batch of shapes is indexed once: the solver's core (spectral._solve)
+freezes each row of the index as plain values, the records' solves, and
+one bincount over it gives the shapes' degrees, and so their four flags
+(_flags).  verify_extremal reads each kind's brackets into two lists of
+floats and takes each claim's envelope over lists of record places.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Iterator
 
+import numpy as np
+
 from .canon import _label
 from .errors import IncompleteCensus, TooLarge
 from .families import _supertree_edges
 from .hypergraph import Hypergraph
-from .spectral import DEFAULT_TOL, ROUNDING_PAD, closed_form_hyperstar, spectral_radii
-from .tensors import TensorKind
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, ROUNDING_PAD, _solve, closed_form_hyperstar
+from .tensors import TensorKind, _edge_index, _row_offset
 
 MAX_CENSUS_EDGES = 6
 # Shapes per solver batch, each solved under all three kinds.  The solver's
@@ -155,23 +161,22 @@ def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]
             yield (p, *rest)
 
 
-def _flags(g: Hypergraph) -> dict[str, bool]:
-    """A supertree's shape flags, from its degrees.  Its largest degree is
-    m only when every edge meets one vertex: the hyperstar.  It is m-1 only
-    when one more edge meets a star of m-1 edges away from their center:
-    S^k(1, m-2), so m >= 3 (with m <= 2 the largest degree is m).  It is a
-    k-th power of an ordinary tree iff every edge carries at least k-2
-    degree-one (filler) vertices, and that tree is a path, so the power a
-    loose path, iff no degree exceeds 2."""
-    degs = g.degrees
-    top, m = max(degs), g.m
-    power = all(sum(degs[v - 1] == 1 for v in e) >= g.k - 2 for e in g.edges)
-    return {
-        "is_hyperstar": top == m,
-        "is_loose_path": power and top <= 2,
-        "is_double_star_1": top == m - 1,
-        "is_tree_power": power,
-    }
+def _flags(idx: np.ndarray, n: int) -> Iterator[tuple[bool, bool, bool, bool]]:
+    """Each shape's flags (hyperstar, loose path, S^k(1, m-2), tree power)
+    in CensusRecord's order, for the batch of supertrees on n vertices with
+    the (B, m, k) 0-based edge index idx, from their degrees.  A largest
+    degree of m means every edge meets one vertex: the hyperstar.  One of
+    m-1 means one more edge meets a star of m-1 edges away from their
+    center: S^k(1, m-2), so m >= 3 (with m <= 2 the largest degree is m).
+    A supertree is a k-th power of an ordinary tree iff every edge carries
+    at least k-2 degree-one (filler) vertices, and that tree is a path, so
+    the power a loose path, iff no degree exceeds 2."""
+    rows, m, k = idx.shape
+    flat = _row_offset(idx, n)
+    deg = np.bincount(flat.ravel(), minlength=rows * n)
+    top = deg.reshape(rows, n).max(1)
+    power = ((deg[flat] == 1).sum(2) >= k - 2).all(1)
+    return zip(*(a.tolist() for a in (top == m, power & (top <= 2), top == m - 1, power)))
 
 
 def enumerate_supertrees(
@@ -189,23 +194,14 @@ def enumerate_supertrees(
     kinds, records = tuple(TensorKind), []
     for start in range(0, len(shapes), CENSUS_BATCH):
         batch = shapes[start : start + CENSUS_BATCH]
-        solved = spectral_radii(kinds, batch, tol)
-        for g, *results in zip(batch, *solved):
-            records.append(
-                CensusRecord(
-                    hypergraph=g,
-                    solves={
-                        kind: {
-                            "iterations": res.iterations,
-                            "lower": res.lower,
-                            "upper": res.upper,
-                            "residual": res.residual,
-                        }
-                        for kind, res in zip(kinds, results)
-                    },
-                    **_flags(g),
-                )
-            )
+        idx = _edge_index(batch)
+        solved = _solve(kinds, idx, n, tol, DEFAULT_MAX_ITER)
+        for g, flags, *rows in zip(batch, _flags(idx, n), *solved):
+            solves = {
+                kind: {"iterations": it, "lower": lo, "upper": hi, "residual": res}
+                for kind, (_, res, it, lo, hi) in zip(kinds, rows)
+            }
+            records.append(CensusRecord(g, solves, *flags))
     return Census(n=n, k=k, records=tuple(records))
 
 
@@ -224,42 +220,42 @@ def bracket_verdict(own: tuple[float, float], rival: tuple[float, float]) -> tup
 
 def _claim(
     name: str,
-    kind: TensorKind,
-    winner: CensusRecord,
-    others: list[CensusRecord],
+    column: tuple[TensorKind, list[float], list[float]],
+    winner: int,
+    others: list[int],
     largest: bool,
     closed: float | None = None,
 ) -> Assertion:
-    """Certify from the stored brackets that winner's radius is strictly
-    above (largest) or below every radius of others.  The margin is the
-    certified gap, lower(winner) - max upper(others) for a maximum and
-    min lower(others) - upper(winner) for a minimum; a closed form, if
-    given, must lie inside winner's padded bracket."""
-    def bracket(r: CensusRecord) -> tuple[float, float]:
-        # oriented so that every claim reads "winner is the largest"
-        lo, hi = r.solves[kind]["lower"], r.solves[kind]["upper"]
-        return (lo, hi) if largest else (-hi, -lo)
-
+    """Certify from column, a kind and the brackets [lows[i], ups[i]] of the
+    census's records i under it, that record winner's radius is strictly
+    above (largest) or below every radius of the records others.  The
+    margin is the certified gap, lower(winner) - max upper(others) for a
+    maximum and min lower(others) - upper(winner) for a minimum; a closed
+    form, if given, must lie inside winner's padded bracket."""
+    kind, lows, ups = column
+    own = lows[winner], ups[winner]
     gap = None
     verdict = "certified"
     if others:
-        rivals = [bracket(r) for r in others]
-        envelope = (max(b[0] for b in rivals), max(b[1] for b in rivals))
-        verdict, gap = bracket_verdict(bracket(winner), envelope)
-    detail = f"{verdict} rho={winner.radii[kind]:.12g}"
+        low, up = map(lows.__getitem__, others), map(ups.__getitem__, others)
+        # oriented so that every claim reads "winner is the largest"
+        if largest:
+            verdict, gap = bracket_verdict(own, (max(low), max(up)))
+        else:
+            verdict, gap = bracket_verdict((-own[1], -own[0]), (-min(up), -min(low)))
+    detail = f"{verdict} rho={0.5 * (own[0] + own[1]):.12g}"
     # a point is inside the padded bracket iff neither is above the other
-    own = winner.solves[kind]["lower"], winner.solves[kind]["upper"]
     inside = closed is None or bracket_verdict(own, (closed, closed))[0] == "undecided"
     if closed is not None:
         detail += f" closed={closed:.12g}" + ("" if inside else " outside the bracket")
     return Assertion(name, kind.value, verdict == "certified" and inside, gap, detail)
 
 
-def _flagged(census: Census, flag: str, label: str) -> CensusRecord:
-    rec = next((r for r in census.records if getattr(r, flag)), None)
-    if rec is None:
+def _flagged(census: Census, flag: str, label: str) -> int:
+    at = next((i for i, r in enumerate(census.records) if getattr(r, flag)), None)
+    if at is None:
         raise IncompleteCensus(f"census lacks the {label}")
-    return rec
+    return at
 
 
 def verify_extremal(census: Census) -> VerificationReport:
@@ -270,17 +266,21 @@ def verify_extremal(census: Census) -> VerificationReport:
     star = _flagged(census, "is_hyperstar", "hyperstar")
     path = _flagged(census, "is_loose_path", "loose path")
     ds1 = _flagged(census, "is_double_star_1", "double star S(1, m-2)") if m >= 3 else None
-    rest = [r for r in census.records if r is not star]
-    below_ds1 = [r for r in rest if r is not ds1]
-    powers = [r for r in census.records if r.is_tree_power and r is not path]
+    # the records by their places in census.records, and each kind's
+    # brackets as two lists of floats, which the garbage collector skips
+    rest = [i for i in range(len(census.records)) if i != star]
+    below_ds1 = [i for i in rest if i != ds1]
+    powers = [i for i, r in enumerate(census.records) if r.is_tree_power and i != path]
     assertions: list[Assertion] = []
     skipped: list[str] = []
     for kind in TensorKind:
+        solves = [r.solves[kind] for r in census.records]
+        column = kind, [s["lower"] for s in solves], [s["upper"] for s in solves]
         closed = closed_form_hyperstar(kind, n, k)
-        assertions.append(_claim("hyperstar-maximal", kind, star, rest, True, closed))
+        assertions.append(_claim("hyperstar-maximal", column, star, rest, True, closed))
         if ds1 is None:
             skipped.append(f"second-largest check skipped for m={m} < 3 ({kind.value})")
         else:
-            assertions.append(_claim("second-largest-double-star", kind, ds1, below_ds1, True))
-        assertions.append(_claim("loose-path-minimal-among-powers", kind, path, powers, False))
+            assertions.append(_claim("second-largest-double-star", column, ds1, below_ds1, True))
+        assertions.append(_claim("loose-path-minimal-among-powers", column, path, powers, False))
     return VerificationReport(n, k, len(census.records), tuple(assertions), tuple(skipped))

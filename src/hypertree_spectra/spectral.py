@@ -23,18 +23,21 @@ one row per graph and kind, kind-major: each kind's rows form a block
 (kind, start, stop), each graph is indexed and peeled once for all kinds,
 and each step gathers x once for one tensor evaluation and one set of
 Newton-Noda factors over all blocks; the elimination takes the factors
-and knows no tensor.  It has two kernels with the same arithmetic in the
-same order, each sum over an edge's children left to right, so they give
-the same bits: numpy, one height of every row at a time, for wide
-batches such as a census, and Python floats, edge by edge, for a
-schedule whose heights hold at most NARROW_WIDTH edges on average, such
-as a single path or graft-chain tree.  The schedule comes from a leaf
-peel of the batch in O(m k) per graph whatever its height, which emits
-the edges height by height and builds the schedule in one pass, once per
-batch (_elimination_order); when rows close, a stable filter takes the
-kept rows' schedule from it (_kept_rows).  A disconnected graph raises
-Disconnected.  In a batch with m (k-1) = n-1 such a graph has a cycle,
-which that leaf peel finds; any other batch is searched graph by graph.
+and knows no tensor.  Its core, _solve, takes the batch's edge index and
+freezes each row as plain values as it closes; spectral_radii makes each a
+SpectralResult, and the census each graph's record.  It has two kernels
+with the same arithmetic in the same order, each sum over an edge's
+children left to right, so they give the same bits: numpy, one height of
+every row at a time, for wide batches such as a census, and Python
+floats, edge by edge, for a schedule whose heights hold at most
+NARROW_WIDTH edges on average, such as a single path or graft-chain
+tree.  The schedule comes from a leaf peel of the batch in O(m k) per
+graph whatever its height, which emits the edges height by height and
+builds the schedule in one pass, once per batch (_elimination_order);
+when rows close, a stable filter takes the kept rows' schedule from it
+(_kept_rows).  A disconnected graph raises Disconnected.  In a batch with
+m (k-1) = n-1 such a graph has a cycle, which that leaf peel finds; any
+other batch is searched graph by graph.
 """
 
 from __future__ import annotations
@@ -153,17 +156,13 @@ def spectral_radii(
     find no row at its floor, and one in which every row took a finite,
     positive Newton-Noda step skips the power step, which would have no
     row to step."""
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
-        raise BadParameter(f"tol must be positive and finite, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
-        raise BadParameter(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    _check_budget(tol, max_iter)
     if not (isinstance(kinds, tuple) and kinds and all(isinstance(kd, TensorKind) for kd in kinds)):
         raise BadParameter(f"kinds must be a non-empty tuple of TensorKind, got {kinds!r}")
     if not isinstance(graphs, Sequence):
         raise BadParameter(f"graphs must be a sequence of Hypergraph, got {type(graphs).__name__}")
     for g in graphs:
         _check_graph(g)
-    count = len(graphs)
     if not graphs:
         return [[] for _ in kinds]
     if len({(g.n, g.m, g.k) for g in graphs}) > 1:
@@ -171,12 +170,32 @@ def spectral_radii(
     n, m, k = graphs[0].n, graphs[0].m, graphs[0].k
     # with m (k-1) = n-1 a graph is a supertree, which Newton-Noda needs,
     # iff it is connected, and _elimination_order's leaf peeling decides it
-    newton = m * (k - 1) == n - 1
-    if not newton and not all(is_connected(g) for g in graphs):
+    if m * (k - 1) != n - 1 and not all(is_connected(g) for g in graphs):
         raise Disconnected("spectral_radius requires a connected hypergraph")
+    return [
+        [SpectralResult(v.copy(), res, it, lo, hi) for v, res, it, lo, hi in rows]
+        for rows in _solve(kinds, _edge_index(graphs), n, tol, max_iter)
+    ]
+
+
+def _check_budget(tol, max_iter) -> None:
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
+        raise BadParameter(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
+        raise BadParameter(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+
+
+def _solve(kinds: tuple, idx: np.ndarray, n: int, tol: float, max_iter: int) -> list[list[tuple]]:
+    """spectral_radii's iteration on the connected graphs with the (B, m, k)
+    0-based edge index idx, after checking tol and max_iter alone: one list
+    per kind of each graph's row, frozen when its bracket closes as the
+    plain values (eigvec, residual, iterations, lower, upper), the eigvec a
+    row of one array shared by the rows that closed with it."""
+    _check_budget(tol, max_iter)
+    count, m, k = idx.shape
+    newton = m * (k - 1) == n - 1
     # each graph is indexed and peeled once, for its rows under every kind;
     # the schedule of the active rows is filtered from it as rows close
-    idx = _edge_index(graphs)
     if newton:
         flat, schedule = _elimination_order(idx, n, len(kinds))
     else:
@@ -185,7 +204,7 @@ def spectral_radii(
     # (kind, start, stop): a row keeps its kind-major place as rows freeze,
     # so each kind's rows stay contiguous
     blocks = [(kd, i * count, (i + 1) * count) for i, kd in enumerate(kinds)]
-    results: list[SpectralResult | None] = [None] * rows
+    results: list[tuple | None] = [None] * rows
     active = np.arange(rows)  # batch row -> its kind-major row
     on_newton = np.full(rows, newton)  # rows still taking Newton-Noda steps
     best = np.full(rows, np.inf)  # each row's narrowest bracket so far
@@ -209,13 +228,10 @@ def spectral_radii(
             lo, hi = lower[closed], upper[closed]
             rho = 0.5 * (lo + hi)
             residual = np.abs(ax[closed] - rho[:, None] * xk1[closed]).max(axis=1)
-            for r, at, res, a, b in zip(
-                closed.tolist(), active[closed].tolist(), residual.tolist(), lo.tolist(),
-                hi.tolist(),
+            for at, v, res, a, b in zip(
+                active[closed].tolist(), x[closed], residual.tolist(), lo.tolist(), hi.tolist()
             ):
-                results[at] = SpectralResult(
-                    eigvec=x[r].copy(), residual=res, iterations=it, lower=a, upper=b
-                )
+                results[at] = v, res, it, a, b
             if done.all():
                 return [results[i : i + count] for i in range(0, rows, count)]
             keep = ~done
