@@ -19,15 +19,16 @@ each pair i = 1..N, runs
 in the BASE checkout and in the CHANGE checkout, one right after the other:
 BASE first in odd pairs, CHANGE first in even ones, so that a drift in the
 host's speed falls on both sides alike.  Writes BENCH_<label>.json into
---out (the root of this checkout by default), holding per workload every
-run's end-to-end metrics and check counts, each side's median and quartiles
-of every metric, the number of pairs in which CHANGE read lower, and a
-verdict per metric (see verdict; the bounds come from BENCHMARK.json).  A run
-that times out or whose last line of output is not a JSON result counts as
-incorrect, and is recorded with its exit code and the tail of its stderr;
-the file is still written.  Uses the standard library only.  The exit code
-is 0 only if every run was correct and no metric's verdict is "worse"; each
-worse workload and metric is printed.
+--out, an existing directory (the root of this checkout by default),
+holding per workload every run's end-to-end metrics and check counts,
+each side's median and quartiles of every metric, the number of pairs in
+which CHANGE read lower, and a verdict per metric (see verdict; the
+bounds come from BENCHMARK.json).  A run that times out or whose last
+line of output is not a JSON result counts as incorrect, and is recorded
+with its exit code and the tail of its stderr; the file is still written.
+Uses the standard library only.  The exit code is 0 only if every run was
+correct and no metric's verdict is "worse"; each worse workload and
+metric is printed.
 """
 
 from __future__ import annotations
@@ -203,6 +204,8 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     if not 0 < args.seconds < math.inf:
         parser.error(f"--seconds must be positive and finite, got {args.seconds}")
+    if not args.out.is_dir():
+        parser.error(f"--out must be an existing directory, got {args.out}")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts, revisions = {}, {}
         for side in SIDES:

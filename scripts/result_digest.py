@@ -1,25 +1,30 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of solver results, to show that two checkouts give the
-same bits.
+"""SHA-256 digests of solver results and census output, to show that two
+checkouts give the same bits.
 
     python scripts/result_digest.py [--quick]
 
-Solves three groups through the public API and prints one digest per group
-and one over all of them.  Each result adds its lower and upper bracket,
-iterations and residual (floats as float.hex) and its eigenvector's bytes.
+Runs four groups through the public API and prints one digest per group
+and one over all of them.  Each solver result adds its lower and upper
+bracket, iterations and residual (floats as float.hex) and its
+eigenvector's bytes.
 
 * census: every shape of the censuses k=2 m<=10, k=3 m<=8, k=4 m<=6 and
   k=5 m<=5, from enumerate_supertrees(...).records, solved under all three
   kinds in batches of CENSUS_BATCH, as the census solves them;
+* records: the census's own output for the same censuses, each census's
+  export_jsonl() followed by each verify_extremal report line and skip
+  note, one per line;
 * grafts: 48 tree powers (k=3) along graft_to_path chains of seeded random
   trees on 16 nodes, each relabelled by a seeded permutation, one
   spectral_radius per kind;
 * families: loose_path(121, 3), loose_path(2001, 3) and hyperstar(20001, 3),
   one spectral_radius per kind.
 
---quick solves a small subset of each group (k=2 m<=6, k=3 m<=5; 6 tree
-powers; loose_path(121, 3)).  Uses the standard library only, besides the
-package, which it imports from the src/ directory beside this script.
+--quick runs a small subset of each group (k=2 m<=6, k=3 m<=5 for both
+census groups; 6 tree powers; loose_path(121, 3)).  Uses the standard
+library only, besides the package, which it imports from the src/
+directory beside this script.
 """
 
 from __future__ import annotations
@@ -44,21 +49,35 @@ GRAFT_GRAPHS = 48
 FAMILIES = ((hs.loose_path, 121, 3), (hs.loose_path, 2001, 3), (hs.hyperstar, 20001, 3))
 
 
-def _add(digest, result: hs.SpectralResult) -> None:
+def _bytes(result: hs.SpectralResult) -> bytes:
     fields = (result.lower.hex(), result.upper.hex(), str(result.iterations), result.residual.hex())
-    digest.update(" ".join(fields).encode())
-    digest.update(result.eigvec.tobytes())
+    return " ".join(fields).encode() + result.eigvec.tobytes()
 
 
-def census_results(censuses: dict[int, int]):
+def censuses(tops: dict[int, int]):
+    """The census of every k and m <= tops[k]."""
+    for k, top in tops.items():
+        for m in range(1, top + 1):
+            yield hs.enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m)
+
+
+def census_results(tops: dict[int, int]):
     """Every shape of each census, solved under all kinds in batches."""
     kinds = tuple(hs.TensorKind)
-    for k, top in censuses.items():
-        for m in range(1, top + 1):
-            shapes = [rec.hypergraph for rec in hs.enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m).records]
-            for start in range(0, len(shapes), CENSUS_BATCH):
-                for results in hs.spectral_radii(kinds, shapes[start : start + CENSUS_BATCH]):
-                    yield from results
+    for census in censuses(tops):
+        shapes = [rec.hypergraph for rec in census.records]
+        for start in range(0, len(shapes), CENSUS_BATCH):
+            for results in hs.spectral_radii(kinds, shapes[start : start + CENSUS_BATCH]):
+                yield from map(_bytes, results)
+
+
+def census_records(tops: dict[int, int]):
+    """Each census's export, then its verification's report lines and skip notes."""
+    for census in censuses(tops):
+        yield census.export_jsonl().encode()
+        report = hs.verify_extremal(census)
+        for line in [a.line() for a in report.assertions] + list(report.skipped):
+            yield (line + "\n").encode()
 
 
 def graft_graphs(count: int) -> list[hs.Hypergraph]:
@@ -80,23 +99,25 @@ def graft_graphs(count: int) -> list[hs.Hypergraph]:
 def single_results(graphs):
     for g in graphs:
         for kind in hs.TensorKind:
-            yield hs.spectral_radius(kind, g)
+            yield _bytes(hs.spectral_radius(kind, g))
 
 
 def digests(quick: bool = False) -> dict[str, str]:
-    """Each group's hex digest, and "all" over every result in order."""
+    """Each group's hex digest, and "all" over every group's bytes in order."""
     families = [make(n, k) for make, n, k in (FAMILIES[:1] if quick else FAMILIES)]
+    tops = QUICK_CENSUSES if quick else CENSUSES
     groups = {
-        "census": census_results(QUICK_CENSUSES if quick else CENSUSES),
+        "census": census_results(tops),
+        "records": census_records(tops),
         "grafts": single_results(graft_graphs(6 if quick else GRAFT_GRAPHS)),
         "families": single_results(families),
     }
     total, out = hashlib.sha256(), {}
-    for name, results in groups.items():
+    for name, chunks in groups.items():
         digest = hashlib.sha256()
-        for result in results:
-            _add(digest, result)
-            _add(total, result)
+        for chunk in chunks:
+            digest.update(chunk)
+            total.update(chunk)
         out[name] = digest.hexdigest()
     out["all"] = total.hexdigest()
     return out

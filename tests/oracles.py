@@ -114,6 +114,23 @@ def is_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
+def degree_flags(g: Hypergraph) -> dict[str, bool]:
+    """A supertree's four census flags, by CensusRecord's field names, from
+    g.degrees one edge and vertex at a time: the hyperstar iff its largest
+    degree is m, S^k(1, m-2) iff that is m-1, a tree power iff every edge
+    has at least k-2 degree-one vertices, and a loose path iff a tree power
+    whose largest degree is at most 2."""
+    degs = g.degrees
+    top, m = max(degs), g.m
+    power = all(sum(degs[v - 1] == 1 for v in e) >= g.k - 2 for e in g.edges)
+    return {
+        "is_hyperstar": top == m,
+        "is_loose_path": power and top <= 2,
+        "is_double_star_1": top == m - 1,
+        "is_tree_power": power,
+    }
+
+
 def _node_peel(edges, n: int) -> tuple[list[int], list[int]]:
     """Leaf peel of the incidence tree, whose nodes are ints (vertex v is
     v-1, edge j is n+j), one node at a time: the peel order, center last,

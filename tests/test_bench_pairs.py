@@ -230,3 +230,19 @@ def test_main_rejects_no_pairs_and_no_time(flags, tmp_path, monkeypatch, capsys)
     assert exc.value.code == 2
     assert flags[0] in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_main_rejects_an_out_that_is_no_directory(tmp_path, monkeypatch, capsys):
+    """BENCH_<label>.json is written into --out after every run, so a
+    missing directory, or a file, exits 2 before the first run."""
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("ran perfbench"))
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    sides = [str(tmp_path / side) for side in bench_pairs.SIDES]
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing", tmp_path / "file"):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([*sides, "--label", "t", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()

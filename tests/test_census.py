@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hypertree_spectra import (
+    Hypergraph,
     TensorKind,
     canonical_form,
     double_star,
@@ -24,6 +25,7 @@ from hypertree_spectra.census import Census, CensusRecord, _supertree_shapes
 from hypertree_spectra.errors import BadDimensions, IncompleteCensus, TooLarge
 from oracles import (
     brute_force_supertrees,
+    degree_flags,
     enumerate_trees,
     grow_and_dedup,
     is_supertree,
@@ -205,6 +207,21 @@ def test_census_flags_match_the_canonical_form_oracle():
     assert checked == 755
 
 
+def test_census_flags_match_the_degree_oracle(monkeypatch):
+    """Each record's flags, read from its batch's one bincount, against the
+    same rules read from Hypergraph.degrees; batches of 7 shapes put most
+    records past the first row of their batch's index."""
+    monkeypatch.setattr(census_module, "CENSUS_BATCH", 7)
+    checked = 0
+    for k, top in [(2, 10), (3, 8), (4, 7), (5, 5), (6, 5)]:
+        for m in range(1, top + 1):
+            for r in enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m).records:
+                flags = degree_flags(r.hypergraph)
+                assert {name: getattr(r, name) for name in flags} == flags
+                checked += 1
+    assert checked == 772
+
+
 @pytest.mark.parametrize(
     "k,counts",
     [
@@ -368,6 +385,23 @@ def test_census_indexes_and_peels_each_shape_once(monkeypatch):
     monkeypatch.setattr(census_module, "CENSUS_BATCH", 10)
     assert enumerate_supertrees(15, 3, max_edges=7) == census
     assert calls == [10, 10, 10, 10, 8]
+
+
+def test_census_builds_no_per_row_objects(monkeypatch):
+    """The census reads its solves and flags off each batch's arrays, and
+    verification its brackets off the records: no solver result and no
+    incidence list is built per shape."""
+    def refuse(*args, **kwargs):
+        pytest.fail("the census built a per-row object")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Hypergraph, "vertex_to_edges", property(refuse))
+        patch.setattr(spectral, "SpectralResult", refuse)
+        census = enumerate_supertrees(15, 3, max_edges=7)
+        report = verify_extremal(census)
+    assert report.passed and len(census.records) == 48
+    g = census.records[-1].hypergraph
+    assert g.degrees == tuple(sum(v in e for e in g.edges) for v in range(1, g.n + 1))
 
 
 # -- extremal verification ----------------------------------------------------

@@ -14,9 +14,9 @@ _SPEC.loader.exec_module(result_digest)
 def test_quick_digests_print_once_per_group_and_repeat(capsys):
     assert result_digest.main(["--quick"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert [name for name, _ in lines] == ["census", "grafts", "families", "all"]
+    assert [name for name, _ in lines] == ["census", "records", "grafts", "families", "all"]
     assert all(re.fullmatch("[0-9a-f]{64}", value) for _, value in lines)
-    assert len({value for _, value in lines}) == 4
+    assert len({value for _, value in lines}) == 5
     assert result_digest.digests(quick=True) == dict(lines)
 
 
