@@ -175,7 +175,7 @@ def _flags(idx: np.ndarray, n: int) -> Iterator[tuple[bool, bool, bool, bool]]:
     flat = _row_offset(idx, n)
     deg = np.bincount(flat.ravel(), minlength=rows * n)
     top = deg.reshape(rows, n).max(1)
-    power = ((deg[flat] == 1).sum(2) >= k - 2).all(1)
+    power = ((deg[flat] == 1) @ np.full(k, 1) >= k - 2).all(1)
     return zip(*(a.tolist() for a in (top == m, power & (top <= 2), top == m - 1, power)))
 
 

@@ -46,7 +46,7 @@ def _compute_payload(g, kind, result, include_eigvec=False):
         "iterations": result.iterations,
     }
     if include_eigvec:
-        payload["eigvec"] = [float(v) for v in result.eigvec]
+        payload["eigvec"] = result.eigvec.tolist()
     return payload
 
 

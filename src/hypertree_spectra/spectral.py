@@ -42,7 +42,6 @@ other batch is searched graph by graph.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -65,6 +64,7 @@ from .tensors import (
     _check_kind,
     _contract,
     _edge_index,
+    _fold,
     _linearize,
     _row_offset,
 )
@@ -343,12 +343,13 @@ def _elimination_order(idx: np.ndarray, n: int, copies: int = 1) -> tuple[np.nda
     order, stops = np.empty(copies * width, dtype=np.intp), [0]
     while True:
         deg = np.bincount(inc.ravel(), minlength=rows * n)[inc]
-        shared = (deg > 1) @ np.full(k, 1)  # a matrix product sums short rows fastest
+        many = deg > 1
+        shared = many @ np.full(k, 1)  # a matrix product sums short rows fastest
         leaf = shared <= 1
         if np.count_nonzero(leaf) <= NARROW_WIDTH:
             break
         peeled, ids, inc = ids[leaf], ids[~leaf], np.compress(~leaf, inc, axis=0)
-        parent[peeled] = deg.argmax(axis=1)[leaf]
+        parent[peeled] = many[leaf] @ np.arange(k)  # a leaf's one shared vertex, or 0
         stops.append(stops[-1] + len(peeled) * copies)
         order[stops[-2] : stops[-1]] = np.add.outer(shifts, peeled).ravel()
     parent[ids] = _peel_queue(inc, deg, shared, ids, shifts, order, stops, rows * n)
@@ -516,9 +517,9 @@ def _newton_noda_step(
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Each row's sum, left to right as _eliminate_edges adds: np.add.reduce
-    adds a row of 8 or more entries pairwise."""
-    return np.add.reduce(a, 1) if a.shape[1] < 8 else functools.reduce(np.add, a.T)
+    """Each row's sum, left to right as _eliminate_edges adds, one column at
+    a time (np.add.reduce adds a row of 8 or more entries pairwise)."""
+    return _fold(np.add, a)
 
 
 def _eliminate_edges(
@@ -532,31 +533,32 @@ def _eliminate_edges(
 
     Works in place: once its edge is folded, a child's pivot is replaced by
     r and its b by b r, and back-substitution turns b into w."""
-    kids = len(pivot) - rows
-    cgs, ts = [], []
+    kids, edges, w = len(pivot) - rows, len(c), k - 1
+    cgs, ts = [0.0] * edges, [0.0] * edges
     try:
-        for lo, p, ce in zip(range(0, kids, k - 1), parents, c):
+        for j in range(edges):
+            lo = j * w
             s = pivot[lo] = 1 / pivot[lo]
             t = b[lo] = b[lo] * s
-            for i in range(lo + 1, lo + k - 1):
+            for i in range(lo + 1, lo + w):
                 r = pivot[i] = 1 / pivot[i]
                 br = b[i] = b[i] * r
                 s += r
                 t += br
+            ce, p = c[j], parents[j]
             cs = ce * s
-            cg = ce / (1 - cs)
+            cgs[j] = cg = ce / (1 - cs)
             pivot[p] -= cg * cs
             b[p] += cg * t
-            cgs.append(cg)
-            ts.append(t)
+            ts[j] = t
         for i in range(kids, len(pivot)):
             b[i] = b[i] / pivot[i]
     except ZeroDivisionError:
         return None
-    backward = range(kids - k + 1, -1, 1 - k)
-    for lo, p, cg, t in zip(backward, reversed(parents), reversed(cgs), reversed(ts)):
-        tw = t + b[p]
-        for i in range(lo, lo + k - 1):
+    for j in range(edges - 1, -1, -1):
+        lo, cg = j * w, cgs[j]
+        tw = ts[j] + b[parents[j]]
+        for i in range(lo, lo + w):
             b[i] += tw * (cg * pivot[i])
     return b
 

@@ -15,7 +15,10 @@ sharing (n, m, k), and both kernels take the batch's blocks (kind, start,
 stop) of rows: _contract scatters every block's edge terms with one
 bincount, and _linearize writes each block's slice of the O(m*k) factors
 of T x^{k-2}, each edge's k x k block scaled to a diagonal plus c_e 11^T.
-dense_build() materializes the tensor, as an oracle.
+Both work along an edge's k entries by columns, one elementwise operation
+over every edge per column, in the order numpy's cumprod, prod and sum
+take, so the bits are theirs.  dense_build() materializes the tensor, as
+an oracle.
 """
 
 from __future__ import annotations
@@ -89,22 +92,30 @@ def _contract(blocks: list, flat: np.ndarray, vals: np.ndarray, n: int) -> np.nd
 
     flat is the (B, m, k) row-offset index array of the batch and vals is
     x gathered over it.  Each vertex of an edge receives the product of the
-    other k-1 entries (prefix times suffix products, so zeros in x are
-    safe), plus for SignlessLaplacian its own entry to the k-1 (the degree
-    tensor is the sum over edges e and v in e of e_v^{(x)k}), or for
-    IncidenceQ the edge sum raised to k-1; one bincount adds the
-    contributions of all rows up per vertex.
+    other k-1 entries (its prefix product, left to right, times its suffix
+    product, right to left, so zeros in x are safe), plus for
+    SignlessLaplacian its own entry to the k-1 (the degree tensor is the
+    sum over edges e and v in e of e_v^{(x)k}), or for IncidenceQ the edge
+    sum (_edge_sum) raised to k-1; one bincount adds the contributions of
+    all rows up per vertex.  The products go column by column, k-1
+    elementwise operations over all edges at once, with numpy's cumprod's
+    bits and none of its cost per edge.
     """
     rows, _, k = vals.shape
     part = np.empty_like(vals)
     for kind, s, e in blocks:
         v, p = vals[s:e], part[s:e]
         if kind is TensorKind.IncidenceQ:
-            p[...] = v.sum(axis=2, keepdims=True) ** (k - 1)
+            p[...] = _edge_sum(v)[..., None] ** (k - 1)
         else:
-            p[..., 0] = 1.0
-            v[..., :-1].cumprod(axis=2, out=p[..., 1:])
-            p[..., :-1] *= v[..., :0:-1].cumprod(axis=2)[..., ::-1]
+            p[..., 1] = v[..., 0]
+            for j in range(2, k):
+                np.multiply(p[..., j - 1], v[..., j - 1], out=p[..., j])
+            suffix = v[..., k - 1]
+            for j in range(k - 2, 0, -1):
+                p[..., j] *= suffix
+                suffix = suffix * v[..., j]
+            p[..., 0] = suffix
         if kind is TensorKind.SignlessLaplacian:
             p += v ** (k - 1)
     # float even when flat is empty (an edgeless graph), where bincount gives int
@@ -125,20 +136,39 @@ def _linearize(blocks: list, x: np.ndarray, vals: np.ndarray) -> tuple:
     entry is c_e, the edge sum to the power k-2.  Otherwise an entry off the
     diagonal is the product of the other k-2 entries over k-1, so sigma = x
     and c_e is the edge product over k-1; diag_a is 0 for Adjacency and
-    x_a^{k-2} for SignlessLaplacian.
+    x_a^{k-2} for SignlessLaplacian.  The edge product goes column by
+    column, left to right, as numpy's prod multiplies.
     """
     k = vals.shape[2]
     c, diag, sigma = np.empty(vals.shape[:2]), np.empty_like(vals), x.copy()
     for kind, s, e in blocks:
         v = vals[s:e]
         if kind is TensorKind.IncidenceQ:
-            c[s:e] = v.sum(axis=2) ** (k - 2)
+            c[s:e] = _edge_sum(v) ** (k - 2)
             diag[s:e] = c[s:e, :, None]
             sigma[s:e] = 1.0
         else:
-            np.divide(v.prod(axis=2), k - 1, out=c[s:e])
+            np.divide(_fold(np.multiply, v), k - 1, out=c[s:e])
             diag[s:e] = v ** (k - 2) if kind is TensorKind.SignlessLaplacian else 0.0
     return c, diag, sigma
+
+
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """The ufunc op folded over the last axis of a, left to right, one
+    elementwise operation per column (a[..., 0] itself for one column):
+    numpy's reductions pay a fixed cost for every row of a short axis."""
+    out = op(a[..., 0], a[..., 1]) if a.shape[-1] > 1 else a[..., 0]
+    for j in range(2, a.shape[-1]):
+        op(out, a[..., j], out=out)
+    return out
+
+
+def _edge_sum(v: np.ndarray) -> np.ndarray:
+    """Each edge's sum of v (B, m, k), with the bits of v.sum(axis=2): below
+    8 entries numpy adds left to right, as _fold does; from 8 entries on it
+    adds pairwise, so v.sum(axis=2) itself runs.  This is the one choice by
+    k in the kernels."""
+    return v.sum(axis=2) if v.shape[2] >= 8 else _fold(np.add, v)
 
 
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:

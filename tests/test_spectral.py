@@ -510,6 +510,22 @@ def test_kernels_agree_on_random_tree_powers(monkeypatch):
         _assert_kernels_agree([tree_power(parents, k)], rng, monkeypatch)
 
 
+@pytest.mark.parametrize("width", range(1, 12))
+def test_sum_rows_adds_left_to_right(width, rng):
+    """The numpy kernel's sum over an edge's children is the edge kernel's,
+    one entry after another in Python floats, at every width, where
+    np.add.reduce adds 8 or more entries pairwise; entries spread over
+    1e-8..1e8, so that a change of association shows."""
+    a = 10.0 ** rng.uniform(-8, 8, (50, width))
+    want = []
+    for row in a.tolist():
+        s = row[0]
+        for v in row[1:]:
+            s += v
+        want.append(s)
+    assert spectral._sum_rows(a).tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 9, 10])
 def test_kernels_agree_on_paths_and_stars(k, monkeypatch):
     rng = np.random.default_rng(k)

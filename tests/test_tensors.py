@@ -18,7 +18,13 @@ from hypertree_spectra import (
 from hypertree_spectra.errors import DimensionMismatch, TooLarge
 from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.tensors import _contract, _edge_index, _linearize, _row_offset
-from oracles import edge_loop_apply, rayleigh, relabel
+from oracles import (
+    contract_by_reductions,
+    edge_loop_apply,
+    linearize_by_reductions,
+    rayleigh,
+    relabel,
+)
 
 KINDS = list(TensorKind)
 
@@ -175,6 +181,27 @@ def test_block_kernels_equal_one_block_calls(k, m, rng):
         assert np.array_equal(ax[s:e], _contract([(kind, 0, e - s)], one, sub, n))
         for got, want in zip(factors, _linearize([(kind, 0, e - s)], x[s:e], sub)):
             assert np.array_equal(got[s:e], want)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_column_kernels_keep_the_bits_of_numpy_reductions(k, rng):
+    """_contract and _linearize, which fold the edge axis column by column,
+    give the bytes of numpy's cumprod, prod and sum along it (the oracles),
+    on kind-major batches of all three kinds with uneven blocks: sums of 8
+    or more entries are pairwise in numpy, and so at k >= 8 in the kernels.
+    x spreads over 1e-3..1e3, so that a change of association shows."""
+    for m in (0, 1, 2, 5, 9):
+        rows, n = 7, max(1, m * (k - 1) + 1)
+        cuts = sorted(rng.choice(np.arange(1, rows), 2, replace=False).tolist())
+        bounds = [0, *cuts, rows]
+        blocks = list(zip(KINDS, bounds, bounds[1:]))
+        flat = _row_offset(rng.integers(0, n, (rows, m, k)), n)
+        x = 10.0 ** rng.uniform(-3, 3, (rows, n))
+        vals = x.ravel()[flat]
+        got = _contract(blocks, flat, vals, n)
+        assert got.tobytes() == contract_by_reductions(blocks, flat, vals, n).tobytes()
+        for got, want in zip(_linearize(blocks, x, vals), linearize_by_reductions(blocks, x, vals)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_linearization_scales_by_x_except_incidence_q(rng):
