@@ -15,10 +15,10 @@ sharing (n, m, k), and both kernels take the batch's blocks (kind, start,
 stop) of rows: _contract scatters every block's edge terms with one
 bincount, and _linearize writes each block's slice of the O(m*k) factors
 of T x^{k-2}, each edge's k x k block scaled to a diagonal plus c_e 11^T.
-Both work along an edge's k entries by columns, one elementwise operation
-over every edge per column, in the order numpy's cumprod, prod and sum
-take, so the bits are theirs.  dense_build() materializes the tensor, as
-an oracle.
+Both work along an edge's k entries by columns (_fold), one elementwise
+operation over every edge per column, in the order of numpy's cumprod,
+prod and sum, whose bits they keep without their cost per edge.
+dense_build() materializes the tensor, as an oracle.
 """
 
 from __future__ import annotations
@@ -92,14 +92,11 @@ def _contract(blocks: list, flat: np.ndarray, vals: np.ndarray, n: int) -> np.nd
 
     flat is the (B, m, k) row-offset index array of the batch and vals is
     x gathered over it.  Each vertex of an edge receives the product of the
-    other k-1 entries (its prefix product, left to right, times its suffix
-    product, right to left, so zeros in x are safe), plus for
-    SignlessLaplacian its own entry to the k-1 (the degree tensor is the
-    sum over edges e and v in e of e_v^{(x)k}), or for IncidenceQ the edge
-    sum (_edge_sum) raised to k-1; one bincount adds the contributions of
-    all rows up per vertex.  The products go column by column, k-1
-    elementwise operations over all edges at once, with numpy's cumprod's
-    bits and none of its cost per edge.
+    other k-1 entries (prefix times suffix products, so zeros in x are
+    safe), plus for SignlessLaplacian its own entry to the k-1 (the degree
+    tensor is the sum over edges e and v in e of e_v^{(x)k}), or for
+    IncidenceQ the edge sum raised to k-1; one bincount adds the
+    contributions of all rows up per vertex.
     """
     rows, _, k = vals.shape
     part = np.empty_like(vals)
@@ -136,8 +133,7 @@ def _linearize(blocks: list, x: np.ndarray, vals: np.ndarray) -> tuple:
     entry is c_e, the edge sum to the power k-2.  Otherwise an entry off the
     diagonal is the product of the other k-2 entries over k-1, so sigma = x
     and c_e is the edge product over k-1; diag_a is 0 for Adjacency and
-    x_a^{k-2} for SignlessLaplacian.  The edge product goes column by
-    column, left to right, as numpy's prod multiplies.
+    x_a^{k-2} for SignlessLaplacian.
     """
     k = vals.shape[2]
     c, diag, sigma = np.empty(vals.shape[:2]), np.empty_like(vals), x.copy()

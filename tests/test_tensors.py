@@ -198,8 +198,8 @@ def test_column_kernels_keep_the_bits_of_numpy_reductions(k, rng):
         flat = _row_offset(rng.integers(0, n, (rows, m, k)), n)
         x = 10.0 ** rng.uniform(-3, 3, (rows, n))
         vals = x.ravel()[flat]
-        got = _contract(blocks, flat, vals, n)
-        assert got.tobytes() == contract_by_reductions(blocks, flat, vals, n).tobytes()
+        ax = _contract(blocks, flat, vals, n)
+        assert ax.tobytes() == contract_by_reductions(blocks, flat, vals, n).tobytes()
         for got, want in zip(_linearize(blocks, x, vals), linearize_by_reductions(blocks, x, vals)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
