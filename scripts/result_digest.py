@@ -4,7 +4,7 @@ checkouts give the same bits.
 
     python scripts/result_digest.py [--quick]
 
-Runs four groups through the public API and prints one digest per group
+Runs five groups through the public API and prints one digest per group
 and one over all of them.  Each solver result adds its lower and upper
 bracket, iterations and residual (floats as float.hex) and its
 eigenvector's bytes.
@@ -19,12 +19,16 @@ eigenvector's bytes.
   trees on 16 nodes, each relabelled by a seeded permutation, one
   spectral_radius per kind;
 * families: loose_path(121, 3), loose_path(2001, 3) and hyperstar(20001, 3),
-  one spectral_radius per kind.
+  one spectral_radius per kind;
+* large_k: loose_path, hyperstar and the tree power of LARGE_K_TREE, all
+  with m=6 edges, at k=8, 9 and 10, one spectral_radius per kind with
+  tol = 1e-12 k^{k-1} m, since IncidenceQ's radius grows with its degree
+  bound k^{k-1} Delta, which is at most k^{k-1} m.
 
---quick runs a small subset of each group (k=2 m<=6, k=3 m<=5 for both
-census groups; 6 tree powers; loose_path(121, 3)).  Uses the standard
-library only, besides the package, which it imports from the src/
-directory beside this script.
+--quick runs a small subset of the first four groups (k=2 m<=6, k=3 m<=5
+for both census groups; 6 tree powers; loose_path(121, 3)) and leaves out
+large_k.  Uses the standard library only, besides the package, which it
+imports from the src/ directory beside this script.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ SEED = 1
 NODES = 16  # of each random tree
 GRAFT_GRAPHS = 48
 FAMILIES = ((hs.loose_path, 121, 3), (hs.loose_path, 2001, 3), (hs.hyperstar, 20001, 3))
+LARGE_K = (8, 9, 10)
+LARGE_K_TREE = (1, 1, 2, 3, 3, 4)  # parent of each node 2..7: 6 edges, neither path nor star
+LARGE_K_MAX_ITER = 3000
 
 
 def _bytes(result: hs.SpectralResult) -> bytes:
@@ -96,10 +103,24 @@ def graft_graphs(count: int) -> list[hs.Hypergraph]:
     return graphs[:count]
 
 
-def single_results(graphs):
+def single_results(graphs, *budget):
+    """One spectral_radius per graph and kind, with the (tol, max_iter) budget
+    if given."""
     for g in graphs:
         for kind in hs.TensorKind:
-            yield _bytes(hs.spectral_radius(kind, g))
+            yield _bytes(hs.spectral_radius(kind, g, *budget))
+
+
+def large_k_graphs(k: int) -> list[hs.Hypergraph]:
+    """The loose path, hyperstar and tree power of LARGE_K_TREE at k, each with its edges."""
+    n = len(LARGE_K_TREE) * (k - 1) + 1
+    return [hs.loose_path(n, k), hs.hyperstar(n, k), hs.tree_power(LARGE_K_TREE, k)]
+
+
+def large_k_results():
+    m = len(LARGE_K_TREE)
+    for k in LARGE_K:
+        yield from single_results(large_k_graphs(k), 1e-12 * k ** (k - 1) * m, LARGE_K_MAX_ITER)
 
 
 def digests(quick: bool = False) -> dict[str, str]:
@@ -112,6 +133,8 @@ def digests(quick: bool = False) -> dict[str, str]:
         "grafts": single_results(graft_graphs(6 if quick else GRAFT_GRAPHS)),
         "families": single_results(families),
     }
+    if not quick:
+        groups["large_k"] = large_k_results()
     total, out = hashlib.sha256(), {}
     for name, chunks in groups.items():
         digest = hashlib.sha256()

@@ -131,6 +131,7 @@ def spectral_radius(
     Near the rounding floor a Newton-Noda step can fail or stop shrinking
     the bracket, and the solve then finishes with power steps.
     """
+    _check_kind(kind)
     return spectral_radii((kind,), [g], tol, max_iter)[0][0]
 
 
@@ -499,7 +500,7 @@ def _newton_noda_step(
             for e, parent in levels:
                 ce, r = c[e], 1 / kids[e]
                 br = b_kids[e] * r
-                cs, t = ce * _sum_rows(r), _sum_rows(br)
+                cs, t = ce * _fold(np.add, r), _fold(np.add, br)
                 cg = ce / (1 - cs)
                 np.subtract.at(pivot, parent, cg * cs)
                 np.add.at(b, parent, cg * t)
@@ -514,12 +515,6 @@ def _newton_noda_step(
         w = step.reshape(x.shape) * sigma
         t = (xk1 * x).sum(axis=1) / (xk1 * w).sum(axis=1)
         return t[:, None] * w
-
-
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Each row's sum, left to right as _eliminate_edges adds, one column at
-    a time (np.add.reduce adds a row of 8 or more entries pairwise)."""
-    return _fold(np.add, a)
 
 
 def _eliminate_edges(

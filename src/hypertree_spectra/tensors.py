@@ -15,9 +15,9 @@ sharing (n, m, k), and both kernels take the batch's blocks (kind, start,
 stop) of rows: _contract scatters every block's edge terms with one
 bincount, and _linearize writes each block's slice of the O(m*k) factors
 of T x^{k-2}, each edge's k x k block scaled to a diagonal plus c_e 11^T.
-Both work along an edge's k entries by columns (_fold), one elementwise
-operation over every edge per column, in the order of numpy's cumprod,
-prod and sum, whose bits they keep without their cost per edge.
+Both fold an edge's k entries by columns (_fold), with the bits of
+numpy's cumprod and prod and not their cost per edge; every sum along an
+edge or over an edge's children goes left to right too, at every k.
 dense_build() materializes the tensor, as an oracle.
 """
 
@@ -103,7 +103,7 @@ def _contract(blocks: list, flat: np.ndarray, vals: np.ndarray, n: int) -> np.nd
     for kind, s, e in blocks:
         v, p = vals[s:e], part[s:e]
         if kind is TensorKind.IncidenceQ:
-            p[...] = _edge_sum(v)[..., None] ** (k - 1)
+            p[...] = _fold(np.add, v)[..., None] ** (k - 1)
         else:
             p[..., 1] = v[..., 0]
             for j in range(2, k):
@@ -140,7 +140,7 @@ def _linearize(blocks: list, x: np.ndarray, vals: np.ndarray) -> tuple:
     for kind, s, e in blocks:
         v = vals[s:e]
         if kind is TensorKind.IncidenceQ:
-            c[s:e] = _edge_sum(v) ** (k - 2)
+            c[s:e] = _fold(np.add, v) ** (k - 2)
             diag[s:e] = c[s:e, :, None]
             sigma[s:e] = 1.0
         else:
@@ -152,19 +152,13 @@ def _linearize(blocks: list, x: np.ndarray, vals: np.ndarray) -> tuple:
 def _fold(op, a: np.ndarray) -> np.ndarray:
     """The ufunc op folded over the last axis of a, left to right, one
     elementwise operation per column (a[..., 0] itself for one column):
-    numpy's reductions pay a fixed cost for every row of a short axis."""
+    numpy's reductions pay a fixed cost for every row of a short axis, and
+    its sum adds 8 or more entries pairwise.  Every sum along an edge or
+    over an edge's children is this fold, at every k."""
     out = op(a[..., 0], a[..., 1]) if a.shape[-1] > 1 else a[..., 0]
     for j in range(2, a.shape[-1]):
         op(out, a[..., j], out=out)
     return out
-
-
-def _edge_sum(v: np.ndarray) -> np.ndarray:
-    """Each edge's sum of v (B, m, k), with the bits of v.sum(axis=2): below
-    8 entries numpy adds left to right, as _fold does; from 8 entries on it
-    adds pairwise, so v.sum(axis=2) itself runs.  This is the one choice by
-    k in the kernels."""
-    return v.sum(axis=2) if v.shape[2] >= 8 else _fold(np.add, v)
 
 
 def apply(kind: TensorKind, g: Hypergraph, x) -> np.ndarray:

@@ -605,14 +605,15 @@ def release_by_scan(g: Hypergraph, edge_id: int, u: int) -> Hypergraph:
 
 def contract_by_reductions(blocks: list, flat: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Oracle for tensors._contract: the same terms from numpy's reductions
-    along the edge axis, cumprod for the prefix and suffix products and sum
-    for the IncidenceQ edge sum, whose bits the column arithmetic keeps."""
+    along the edge axis, cumprod for the prefix and suffix products and the
+    last entry of add.accumulate, a left-to-right sum, for the IncidenceQ
+    edge sum, whose bits the column arithmetic keeps."""
     rows, _, k = vals.shape
     part = np.empty_like(vals)
     for kind, s, e in blocks:
         v, p = vals[s:e], part[s:e]
         if kind is TensorKind.IncidenceQ:
-            p[...] = v.sum(axis=2, keepdims=True) ** (k - 1)
+            p[...] = np.add.accumulate(v, axis=2)[..., -1:] ** (k - 1)
         else:
             p[..., 0] = 1.0
             v[..., :-1].cumprod(axis=2, out=p[..., 1:])
@@ -625,13 +626,13 @@ def contract_by_reductions(blocks: list, flat: np.ndarray, vals: np.ndarray, n: 
 
 def linearize_by_reductions(blocks: list, x: np.ndarray, vals: np.ndarray) -> tuple:
     """Oracle for tensors._linearize: the same factors from numpy's prod and
-    sum along the edge axis."""
+    left-to-right add.accumulate along the edge axis."""
     k = vals.shape[2]
     c, diag, sigma = np.empty(vals.shape[:2]), np.empty_like(vals), x.copy()
     for kind, s, e in blocks:
         v = vals[s:e]
         if kind is TensorKind.IncidenceQ:
-            c[s:e] = v.sum(axis=2) ** (k - 2)
+            c[s:e] = np.add.accumulate(v, axis=2)[..., -1] ** (k - 2)
             diag[s:e] = c[s:e, :, None]
             sigma[s:e] = 1.0
         else:

@@ -41,7 +41,7 @@ from hypertree_spectra.spectral import (
     _kept_rows,
     _newton_noda_step,
 )
-from hypertree_spectra.tensors import _edge_index, _linearize, _row_offset
+from hypertree_spectra.tensors import _edge_index, _fold, _linearize, _row_offset
 from oracles import (
     automorphism_orbits,
     dense_power_iteration,
@@ -292,8 +292,10 @@ def test_mixed_kinds_bad_input():
             spectral_radii((), graph_list, DEFAULT_TOL, DEFAULT_MAX_ITER)
         with pytest.raises(BadParameter):
             spectral_radii(TensorKind.Adjacency, graph_list)
-    with pytest.raises(BadParameter):
-        spectral_radius(None, graphs[0])
+    # a bare kind is checked as a kind, not as the batch's tuple of kinds
+    for not_kind in (None, "adj"):
+        with pytest.raises(BadParameter, match=f"^kind must be a TensorKind, got {not_kind!r}$"):
+            spectral_radius(not_kind, graphs[0])
     with pytest.raises(BadParameter):
         spectral_radii((TensorKind.Adjacency, "q"), graphs, DEFAULT_TOL, DEFAULT_MAX_ITER)
     with pytest.raises(BadParameter):
@@ -512,10 +514,10 @@ def test_kernels_agree_on_random_tree_powers(monkeypatch):
 
 @pytest.mark.parametrize("width", range(1, 12))
 def test_sum_rows_adds_left_to_right(width, rng):
-    """The numpy kernel's sum over an edge's children is the edge kernel's,
-    one entry after another in Python floats, at every width, where
-    np.add.reduce adds 8 or more entries pairwise; entries spread over
-    1e-8..1e8, so that a change of association shows."""
+    """The numpy kernel's sum over an edge's children, _fold(np.add, .), is
+    the edge kernel's, one entry after another in Python floats, at every
+    width, where np.add.reduce adds 8 or more entries pairwise; entries
+    spread over 1e-8..1e8, so that a change of association shows."""
     a = 10.0 ** rng.uniform(-8, 8, (50, width))
     want = []
     for row in a.tolist():
@@ -523,7 +525,7 @@ def test_sum_rows_adds_left_to_right(width, rng):
         for v in row[1:]:
             s += v
         want.append(s)
-    assert spectral._sum_rows(a).tobytes() == np.array(want).tobytes()
+    assert _fold(np.add, a).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 9, 10])
@@ -861,6 +863,24 @@ def test_newton_on_large_star(kind):
     pad = ROUNDING_PAD * rho
     assert result.lower - pad <= rho <= result.upper + pad
     assert result.iterations <= 30
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+def test_brackets_hold_known_radii_with_many_children(k):
+    """At k >= 8, where every edge sum has 8 or more entries, the brackets
+    hold values found without the solver, within the rounding pad: the
+    closed forms of the hyperstar under every kind, and (2 cos(pi/(m+2)))^{2/k}
+    for the adjacency tensor of the loose path, the k-th power of the path
+    with m edges.  IncidenceQ's radius is at most its degree bound, k^{k-1}
+    times the largest degree, at most m, so tol scales with k^{k-1} m."""
+    for m in range(2, 6):
+        n, tol = m * (k - 1) + 1, 1e-12 * k ** (k - 1) * m
+        known = [(kind, hyperstar(n, k), closed_form_hyperstar(kind, n, k)) for kind in KINDS]
+        known.append((TensorKind.Adjacency, loose_path(n, k), (2 * np.cos(np.pi / (m + 2))) ** (2 / k)))
+        for kind, g, rho in known:
+            result = spectral_radius(kind, g, tol, max_iter=500)
+            pad = ROUNDING_PAD * rho
+            assert result.lower - pad <= rho <= result.upper + pad, (kind, m)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)

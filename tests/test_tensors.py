@@ -186,10 +186,11 @@ def test_block_kernels_equal_one_block_calls(k, m, rng):
 @pytest.mark.parametrize("k", range(2, 13))
 def test_column_kernels_keep_the_bits_of_numpy_reductions(k, rng):
     """_contract and _linearize, which fold the edge axis column by column,
-    give the bytes of numpy's cumprod, prod and sum along it (the oracles),
-    on kind-major batches of all three kinds with uneven blocks: sums of 8
-    or more entries are pairwise in numpy, and so at k >= 8 in the kernels.
-    x spreads over 1e-3..1e3, so that a change of association shows."""
+    give the bytes of numpy's cumprod, prod and add.accumulate along it
+    (the oracles), on kind-major batches of all three kinds with uneven
+    blocks: every edge sum goes left to right, also at k >= 8, where
+    numpy's sum would add pairwise.  x spreads over 1e-3..1e3, so that a
+    change of association shows."""
     for m in (0, 1, 2, 5, 9):
         rows, n = 7, max(1, m * (k - 1) + 1)
         cuts = sorted(rng.choice(np.arange(1, rows), 2, replace=False).tolist())
