@@ -876,7 +876,8 @@ def test_brackets_hold_known_radii_with_many_children(k):
     for m in range(2, 6):
         n, tol = m * (k - 1) + 1, 1e-12 * k ** (k - 1) * m
         known = [(kind, hyperstar(n, k), closed_form_hyperstar(kind, n, k)) for kind in KINDS]
-        known.append((TensorKind.Adjacency, loose_path(n, k), (2 * np.cos(np.pi / (m + 2))) ** (2 / k)))
+        path = (2 * np.cos(np.pi / (m + 2))) ** (2 / k)
+        known.append((TensorKind.Adjacency, loose_path(n, k), path))
         for kind, g, rho in known:
             result = spectral_radius(kind, g, tol, max_iter=500)
             pad = ROUNDING_PAD * rho
