@@ -4,8 +4,8 @@ checkouts give the same bits.
 
     python scripts/result_digest.py [--quick]
 
-Runs five groups through the public API and prints one digest per group
-and one over all of them.  Each solver result adds its lower and upper
+Runs six groups, five through the public API, and prints one digest per
+group and one over all of them.  Each solver result adds its lower and upper
 bracket, iterations and residual (floats as float.hex) and its
 eigenvector's bytes.
 
@@ -23,11 +23,14 @@ eigenvector's bytes.
 * large_k: loose_path, hyperstar and the tree power of LARGE_K_TREE, all
   with m=6 edges, at k=8, 9 and 10, one spectral_radius per kind with
   tol = 1e-12 k^{k-1} m, since IncidenceQ's radius grows with its degree
-  bound k^{k-1} Delta, which is at most k^{k-1} m.
+  bound k^{k-1} Delta, which is at most k^{k-1} m;
+* shapes: growth alone, the edge lists of every shape of the censuses
+  k=2 m<=14, k=3 m<=11, k=4 m<=10 and k=5 m<=8 from the census's private
+  _supertree_shapes, in its order, with no solve.
 
 --quick runs a small subset of the first four groups (k=2 m<=6, k=3 m<=5
 for both census groups; 6 tree powers; loose_path(121, 3)) and leaves out
-large_k.  Uses the standard library only, besides the package, which it
+large_k and shapes.  Uses the standard library only, besides the package, which it
 imports from the src/ directory beside this script.
 """
 
@@ -42,7 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import hypertree_spectra as hs  # noqa: E402
-from hypertree_spectra.census import CENSUS_BATCH  # noqa: E402
+from hypertree_spectra.census import CENSUS_BATCH, _supertree_shapes  # noqa: E402
 from hypertree_spectra.transforms import apply_graft_sequence  # noqa: E402
 
 CENSUSES = {2: 10, 3: 8, 4: 6, 5: 5}  # k -> largest m
@@ -54,6 +57,7 @@ FAMILIES = ((hs.loose_path, 121, 3), (hs.loose_path, 2001, 3), (hs.hyperstar, 20
 LARGE_K = (8, 9, 10)
 LARGE_K_TREE = (1, 1, 2, 3, 3, 4)  # parent of each node 2..7: 6 edges, neither path nor star
 LARGE_K_MAX_ITER = 3000
+SHAPES = {2: 14, 3: 11, 4: 10, 5: 8}  # k -> largest m, grown but not solved
 
 
 def _bytes(result: hs.SpectralResult) -> bytes:
@@ -123,6 +127,13 @@ def large_k_results():
         yield from single_results(large_k_graphs(k), 1e-12 * k ** (k - 1) * m, LARGE_K_MAX_ITER)
 
 
+def shape_forms():
+    """Each census's shapes of SHAPES, as the repr of their edge lists."""
+    for k, top in SHAPES.items():
+        for m in range(1, top + 1):
+            yield repr([g.edges for g in _supertree_shapes(m, k)]).encode()
+
+
 def digests(quick: bool = False) -> dict[str, str]:
     """Each group's hex digest, and "all" over every group's bytes in order."""
     families = [make(n, k) for make, n, k in (FAMILIES[:1] if quick else FAMILIES)]
@@ -135,6 +146,7 @@ def digests(quick: bool = False) -> dict[str, str]:
     }
     if not quick:
         groups["large_k"] = large_k_results()
+        groups["shapes"] = shape_forms()
     total, out = hashlib.sha256(), {}
     for name, chunks in groups.items():
         digest = hashlib.sha256()

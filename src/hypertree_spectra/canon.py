@@ -5,7 +5,9 @@ AHU code rooted there (Aho, Hopcroft & Ullman 1974) yields an exact
 canonical labeling, ``_label``, which also numbers the census shapes.  A
 code is a bit string: "1", the children's codes in sorted order, "0".  No
 code is a proper prefix of another, so with "0" < "1" codes sort as nested
-lists of child codes do, and nothing recurses.  The codes are read off the
+lists of child codes do, and nothing recurses.  Vertices and edges
+alternate by depth, so ``_label`` knows each node's type from its bit's
+position and numbers a code in one pass.  The codes are read off the
 solver's leaf peel, ``spectral._elimination_order``, which gives each
 edge's parent vertex and the edges by height, and is also the supertree
 test: any other hypergraph raises NotATree.
@@ -55,28 +57,28 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
     # vertices, or edges around their shared parent vertex, the center
     last = levels[-1][0]
     if last.stop - last.start > 1:
-        return tuple(sorted(_label(code(kids[parent]), True)))
+        return _label(code(kids[parent]), True)
     kids[parent].pop()  # the center's own code, appended last
-    return tuple(sorted(_label(code([code(kids[parent]), *codes]), False)))
+    return _label(code([code(kids[parent]), *codes]), False)
 
 
-def _label(code: str, vertex_root: bool) -> list[tuple[int, ...]]:
-    """The edges of the incidence tree with this AHU code, rooted at a
-    vertex or an edge, numbering vertices from 1 in pre-order: one scan in
-    which "1" opens a node and "0" closes it, listing an edge as it closes."""
-    edges = []
-    path: list = []  # the open nodes: a vertex's number, an edge's vertex list
-    nxt = 1
-    for bit in code:
-        if bit == "0":
-            node = path.pop()
-            if isinstance(node, list):
-                edges.append(tuple(node))
-        elif (len(path) % 2 == 0) == vertex_root:  # a vertex, child of an edge
-            if path:
-                path[-1].append(nxt)
-            path.append(nxt)
+def _label(code: str, vertex_root: bool) -> CanonicalForm:
+    """The sorted edges of the incidence tree with this AHU code, rooted at
+    a vertex or an edge, vertices numbered from 1 in pre-order.  Read in
+    pairs from a vertex level, a pair's first bit opens a vertex or closes
+    an edge, its second opens an edge or closes a vertex; an edge's list
+    starts with its parent vertex, the one that opens the next edge."""
+    edges, open_edges, nxt = [], [[]], 1  # open_edges[0] is the root edge, or holds a root vertex
+    bits = iter(code if vertex_root else code[1:-1])
+    for first, second in zip(bits, bits):
+        if first == "1":  # a vertex of the edge open_edges[-1] opens
+            open_edges[-1].append(nxt)
+            if second == "1":  # and opens its first edge
+                open_edges.append([nxt])
             nxt += 1
-        else:  # an edge, child of the vertex path[-1] if any
-            path.append(path[-1:])
-    return edges
+        else:  # an edge closes, and its parent vertex opens another or closes
+            edge = open_edges.pop()
+            edges.append(tuple(edge))
+            if second == "1":
+                open_edges.append(edge[:1])
+    return tuple(sorted(edges if vertex_root else [*edges, tuple(open_edges[0])]))

@@ -5,19 +5,21 @@ A supertree's incidence tree has exactly one center, and rooted there it
 is built once from smaller rooted pieces, so the census is isomorph-free
 by construction: no candidate is canonicalized, no set of forms is kept,
 and each shape is its center's AHU bit string, which canon's labeler
-numbers.  Free trees on n' nodes are the k=2 census with n'-1 edges.
-Each batch of shapes is indexed once: the solver's core (spectral._solve)
-freezes each row of the index as plain values, the records' solves, and
-one bincount over it gives the shapes' degrees, and so their four flags
-(_flags).  verify_extremal reads each kind's brackets into two lists of
-floats and takes each claim's envelope over lists of record places.
+numbers.  Each piece draws its children within the depth a center allows
+it, so growth builds only what it keeps.  Free trees on n' nodes are the
+k=2 census with n'-1 edges.  Each batch of shapes is indexed once: the
+solver's core (spectral._solve) freezes each row of the index as plain
+values, the records' solves, and one bincount over it gives the shapes'
+degrees, and so their four flags (_flags).  verify_extremal reads each
+kind's brackets into two lists of floats and takes each claim's envelope
+over lists of record places.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator
 
 import numpy as np
@@ -117,39 +119,40 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     Each is built once, rooted at its incidence tree's one center (Otter
     1948; Wright, Richmond, Odlyzko & McKay 1986): a vertex with two or
     more edge branches, or an edge with k vertex subtrees, whose two
-    deepest children are equally deep.  Pieces carry canon's AHU bit
-    strings (a leaf is "10"), sorted among siblings, and ``canon._label``
-    numbers the vertices in pre-order, each edge an increasing tuple, so
-    nothing is validated."""
-    # pieces by edge count: (code, depth), the code as in canon and the
-    # depth in edges.  A vertex subtree is a multiset of edge branches, an
-    # edge branch one of k-1 vertex subtrees.  A piece of s edges and depth
-    # d has a rival as deep beside it at the center, so needs s + d <= m
-    below: list[list[tuple]] = [[("10", 0)]]  # vertex subtrees
-    branches: list[list[tuple]] = [[]]  # edge branches
+    deepest children are equally deep.  So a piece of s edges has a rival
+    as deep beside it and is at most m-s deep: a branch draws vertex
+    subtrees of depth at most m-s-1, a vertex subtree branches of depth at
+    most m-s.  Pieces carry canon's AHU bit strings (a leaf is "10"), which
+    ``canon._label`` numbers into increasing edges, so nothing is validated."""
+    below: list[list[tuple]] = [[("10", 0)]]  # vertex subtrees by edges: (code, depth)
+    branches: list[list[tuple]] = [[]]  # edge branches, each of k-1 vertex subtrees
     for s in range(1, m):
-        kids = _multisets(below, s - 1, k - 1)
-        branches.append([(c, d[-1] + 1) for c, d in kids if s + d[-1] < m])
-        below.append([(c, d[-1]) for c, d in _multisets(branches, s) if s + d[-1] <= m])
-    vertex_centers = ((True, c, d) for c, d in _multisets(branches, m) if len(d) > 1)
-    edge_centers = ((False, c, d) for c, d in _multisets(below, m - 1, k))
+        branches.append([(c, d + 1) for c, d in _multisets(below, s - 1, k - 1, m - s - 1)])
+        below.append(list(_multisets(branches, s, None, m - s)))
     n, shapes = m * (k - 1) + 1, []
-    for vertex_root, code, depths in chain(vertex_centers, edge_centers):
-        if depths[-1] == depths[-2]:
-            shapes.append(Hypergraph(k=k, n=n, edges=tuple(sorted(_label(code, vertex_root)))))
+    for root, centers in (True, _multisets(branches, m)), (False, _multisets(below, m - 1, k)):
+        shapes += (Hypergraph(k, n, _label(c, root)) for c, _ in centers)
     return sorted(shapes, key=lambda g: g.edges)
 
 
-def _multisets(table: list[list[tuple]], total: int, count: int | None = None) -> Iterator[tuple]:
-    """Each multiset of table pieces whose sizes (table indices) sum to
-    total, once, as the code of a node with these children and their sorted
-    depths: of count pieces, the rest of size 0, or of any number if None."""
+def _multisets(
+    table: list[list[tuple]], total: int, count: int | None = None, cap: int | None = None
+) -> Iterator[tuple[str, int]]:
+    """Each multiset of table pieces whose sizes (table indices) sum to total,
+    once, as the code of a node with these children and its deepest child's
+    depth: of count pieces, the rest of size 0, or of any number if None.
+    The children are drawn from the pieces at most cap deep; with no cap the
+    node is a center, joined into a code only if its two deepest tie."""
+    if cap is not None:
+        table = [[piece for piece in row if piece[1] <= cap] for row in table]
     for parts in _partitions(total, total if count is None else count, len(table) - 1):
         parts += (0,) * ((count or 0) - len(parts))
         runs = [(p, len(list(run))) for p, run in groupby(parts)]
         for pick in product(*(combinations_with_replacement(table[p], c) for p, c in runs)):
-            pieces = sorted(sum(pick, ()))
-            yield "1" + "".join(c for c, _ in pieces) + "0", sorted(d for _, d in pieces)
+            codes, depths = zip(*sum(pick, ()))
+            deepest = max(depths)
+            if cap is not None or depths.count(deepest) > 1:
+                yield "1" + "".join(sorted(codes)) + "0", deepest
 
 
 def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -234,8 +237,7 @@ def _claim(
     form, if given, must lie inside winner's padded bracket."""
     kind, lows, ups = column
     own = lows[winner], ups[winner]
-    gap = None
-    verdict = "certified"
+    gap, verdict = None, "certified"
     if others:
         low, up = map(lows.__getitem__, others), map(ups.__getitem__, others)
         # oriented so that every claim reads "winner is the largest"

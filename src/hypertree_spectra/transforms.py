@@ -154,25 +154,22 @@ def total_graft(g: Hypergraph, v: int, p: int, q: int) -> Hypergraph:
     both p and q nonzero, so zero lengths are rejected)."""
     if p < 1 or q < 1:
         raise NotPendentPaths(f"need p, q >= 1, got p={p}, q={q}")
-    paths = find_pendent_paths(g, v)
+    return _graft(g, v, find_pendent_paths(g, v), p, q)
+
+
+def _graft(g: Hypergraph, v: int, paths: list[PendentPath], p: int, q: int) -> Hypergraph:
+    """total_graft on v's pendent paths, already walked."""
     path_p = next((pp for pp in paths if pp.length == p), None)
-    path_q = next(
-        (pp for pp in paths if pp.length == q and pp is not path_p), None
-    )
+    path_q = next((pp for pp in paths if pp.length == q and pp is not path_p), None)
     if path_p is None or path_q is None:
-        raise NotPendentPaths(
-            f"no two disjoint pendent paths of lengths {p} and {q} at vertex {v}"
-        )
+        raise NotPendentPaths(f"no two disjoint pendent paths of lengths {p} and {q} at vertex {v}")
     if g.degree(v) < 3:
         # both incident edges are the two paths: the base hypergraph is a
         # bare vertex and the graft is an isomorphism, not a perturbation
-        raise NotPendentPaths(
-            f"vertex {v} carries no edge besides the two pendent paths"
-        )
+        raise NotPendentPaths(f"vertex {v} carries no edge besides the two pendent paths")
     # re-hang the q-path off the free end of the p-path: move its first
     # edge from v to end(P)
-    spec = EdgeMoveSpec((path_q.edge_ids[0],), (v,), path_p.end)
-    return move_edges(g, spec)
+    return move_edges(g, EdgeMoveSpec((path_q.edge_ids[0],), (v,), path_p.end))
 
 
 # -- ordinary trees: graft sequence reduction to a path ----------------------
@@ -214,15 +211,14 @@ def graft_to_path(parents: Sequence[int]) -> list[GraftStep]:
     steps: list[GraftStep] = []
     for u in sorted((u for u in depth if g.degree(u) >= 3), key=lambda u: (-depth[u], u)):
         while g.degree(u) > 2:
-            p, q = sorted(c.length for c in find_pendent_paths(g, u))[:2]
-            g = total_graft(g, u, p, q)
+            paths = find_pendent_paths(g, u)  # one walk, to choose p and q and to graft
+            p, q = sorted(c.length for c in paths)[:2]
+            g = _graft(g, u, paths, p, q)
             steps.append(GraftStep(vertex=u, p=p, q=q))
     return steps
 
 
-def apply_graft_sequence(
-    parents: Sequence[int], steps: Sequence[GraftStep]
-) -> list[list[int]]:
+def apply_graft_sequence(parents: Sequence[int], steps: Sequence[GraftStep]) -> list[list[int]]:
     """Intermediate trees (as parent arrays) after each graft step."""
     g = tree_power(parents, 2)
     out = []

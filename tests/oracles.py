@@ -209,6 +209,29 @@ def grow_and_dedup(m: int, k: int) -> list[CanonicalForm]:
     return sorted(level)
 
 
+def label_by_scan(code: str, vertex_root: bool) -> list[tuple[int, ...]]:
+    """Oracle for canon._label: one scan of the AHU code bit by bit, in
+    which "1" opens a node and "0" closes it, each open node on the path
+    kept as a vertex's number or an edge's vertex list, and a closing node
+    asked which it is."""
+    edges = []
+    path: list = []  # the open nodes: a vertex's number, an edge's vertex list
+    nxt = 1
+    for bit in code:
+        if bit == "0":
+            node = path.pop()
+            if isinstance(node, list):
+                edges.append(tuple(node))
+        elif (len(path) % 2 == 0) == vertex_root:  # a vertex, child of an edge
+            if path:
+                path[-1].append(nxt)
+            path.append(nxt)
+            nxt += 1
+        else:  # an edge, child of the vertex path[-1] if any
+            path.append(path[-1:])
+    return edges
+
+
 def brute_force_canonical(g: Hypergraph) -> CanonicalForm:
     """Canonical form of any hypergraph: the smallest relabeled edge list
     over every relabeling within degree classes.  TooLarge beyond

@@ -17,6 +17,8 @@ from hypertree_spectra import (
     tree_power,
     validate,
 )
+from hypertree_spectra import census
+from hypertree_spectra.canon import _label
 from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.errors import Disconnected, NotATree, TooLarge
 from hypertree_spectra.spectral import _elimination_order
@@ -28,6 +30,7 @@ from oracles import (
     enumerate_trees,
     is_isomorphic,
     is_supertree,
+    label_by_scan,
     parents_to_edges,
     relabel,
     tree_canonical_code,
@@ -294,3 +297,19 @@ def test_canonical_form_of_every_census_shape():
         for m in range(1, top + 1):
             for g in _supertree_shapes(m, k):
                 assert canonical_form(_random_relabel(g, rnd)) == g.edges
+
+
+def test_label_matches_the_scan_on_every_center_code(monkeypatch):
+    """The pairwise labeler against the bit-by-bit scan on every center
+    code that growth labels, each read from a vertex root and from an edge
+    root: the same edges, sorted."""
+    codes = []
+    monkeypatch.setattr(census, "_label", lambda code, root: codes.append((code, root)) or ())
+    for k, top in [(2, 10), (3, 8), (4, 7)]:
+        for m in range(1, top + 1):
+            _supertree_shapes(m, k)
+    assert {root for _, root in codes} == {True, False}
+    assert len(codes) == 435 + 209 + 94  # the census sizes
+    for code, _ in codes:
+        for root in (True, False):
+            assert _label(code, root) == tuple(sorted(label_by_scan(code, root)))

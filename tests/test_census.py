@@ -157,6 +157,45 @@ def test_census_forms_are_pinned(k, top):
     assert digest.hexdigest() == PINNED_FORMS[k, top]
 
 
+# the same digests for larger censuses, recorded from the growth that
+# built every candidate center and table piece and kept those whose
+# depths allowed them, so that a dropped, extra or reordered shape fails
+PINNED_FORMS_BEYOND = {
+    (2, 13): "5a898a077e1c9fea843c3fce4884463795e50432254e1dba1515bff8fe2f8a18",
+    (3, 10): "a4c726fe1a17411fba0aaaa6f7fc4b28f4651cd9c70cf28df512f8c0c2f796f7",
+    (4, 8): "f1eba79b2972b06659358cbae0f5830cabb54fafb72ce5dfbaf30cd0bf1e5fc7",
+    (5, 6): "74937a805b7fd02526dcc2d224a9eb6c14cf107317c22ebcd5e1eb28d4bb50ba",
+}
+
+
+@pytest.mark.parametrize("k,top", sorted(PINNED_FORMS_BEYOND))
+def test_census_forms_are_pinned_beyond_the_oracles(k, top):
+    digest = hashlib.sha256()
+    for m in range(1, top + 1):
+        forms = [[list(e) for e in g.edges] for g in _supertree_shapes(m, k)]
+        digest.update(json.dumps(forms).encode())
+    assert digest.hexdigest() == PINNED_FORMS_BEYOND[k, top]
+
+
+def test_growth_builds_only_the_pieces_it_keeps(monkeypatch):
+    """At k=2 m=14 growth yields 3153 table pieces and 7741 center codes,
+    one per shape: each piece draws its children within its depth cap, and
+    a center is joined into a code only when its two deepest children tie
+    (building every candidate and dropping the rest yields 20394 + 39422)."""
+    yields, labels = [], []
+    multisets, label = census_module._multisets, census_module._label
+
+    def counted(*args):
+        for piece in multisets(*args):
+            yields.append(piece)
+            yield piece
+
+    monkeypatch.setattr(census_module, "_multisets", counted)
+    monkeypatch.setattr(census_module, "_label", lambda *a: labels.append(a) or label(*a))
+    assert len(_supertree_shapes(14, 2)) == len(labels) == 7741
+    assert len(yields) == 3153 + 7741
+
+
 @pytest.mark.parametrize("k,top", sorted(PINNED_FORMS))
 def test_shapes_equal_their_validation(k, top):
     """Growth builds its shapes without validate's checks; each is still
@@ -337,6 +376,23 @@ def test_census_deterministic_export():
             assert stats["iterations"] >= 1
             assert stats["lower"] <= rec[f"rho_{kind}"] <= stats["upper"]
             assert stats["upper"] - stats["lower"] <= 1e-10
+
+
+def test_census_json_lines_agree_with_their_records():
+    """Each exported line holds its record's edges, radii, four flags and
+    per-kind solves, each under its own key."""
+    flags = ("is_hyperstar", "is_loose_path", "is_double_star_1", "is_tree_power")
+    checked = 0
+    for k, top in [(2, 8), (3, 6)]:
+        for m in range(1, top + 1):
+            for r in enumerate_supertrees(m * (k - 1) + 1, k, max_edges=m).records:
+                line = json.loads(r.to_json_line())
+                assert line["edges"] == [list(e) for e in r.hypergraph.edges]
+                assert {f: line[f] for f in flags} == {f: getattr(r, f) for f in flags}
+                assert line["solves"] == {kind.value: s for kind, s in r.solves.items()}
+                assert {kind: line[f"rho_{kind.value}"] for kind in KINDS} == r.radii
+                checked += 1
+    assert checked == 94 + 35
 
 
 @pytest.mark.parametrize("k,top", [(2, 10), (3, 8), (4, 7), (5, 5)])
