@@ -124,7 +124,7 @@ def _supertree_shapes(m: int, k: int) -> list[Hypergraph]:
     subtrees of depth at most m-s-1, a vertex subtree branches of depth at
     most m-s.  Pieces carry canon's AHU bit strings (a leaf is "10"), which
     ``canon._label`` numbers into increasing edges, so nothing is validated."""
-    below: list[list[tuple]] = [[("10", 0)]]  # vertex subtrees by edges: (code, depth)
+    below: list[list[tuple]] = [[("10", 0)]]  # vertex subtrees by edge count: (code, depth)
     branches: list[list[tuple]] = [[]]  # edge branches, each of k-1 vertex subtrees
     for s in range(1, m):
         branches.append([(c, d + 1) for c, d in _multisets(below, s - 1, k - 1, m - s - 1)])
