@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
     if max_m is not None and max_m < 1:
         raise BadParameter(f"--max-m must be at least 1, got {max_m}")
     sizes = [args.n] if max_m is None else [m * (args.k - 1) + 1 for m in range(1, max_m + 1)]
-    passed, censuses = True, []
+    passed, exported = True, []
     for n in sizes:
         census = enumerate_supertrees(n, args.k, tol=args.tol, max_edges=max_m or MAX_CENSUS_EDGES)
         report = verify_extremal(census)
@@ -218,10 +218,12 @@ def cmd_verify(args) -> int:
         if args.bounds:
             _print_bounds(census)
         passed &= report.passed
-        censuses.append(census)
+        if args.export:
+            exported.append(census.export_jsonl())
+        del census  # freed before the next census is built
     if args.export:
         with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write("".join(c.export_jsonl() for c in censuses))
+            fh.write("".join(exported))
     if not passed:
         return 6
     print("PASS")

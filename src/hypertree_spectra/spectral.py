@@ -92,7 +92,6 @@ WARM_STEPS = 2
 # the first round that peels at most this many edges, near the crossover
 # of its two phases.
 NARROW_WIDTH = 8
-ALPHA_STAR_TOL = 1e-13  # relative, for alpha_star's bisection
 
 
 @dataclass(frozen=True)
@@ -283,13 +282,10 @@ def _solve(kinds: tuple, idx: np.ndarray, n: int, tol: float, max_iter: int) -> 
 
 def _power_step(y: np.ndarray, k: int) -> np.ndarray:
     """The shifted power step y^{[1/(k-1)]} from y = T x^{k-1} + x^{[k-1]},
-    before normalization; a row with an entry below 1e-300 is divided by
-    its largest entry."""
-    root = y ** (1.0 / (k - 1))
-    tiny = root.min(axis=1) < 1e-300
-    if tiny.any():
-        root[tiny] /= np.maximum(root[tiny].max(axis=1, keepdims=True), 1e-300)
-    return root
+    before normalization.  It needs no rescale: x comes normalized, so each
+    row's largest root is at least n^{-1/k} (y >= x^{[k-1]}), and
+    _normalized takes out any scale."""
+    return y ** (1.0 / (k - 1))
 
 
 def _normalized(x: np.ndarray, k: int) -> np.ndarray:
@@ -560,10 +556,9 @@ def _eliminate_edges(
 
 def alpha_star(m: int, k: int) -> float:
     """Largest real root of x^k - (m-1) x^{k-1} - m = 0, located in
-    (m-1, m] and found by bisection to the relative tolerance ALPHA_STAR_TOL.
+    (m-1, m] and found by bisection until the midpoint rounds to an endpoint.
 
     f(m-1) = -m < 0 and f(m) = m^{k-1} - m >= 0, so [m-1, m] brackets it.
-    The bisection also stops once the midpoint rounds to an endpoint.
     """
     if not (_is_integer(m) and _is_integer(k)) or m < 1 or k < 2:
         raise BadDimensions(f"alpha_star needs integers m >= 1, k >= 2, got ({m!r}, {k!r})")
@@ -572,15 +567,12 @@ def alpha_star(m: int, k: int) -> float:
         return x**k - (m - 1) * x ** (k - 1) - m
 
     lo, hi = float(m - 1), float(m)
-    while hi - lo > ALPHA_STAR_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def closed_form_hyperstar(kind: TensorKind, n: int, k: int) -> float:

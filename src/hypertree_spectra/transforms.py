@@ -15,7 +15,6 @@ from typing import Sequence
 from .errors import (
     InvalidSpec,
     MultipleEdge,
-    NotATree,
     NotLinear,
     NotPendentPaths,
     PendentEdge,
@@ -182,18 +181,6 @@ class GraftStep:
     q: int
 
 
-def edges_to_parents(edges: Sequence[tuple[int, int]], n_prime: int) -> list[int]:
-    """Root the tree at node 1 and emit the parent of each node 2..n';
-    NotATree unless the edges form a tree on nodes 1..n'."""
-    g = validate(edges, n_prime, k=2)
-    if g.m != n_prime - 1:  # with n'-1 edges, connected means acyclic
-        raise NotATree(f"{g.m} edges on {n_prime} nodes cannot form a tree")
-    parent = _reach(g)
-    if len(parent) != n_prime:
-        raise NotATree("edge list is not a connected tree")
-    return [parent[i] for i in range(2, n_prime + 1)]
-
-
 def graft_to_path(parents: Sequence[int]) -> list[GraftStep]:
     """Sequence of total grafts turning the tree into a path.
 
@@ -224,5 +211,6 @@ def apply_graft_sequence(parents: Sequence[int], steps: Sequence[GraftStep]) -> 
     out = []
     for step in steps:
         g = total_graft(g, step.vertex, step.p, step.q)
-        out.append(edges_to_parents(g.edges, g.n))
+        parent = _reach(g)  # a graft keeps a tree, so no check is needed
+        out.append([parent[i] for i in range(2, g.n + 1)])
     return out

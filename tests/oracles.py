@@ -34,7 +34,7 @@ from hypertree_spectra.errors import (
 from hypertree_spectra.hypergraph import _reach
 from hypertree_spectra.spectral import NARROW_WIDTH
 from hypertree_spectra.tensors import _row_offset
-from hypertree_spectra.transforms import GraftStep, edges_to_parents
+from hypertree_spectra.transforms import GraftStep
 
 _BRUTE_FORCE_CAP = 2_000_000  # permutations examined by brute_force_canonical
 MAX_TREE_NODES = 10  # enumerate_trees' cap
@@ -48,6 +48,18 @@ def relabel(g, perm: dict[int, int]):
 def parents_to_edges(parents) -> list[tuple[int, int]]:
     """Edge list of the tree whose node i+2 has parent parents[i]."""
     return [(p, i + 2) for i, p in enumerate(parents)]
+
+
+def edges_to_parents(edges, n_prime: int) -> list[int]:
+    """Root the tree at node 1 and emit the parent of each node 2..n';
+    NotATree unless the edges form a tree on nodes 1..n'."""
+    g = validate(edges, n_prime, k=2)
+    if g.m != n_prime - 1:  # with n'-1 edges, connected means acyclic
+        raise NotATree(f"{g.m} edges on {n_prime} nodes cannot form a tree")
+    parent = _reach(g)
+    if len(parent) != n_prime:
+        raise NotATree("edge list is not a connected tree")
+    return [parent[i] for i in range(2, n_prime + 1)]
 
 
 def prufer_decode(seq, n_prime):

@@ -1,7 +1,9 @@
+import gc
 import json
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,23 @@ def test_compute_formats(capsys, star_file):
     code, out, _ = run(capsys, "compute", "--format", "text", star_file)
     assert code == 0
     assert out.startswith("n: 7")
+
+
+def test_compute_csv_prints_the_eigvec_row(capsys, star_file):
+    code, out, _ = run(capsys, "compute", "--format", "csv", "--eigvec", star_file)
+    assert code == 0
+    header, values, eigvec = out.strip().splitlines()
+    assert "eigvec" not in header
+    _, out, _ = run(capsys, "compute", "--eigvec", star_file)
+    assert [float(v) for v in eigvec.split(",")] == json.loads(out)["eigvec"]
+
+
+def test_stray_argument_is_a_parse_error(capsys, star_file):
+    # only construct collects trailing integers as its parameters
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", star_file, "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: 7" in capsys.readouterr().err
 
 
 def test_compute_parse_error(capsys, tmp_path):
@@ -530,6 +549,31 @@ def test_verify_no_convergence_prints_bracket(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "bracket=[1.0, 2.0]" in err
+
+
+def test_verify_max_m_zero_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--k", "3", "--max-m", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-m must be at least 1, got 0")
+
+
+def test_verify_sweep_frees_each_census_without_export(capsys, monkeypatch):
+    # without --export no census outlives its own verification, so a sweep
+    # holds one census at a time
+    built, dead_before = [], []
+
+    def enumerate_and_track(*args, **kwargs):
+        gc.collect()
+        dead_before.append([ref() is None for ref in built])
+        result = census.enumerate_supertrees(*args, **kwargs)
+        built.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "enumerate_supertrees", enumerate_and_track)
+    code, out, _ = run(capsys, "verify", "--k", "3", "--max-m", "3")
+    assert code == 0 and out.strip().endswith("PASS")
+    assert dead_before == [[], [True], [True, True]]
 
 
 def test_verify_bad_dimensions(capsys):

@@ -99,6 +99,11 @@ def test_tree_power_vertex_count():
     assert g.n == 4 + 3 * 2
 
 
+def test_tree_power_rejects_a_one_node_tree():
+    with pytest.raises(NotATree, match="at least 2 nodes"):
+        tree_power([], 3)
+
+
 def test_tree_power_rejects_cycle():
     # cycles unreachable from the root; at k=2 the 2-cycle [3, 2] repeats
     # an edge, which must still read as NotATree

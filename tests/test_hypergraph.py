@@ -62,6 +62,11 @@ def test_validate_non_uniform():
         validate([[1, 2], [2, 3, 4]], 4)
 
 
+def test_validate_cannot_infer_k_from_no_edges():
+    with pytest.raises(NonUniform, match="empty edge list"):
+        validate([], 3)
+
+
 def test_validate_vertex_out_of_range():
     with pytest.raises(VertexOutOfRange):
         validate([[1, 2, 9]], 5)
@@ -210,6 +215,11 @@ def test_parse_rejects_bad_header():
 def test_parse_rejects_non_integer_token():
     with pytest.raises(BadFormat, match="non-integer token in line '1 2 x'"):
         parse_hypergraph("3 7 3\n1 2 x\n")
+
+
+def test_parse_rejects_a_file_of_comments_only():
+    with pytest.raises(BadFormat, match="empty hypergraph file"):
+        parse_hypergraph("# a header is missing\n\n# and so is every edge\n")
 
 
 def test_read_rejects_non_utf8(tmp_path):

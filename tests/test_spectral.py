@@ -342,6 +342,47 @@ def test_mixed_batch_no_convergence_names_the_widest_kind():
     assert sum(kind.name in str(err) for kind in KINDS) == 1
 
 
+def test_a_newton_step_with_a_negative_entry_hands_its_row_to_power_steps(monkeypatch):
+    """A Newton-Noda step that is finite but not positive fails like one
+    that is not finite: its row takes the power step in that iteration and
+    finishes on power steps, with a bracket around the dense oracle's
+    radius, while the other rows of the batch run unchanged."""
+    kind = TensorKind.SignlessLaplacian
+    rng = np.random.default_rng(5)
+    graphs = [tree_power([int(rng.integers(1, i + 2)) for i in range(10)], 3) for _ in range(3)]
+    plain = spectral_radii((kind,), graphs)[0]
+    calls = []
+    step, power = spectral._newton_noda_step, spectral._power_step
+
+    def negated_once(*args):
+        out = step(*args)
+        if "newton" not in calls:
+            out[0, -1] = -out[0, -1]
+        calls.append("newton")
+        return out
+
+    def counted_power(y, k):
+        calls.append(len(y))
+        return power(y, k)
+
+    monkeypatch.setattr(spectral, "_newton_noda_step", negated_once)
+    monkeypatch.setattr(spectral, "_power_step", counted_power)
+    patched = spectral_radii((kind,), graphs)[0]
+    first = calls.index("newton")
+    assert calls[first + 1] == 1  # row 0 alone takes the power step
+    for got, want in zip(patched[1:], plain[1:]):
+        assert (got.lower, got.upper, got.iterations, got.residual) == (
+            want.lower, want.upper, want.iterations, want.residual
+        )
+        assert got.eigvec.tobytes() == want.eigvec.tobytes()
+    row = patched[0]
+    assert row.iterations > plain[0].iterations
+    lower, upper = dense_power_iteration(dense_build(kind, graphs[0]))
+    rho = 0.5 * (lower + upper)
+    pad = ROUNDING_PAD * rho
+    assert row.lower - pad <= rho <= row.upper + pad
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_newton_steps_on_random_tree_powers(kind):
     # Newton's method on T x^{k-1}, of degree k-1, took up to 15 (adj),

@@ -33,12 +33,9 @@ from hypertree_spectra.errors import (
     PendentEdge,
 )
 from hypertree_spectra.census import _supertree_shapes
-from hypertree_spectra.transforms import (
-    GraftStep,
-    apply_graft_sequence,
-    edges_to_parents,
-)
+from hypertree_spectra.transforms import GraftStep, apply_graft_sequence
 from oracles import (
+    edges_to_parents,
     enumerate_trees,
     graft_to_path_by_rounds,
     is_isomorphic,
@@ -114,6 +111,14 @@ def test_move_rejects_empty_and_duplicate_specs():
         move_edges(g, EdgeMoveSpec((), (), 1))
     with pytest.raises(InvalidSpec):
         move_edges(g, EdgeMoveSpec((0, 0), (1, 2), 6))
+
+
+def test_move_and_release_reject_an_edge_id_equal_to_m():
+    g = loose_path(7, 3)
+    with pytest.raises(InvalidSpec, match="edge id 3 out of range"):
+        move_edges(g, EdgeMoveSpec((g.m,), (5,), 1))
+    with pytest.raises(InvalidSpec, match="edge id 3 out of range"):
+        edge_release(g, g.m, 1)
 
 
 def test_move_rejects_multiple_edge():
@@ -261,6 +266,12 @@ def test_find_pendent_paths_spider():
     for p in paths:
         assert g.degree(p.end) == 1
         assert len(p.vertices) == p.length + 1
+
+
+def test_find_pendent_paths_rejects_non_linear():
+    # consecutive edges of the 2-path share two vertices
+    with pytest.raises(NotLinear):
+        find_pendent_paths(s_path(3, 2, 4), 1)
 
 
 def test_find_pendent_paths_on_a_cycle_is_empty():
@@ -496,6 +507,20 @@ def test_graft_chains_are_pinned(parents, steps, chain):
     expected = [GraftStep(vertex=v, p=p, q=q) for v, p, q in steps]
     assert graft_to_path(parents) == expected
     assert apply_graft_sequence(parents, expected) == chain
+
+
+def test_graft_sequence_parents_match_the_checked_rooting():
+    # apply_graft_sequence reads each grafted tree's parents off its walk
+    # from node 1, unchecked; edges_to_parents checks that it is a tree
+    rng = random.Random(3)
+    for n_prime in range(2, 30):
+        parents = [rng.randint(1, i + 1) for i in range(n_prime - 1)]
+        steps = graft_to_path(parents)
+        g, expected = tree_power(parents, 2), []
+        for step in steps:
+            g = total_graft(g, step.vertex, step.p, step.q)
+            expected.append(edges_to_parents(g.edges, g.n))
+        assert apply_graft_sequence(parents, steps) == expected
 
 
 def test_edges_to_parents_rejects_non_tree():
