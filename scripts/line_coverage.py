@@ -31,13 +31,6 @@ PACKAGE = ROOT / "src" / "hypertree_spectra"
 SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
 
-def _is_main_guard(node: ast.stmt) -> bool:
-    return isinstance(node, ast.If) and ast.unparse(node.test) in (
-        "__name__ == '__main__'",
-        "'__main__' == __name__",
-    )
-
-
 def statements(tree: ast.Module) -> list[tuple[int, int]]:
     """(first, last) header lines of every counted statement of tree."""
     out = []
@@ -55,11 +48,10 @@ def statements(tree: ast.Module) -> list[tuple[int, int]]:
                     child.lineno
                     for name in ("body", "orelse", "finalbody", "handlers")
                     for child in getattr(node, name, [])
-                    if isinstance(child, (ast.stmt, ast.excepthandler))
                 ]
                 last = min(inner, default=node.end_lineno + 1) - 1
                 out.append((node.lineno, max(node.lineno, last)))
-            if _is_main_guard(node):
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
                 visit(node.orelse)
                 continue
             for name in ("body", "orelse", "finalbody"):
