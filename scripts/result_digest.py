@@ -4,7 +4,7 @@ checkouts give the same bits.
 
     python scripts/result_digest.py [--quick]
 
-Runs six groups, five through the public API, and prints one digest per
+Runs seven groups, five through the public API, and prints one digest per
 group and one over all of them.  Each solver result adds its lower and upper
 bracket, iterations and residual (floats as float.hex) and its
 eigenvector's bytes.
@@ -26,12 +26,16 @@ eigenvector's bytes.
   bound k^{k-1} Delta, which is at most k^{k-1} m;
 * shapes: growth alone, the edge lists of every shape of the censuses
   k=2 m<=14, k=3 m<=11, k=4 m<=10 and k=5 m<=8 from the census's private
-  _supertree_shapes, in its order, with no solve.
+  _supertree_shapes, in its order, with no solve;
+* transforms: structure alone, the edge list of edge_release(g, j, u) for
+  every non-pendent edge j of every shape g of the censuses of RELEASES and
+  every vertex u of j, then the graft steps and parent arrays of the grafts
+  group's chains, with no solve.
 
 --quick runs a small subset of the first four groups (k=2 m<=6, k=3 m<=5
 for both census groups; 6 tree powers; loose_path(121, 3)) and leaves out
-large_k and shapes.  Uses the standard library only, besides the package, which it
-imports from the src/ directory beside this script.
+large_k, shapes and transforms.  Uses the standard library only, besides
+the package, which it imports from the src/ directory beside this script.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ LARGE_K = (8, 9, 10)
 LARGE_K_TREE = (1, 1, 2, 3, 3, 4)  # parent of each node 2..7: 6 edges, neither path nor star
 LARGE_K_MAX_ITER = 3000
 SHAPES = {2: 14, 3: 11, 4: 10, 5: 8}  # k -> largest m, grown but not solved
+RELEASES = {2: 8, 3: 7, 4: 5, 5: 4}  # k -> largest m, each shape's edges released
 
 
 def _bytes(result: hs.SpectralResult) -> bytes:
@@ -91,19 +96,32 @@ def census_records(tops: dict[int, int]):
             yield (line + "\n").encode()
 
 
-def graft_graphs(count: int) -> list[hs.Hypergraph]:
-    """count tree powers along graft_to_path chains of seeded random
-    trees, relabelled by one seeded permutation."""
+def graft_chains(count: int):
+    """A seeded permutation of the k=3 tree powers' vertices, and the
+    (steps, trees) of graft_to_path chains of seeded random trees, each
+    chain's trees its start and then each graft's parent array, until the
+    chains hold count trees."""
     rng = random.Random(SEED)
-    n = NODES + (NODES - 1)
-    labels = list(range(1, n + 1))
+    labels = list(range(1, NODES + (NODES - 1) + 1))
     rng.shuffle(labels)
-    graphs = []
-    while len(graphs) < count:
+    chains, trees = [], 0
+    while trees < count:
         parents = [rng.randint(1, i + 1) for i in range(NODES - 1)]
-        for tree in [parents, *apply_graft_sequence(parents, hs.graft_to_path(parents))]:
+        steps = hs.graft_to_path(parents)
+        chains.append((steps, [parents, *apply_graft_sequence(parents, steps)]))
+        trees += len(chains[-1][1])
+    return labels, chains
+
+
+def graft_graphs(count: int) -> list[hs.Hypergraph]:
+    """count tree powers along graft_chains(count), relabelled by its
+    permutation."""
+    labels, chains = graft_chains(count)
+    graphs = []
+    for _, trees in chains:
+        for tree in trees:
             g = hs.tree_power(tree, 3)
-            graphs.append(hs.validate([[labels[v - 1] for v in e] for e in g.edges], n, k=3))
+            graphs.append(hs.validate([[labels[v - 1] for v in e] for e in g.edges], g.n, k=3))
     return graphs[:count]
 
 
@@ -134,6 +152,19 @@ def shape_forms():
             yield repr([g.edges for g in _supertree_shapes(m, k)]).encode()
 
 
+def transform_results():
+    """Each release's edge list over RELEASES, then each of the grafts
+    group's chains as its steps and parent arrays."""
+    for k, top in RELEASES.items():
+        for m in range(1, top + 1):
+            for g in _supertree_shapes(m, k):
+                for j in sorted(set(range(g.m)) - hs.pendent_edges(g)):
+                    for u in g.edges[j]:
+                        yield repr(hs.edge_release(g, j, u).edges).encode()
+    for steps, trees in graft_chains(GRAFT_GRAPHS)[1]:
+        yield repr(([(s.vertex, s.p, s.q) for s in steps], trees)).encode()
+
+
 def digests(quick: bool = False) -> dict[str, str]:
     """Each group's hex digest, and "all" over every group's bytes in order."""
     families = [make(n, k) for make, n, k in (FAMILIES[:1] if quick else FAMILIES)]
@@ -147,6 +178,7 @@ def digests(quick: bool = False) -> dict[str, str]:
     if not quick:
         groups["large_k"] = large_k_results()
         groups["shapes"] = shape_forms()
+        groups["transforms"] = transform_results()
     total, out = hashlib.sha256(), {}
     for name, chunks in groups.items():
         digest = hashlib.sha256()

@@ -18,11 +18,10 @@ from .errors import (
     NotLinear,
     NotPendentPaths,
     PendentEdge,
+    VertexOutOfRange,
 )
 from .families import tree_power
-from .hypergraph import Hypergraph, _reach, is_linear, pendent_edges, validate
-from .spectral import DEFAULT_TOL, spectral_radius
-from .tensors import TensorKind
+from .hypergraph import Hypergraph, _is_integer, _reach, is_linear, pendent_edges
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,9 @@ def move_edges(g: Hypergraph, spec: EdgeMoveSpec) -> Hypergraph:
         raise InvalidSpec("need r >= 1 edges with one source vertex each")
     if len(set(spec.edge_ids)) != len(spec.edge_ids):
         raise InvalidSpec("edge ids must be distinct")
-    u = spec.target
+    if not _is_integer(spec.target) or not (1 <= spec.target <= g.n):
+        raise VertexOutOfRange(f"target {spec.target!r} is not a vertex id in 1..{g.n}")
+    u = int(spec.target)
     new_edges: list[tuple[int, ...]] = []
     moved = set(spec.edge_ids)
     for eid, v in zip(spec.edge_ids, spec.sources):
@@ -77,7 +78,7 @@ def move_edges(g: Hypergraph, spec: EdgeMoveSpec) -> Hypergraph:
     combined = kept + new_edges
     if len(set(combined)) != len(combined):
         raise MultipleEdge("edge move would create a multiple edge")
-    return validate(combined, g.n, k=g.k)
+    return Hypergraph(g.k, g.n, tuple(sorted(combined)))
 
 
 def edge_release(g: Hypergraph, edge_id: int, u: int) -> Hypergraph:
@@ -96,21 +97,6 @@ def edge_release(g: Hypergraph, edge_id: int, u: int) -> Hypergraph:
         *((j, v) for v in e if v != u for j in g.incident_edges(v) if j != edge_id)
     )
     return move_edges(g, EdgeMoveSpec(ids, sources, u))
-
-
-def edge_release_best(
-    g: Hypergraph,
-    edge_id: int,
-    kind: TensorKind = TensorKind.IncidenceQ,
-    tol: float = DEFAULT_TOL,
-) -> Hypergraph:
-    """Release at the vertex of the edge with the largest Perron
-    component, which guarantees the radius strictly increases."""
-    if not (0 <= edge_id < g.m):
-        raise InvalidSpec(f"edge id {edge_id} out of range")
-    result = spectral_radius(kind, g, tol=tol)
-    u = max(g.edges[edge_id], key=lambda v: result.eigvec[v - 1])
-    return edge_release(g, edge_id, u)
 
 
 def find_pendent_paths(g: Hypergraph, v: int) -> list[PendentPath]:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from hypertree_spectra import (
@@ -8,7 +9,6 @@ from hypertree_spectra import (
     canonical_form,
     double_star,
     edge_release,
-    edge_release_best,
     find_pendent_paths,
     graft_to_path,
     hyperstar,
@@ -31,6 +31,7 @@ from hypertree_spectra.errors import (
     NotLinear,
     NotPendentPaths,
     PendentEdge,
+    VertexOutOfRange,
 )
 from hypertree_spectra.census import _supertree_shapes
 from hypertree_spectra.transforms import GraftStep, apply_graft_sequence
@@ -121,6 +122,21 @@ def test_move_and_release_reject_an_edge_id_equal_to_m():
         edge_release(g, g.m, 1)
 
 
+@pytest.mark.parametrize("target", [0, 8, 2.5, True])
+def test_move_rejects_a_target_that_is_not_a_vertex_id(target):
+    # edge (5, 6, 7) holds no vertex 1, so True passes the not-in-edge check
+    g = loose_path(7, 3)
+    with pytest.raises(VertexOutOfRange):
+        move_edges(g, EdgeMoveSpec((2,), (5,), target))
+
+
+def test_move_stores_a_numpy_target_as_int():
+    g = loose_path(7, 3)
+    h = move_edges(g, EdgeMoveSpec((2,), (5,), np.int64(1)))
+    assert h == move_edges(g, EdgeMoveSpec((2,), (5,), 1))
+    assert {type(v) for e in h.edges for v in e} == {int}
+
+
 def test_move_rejects_multiple_edge():
     g = validate([[1, 2, 3], [1, 2, 4]], 4)
     with pytest.raises(MultipleEdge):
@@ -163,9 +179,20 @@ def test_release_middle_edge_of_path_gives_hyperstar():
 
 
 def test_release_at_different_vertices_isomorphic():
-    g = loose_path(9, 3)
-    forms = {canonical_form(edge_release(g, 1, u)) for u in (3, 4, 5)}
-    assert len(forms) == 1
+    # every edge meeting e ends up at u, and swapping u with another vertex
+    # of e maps one release onto the other (by linearity no moved edge holds
+    # both), so the release vertex only relabels: checked on every
+    # non-pendent edge of the small censuses
+    edges = releases = 0
+    for k, top in ((2, 8), (3, 7), (4, 5), (5, 4)):
+        for m in range(1, top + 1):
+            for g in _supertree_shapes(m, k):
+                for j in set(range(g.m)) - pendent_edges(g):
+                    forms = {canonical_form(edge_release(g, j, u)) for u in g.edges[j]}
+                    assert len(forms) == 1
+                    edges += 1
+                    releases += g.k
+    assert (edges, releases) == (448, 1126)
 
 
 def test_release_pendent_edge_rejected():
@@ -198,11 +225,12 @@ def test_release_strictly_increases_all_radii():
         non_pendent = set(range(g.m)) - pendent_edges(g)
         assert non_pendent
         for kind in KINDS:
-            before = spectral_radius(kind, g, tol=TOL).rho
+            result = spectral_radius(kind, g, tol=TOL)
             for eid in non_pendent:
-                h = edge_release_best(g, eid, kind=kind, tol=TOL)
-                after = spectral_radius(kind, h, tol=TOL).rho
-                assert_strictly_greater(after, before)
+                # at the vertex of the largest Perron component
+                u = max(g.edges[eid], key=lambda v: result.eigvec[v - 1])
+                after = spectral_radius(kind, edge_release(g, eid, u), tol=TOL).rho
+                assert_strictly_greater(after, result.rho)
 
 
 def _outcome(transform, g, edge_id, u):
@@ -235,17 +263,6 @@ def test_release_rejects_non_linear():
     # consecutive edges of the 2-path share two vertices
     with pytest.raises(NotLinear):
         edge_release(s_path(3, 2, 4), 0, 1)
-
-
-def test_release_best_out_of_range():
-    with pytest.raises(InvalidSpec):
-        edge_release_best(loose_path(7, 3), 9)
-    # the id is checked before the solve, which rejects a disconnected graph
-    split = validate([[1, 2, 3], [4, 5, 6]], 6)
-    with pytest.raises(InvalidSpec):
-        edge_release_best(split, 2)
-    with pytest.raises(Disconnected):
-        edge_release_best(split, 0)
 
 
 # -- pendent paths and total_graft -------------------------------------------
